@@ -10,13 +10,16 @@ from .classify import (
     Verdict,
     WitnessCertificate,
     classify,
+    leading_triple,
 )
 from .conjugation import (
     BlockDecomposition,
     CompanionConjugation,
+    LeadingBlock,
     ReducedInstance,
     block_decompose,
     companion_conjugate,
+    leading_block,
     map_spectrum,
     reduce_dimension,
 )

@@ -24,30 +24,23 @@ from __future__ import annotations
 import enum
 from math import gcd
 
-from .conjugation import (
-    block_decompose,
-    companion_conjugate,
-    reduce_dimension,
-)
-from .errors import BadQ, NotExpanding, ZeroVector
+from .conjugation import LeadingBlock, companion_conjugate, leading_block
+from .errors import BadQ, InternalError, NotExpanding, ZeroVector
 from .fourier import Witness, construct_witness
 from .hadamard import HadamardTriple, construct_dual_digits
 from .linalg import (
     IntMatrix,
     IntPolynomial,
     IntVector,
-    char_poly,
-    det,
     is_expanding,
-    krylov,
 )
 
 
 class ProblemInstance:
     """Validated input triple: expanding integer matrix, nonzero digit
-    direction, digit count q >= 2."""
+    direction, digit count q >= 2; ``leading`` is built once, on first use."""
 
-    __slots__ = ("m", "v", "q")
+    __slots__ = ("m", "v", "q", "_leading")
 
     def __init__(self, m: IntMatrix, v: IntVector, q: int):
         n = m.n
@@ -64,6 +57,13 @@ class ProblemInstance:
         self.m = m
         self.v = v
         self.q = q
+        self._leading = None
+
+    @property
+    def leading(self) -> LeadingBlock:
+        if self._leading is None:
+            self._leading = leading_block(self.m, self.v, self.q)
+        return self._leading
 
     def __repr__(self):
         return f"ProblemInstance(m={self.m!r}, v={self.v!r}, q={self.q})"
@@ -154,6 +154,16 @@ def pure_power_form(p: IntPolynomial):
     return p.coeffs[0]
 
 
+def leading_triple(inst: ProblemInstance) -> HadamardTriple:
+    """Dual digit triple of the leading block in its companion frame, with
+    exact unitarity checked (``triple.verified``).  Raises NotDivisible
+    when q does not divide |det m1|."""
+    lead = inst.leading
+    triple = construct_dual_digits(companion_conjugate(lead.m1, lead.v1), inst.q)
+    triple.verify()
+    return triple
+
+
 def classify(inst: ProblemInstance) -> Classification:
     """Run the decision tree and attach a certificate.
 
@@ -162,35 +172,25 @@ def classify(inst: ProblemInstance) -> Classification:
     exponentials carry an exactly verified witness; the remaining
     verdicts carry the conditions record only.
     """
-    n = inst.m.n
-    _, r = krylov(inst.m, inst.v)
-    reasons = []
-    if r == n:
-        decomp = None
-        m1, v1 = inst.m, inst.v
-    else:
-        decomp = block_decompose(inst.m, inst.v)
-        reduced = reduce_dimension(decomp, inst.q)
-        m1, v1 = reduced.m1, reduced.v_prime
-        reasons.append("rank-reduction")
-    d1 = det(m1)
+    lead = inst.leading
+    reasons = [] if lead.decomp is None else ["rank-reduction"]
+    d1 = lead.det_m1
     g = gcd(inst.q, abs(d1))
-    pure_c = pure_power_form(char_poly(m1))
+    pure_c = pure_power_form(lead.char_poly)
     conditions = Conditions(
-        r=r,
+        r=lead.r,
         det_m1=d1,
         gcd_q_detm1=g,
         q_divides_detm1=abs(d1) % inst.q == 0,
         pure_power_c=pure_c,
     )
     if conditions.q_divides_detm1:
-        conj = companion_conjugate(m1, v1)
-        triple = construct_dual_digits(conj, inst.q)
-        if not triple.verify():
-            raise AssertionError("constructed dual digits failed unitarity")
+        triple = leading_triple(inst)
+        if not triple.verified:
+            raise InternalError("constructed dual digits failed unitarity")
         reasons.append("divisibility-sufficiency")
         return Classification(
-            Verdict.SPECTRAL, conditions, HadamardCertificate(triple, decomp), reasons
+            Verdict.SPECTRAL, conditions, HadamardCertificate(triple, lead.decomp), reasons
         )
     if pure_c is not None:
         if g > 1:
@@ -235,5 +235,6 @@ __all__ = [
     "Verdict",
     "WitnessCertificate",
     "classify",
+    "leading_triple",
     "pure_power_form",
 ]

@@ -18,13 +18,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .classify import ProblemInstance, classify
-from .conjugation import block_decompose, companion_conjugate, map_spectrum, reduce_dimension
+from .classify import ProblemInstance, classify, leading_triple
+from .conjugation import companion_conjugate, map_spectrum
 from .errors import InternalError, ParseError, PreconditionError
 from .evidence import chaos_game, completeness_defect, max_orthogonal_clique
 from .fourier import Witness, certify_orthogonal, construct_witness, verify_witness
-from .hadamard import candidate_spectrum, construct_dual_digits, verify_hadamard
-from .linalg import IntMatrix, IntVector, RatVector, krylov
+from .hadamard import candidate_spectrum, verify_hadamard
+from .linalg import IntMatrix, IntVector, RatVector
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +110,10 @@ def _parse_rvec(entries) -> RatVector:
         raise ParseError(f"bad rational vector {entries!r}") from None
 
 
+def _parse_ivecs(entries):
+    return [_parse_rvec(e).to_int() for e in entries]
+
+
 def _parse_imat(rows) -> IntMatrix:
     return IntMatrix([[_to_int(x) for x in row] for row in rows])
 
@@ -127,8 +131,35 @@ def _emit(args, obj, human_lines):
 
 
 # ---------------------------------------------------------------------------
-# certificates as JSON
+# results as JSON
 # ---------------------------------------------------------------------------
+
+
+def _triple_json(triple):
+    return {
+        "matrix": _ser_imat(triple.m),
+        "digits": [_ser_ivec(d) for d in triple.digits],
+        "duals": [_ser_ivec(s) for s in triple.duals],
+    }
+
+
+def _witness_json(w):
+    return {
+        "alpha": _ser_rvec(w.alpha),
+        "ell": w.ell,
+        "phase": _ser_frac(w.phase),
+        "image": _ser_rvec(w.image),
+    }
+
+
+def _clique_json(rep):
+    return {
+        "lattice_denominator": rep.lattice_denominator,
+        "box_radius": rep.box_radius,
+        "max_clique_size": rep.max_clique_size,
+        "witness_set": [_ser_rvec(p) for p in rep.witness_set],
+        "certified": rep.certified,
+    }
 
 
 def _certificate_json(cert):
@@ -137,54 +168,57 @@ def _certificate_json(cert):
     if cert.kind == "hadamard":
         block = None
         if cert.block is not None:
-            block = {
-                "b": _ser_imat(cert.block.b),
-                "r": cert.block.r,
-            }
+            block = {"b": _ser_imat(cert.block.b), "r": cert.block.r}
         return {
             "type": "hadamard",
-            "matrix": _ser_imat(cert.triple.m),
-            "digits": [_ser_ivec(d) for d in cert.triple.digits],
-            "duals": [_ser_ivec(s) for s in cert.triple.duals],
+            **_triple_json(cert.triple),
             "block": block,
             "reverified": bool(cert.triple.verified),
         }
     if cert.kind == "witness":
         w = cert.witness
-        return {
-            "type": "witness",
-            "alpha": _ser_rvec(w.alpha),
-            "ell": w.ell,
-            "phase": _ser_frac(w.phase),
-            "image": _ser_rvec(w.image),
-            "reverified": True,
-        }
+        return {"type": "witness", **_witness_json(w), "reverified": bool(w.verified)}
     return {"type": "condition-only", "note": cert.note, "reverified": None}
+
+
+def _cert_field(cert, key, parse):
+    """One certificate field through its parser; a missing or ill-typed
+    field is a schema error (exit 1), never a traceback."""
+    if key not in cert:
+        raise ParseError(f"certificate is missing {key!r}")
+    try:
+        return parse(cert[key])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ParseError(f"certificate field {key!r} is malformed") from None
 
 
 def _reverify_certificate(inst: ProblemInstance, cert) -> str:
     """Re-check a report's certificate from its own serialized data.
 
     Raises PreconditionError when the data does not verify, so a tampered
-    report exits with code 2."""
+    report exits with code 2, and ParseError when it is malformed."""
     if cert is None:
         return "no certificate present"
+    if not isinstance(cert, dict):
+        raise ParseError("certificate must be a JSON object or null")
     kind = cert.get("type")
     if kind == "hadamard":
-        m = _parse_imat(cert["matrix"])
-        digits = [_parse_rvec(d).to_int() for d in cert["digits"]]
-        duals = [_parse_rvec(s).to_int() for s in cert["duals"]]
+        m = _cert_field(cert, "matrix", _parse_imat)
+        digits = _cert_field(cert, "digits", _parse_ivecs)
+        duals = _cert_field(cert, "duals", _parse_ivecs)
         if len(digits) != inst.q or len(duals) != inst.q:
             raise PreconditionError("certificate digit count does not match q")
+        if m.nrows != m.ncols or any(len(x) != m.nrows for x in digits + duals):
+            raise ParseError("certificate matrix and vectors disagree in dimension")
         if not verify_hadamard(m, digits, duals):
             raise PreconditionError("hadamard certificate failed exact unitarity")
         return "hadamard certificate re-verified"
     if kind == "witness":
         w = Witness(
-            alpha=_parse_rvec(cert["alpha"]),
-            ell=int(cert["ell"]),
-            phase=Fraction(cert["phase"]),
-            image=_parse_rvec(cert["image"]),
+            alpha=_cert_field(cert, "alpha", _parse_rvec),
+            ell=_cert_field(cert, "ell", _to_int),
+            phase=_cert_field(cert, "phase", Fraction),
+            image=_cert_field(cert, "image", _parse_rvec),
         )
         if not verify_witness(inst, w):
             raise PreconditionError("witness certificate failed exact verification")
@@ -211,19 +245,12 @@ def _evidence_json(args, inst, classification):
         return None
     if args.evidence == "clique":
         rep = max_orthogonal_clique(inst, args.lattice_den, args.box, args.jmax)
-        return {
-            "kind": "clique",
-            "lattice_denominator": rep.lattice_denominator,
-            "box_radius": rep.box_radius,
-            "max_clique_size": rep.max_clique_size,
-            "witness_set": [_ser_rvec(p) for p in rep.witness_set],
-            "certified": rep.certified,
-        }
+        return {"kind": "clique", **_clique_json(rep)}
     # completeness needs a candidate spectrum, hence a hadamard verdict
     cert = classification.certificate
     if cert is None or cert.kind != "hadamard":
         raise PreconditionError("completeness evidence requires a spectral verdict")
-    spectrum = _spectrum_in_original_coords(inst, args.depth)
+    spectrum = _spectrum_in_original_coords(inst, cert.triple, args.depth)
     rep = completeness_defect(inst, spectrum, _default_probes(inst.m.n), args.tail_eps)
     return {
         "kind": "completeness",
@@ -234,8 +261,9 @@ def _evidence_json(args, inst, classification):
     }
 
 
-def _spectrum_in_original_coords(inst: ProblemInstance, depth: int):
-    """Candidate spectrum expressed in the instance's own coordinates.
+def _spectrum_in_original_coords(inst: ProblemInstance, triple, depth: int):
+    """Candidate spectrum of the verified leading-block triple, expressed
+    in the instance's own coordinates.
 
     Full Krylov rank: the companion frame's mapping is built into
     candidate_spectrum.  Reduced rank: frequencies of the leading block
@@ -243,16 +271,10 @@ def _spectrum_in_original_coords(inst: ProblemInstance, depth: int):
     which preserves every pairwise orthogonality certificate exactly.
     """
     n = inst.m.n
-    _, r = krylov(inst.m, inst.v)
-    if r == n:
-        triple = construct_dual_digits(companion_conjugate(inst.m, inst.v), inst.q)
-        triple.verify()
-        return candidate_spectrum(triple, depth)
-    decomp = block_decompose(inst.m, inst.v)
-    reduced = reduce_dimension(decomp, inst.q)
-    triple = construct_dual_digits(companion_conjugate(reduced.m1, reduced.v_prime), inst.q)
-    triple.verify()
+    r, decomp = inst.leading.r, inst.leading.decomp
     small = candidate_spectrum(triple, depth)
+    if decomp is None:
+        return small
     padded = [RatVector(list(f) + [Fraction(0)] * (n - r)) for f in small.frequencies]
     mapped = map_spectrum(decomp.b, padded, "forward")
     small.frequencies = mapped
@@ -274,6 +296,8 @@ def cmd_classify(args) -> int:
             raise ParseError(f"cannot read report: {e}") from None
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid report JSON: {e}") from None
+        if not isinstance(report, dict):
+            raise ParseError("report must be a JSON object")
         status = _reverify_certificate(inst, report.get("certificate"))
         sys.stdout.write(status + "\n")
         return 0
@@ -315,14 +339,13 @@ def _describe_cert(cert_json) -> str:
         return "(none)"
     if cert_json["type"] == "condition-only":
         return f"condition-only ({cert_json['note']})"
-    return f"{cert_json['type']} (verified: true)"
+    return f"{cert_json['type']} (verified: {str(cert_json['reverified']).lower()})"
 
 
 def cmd_decompose(args) -> int:
     inst = load_instance(args.input)
-    n = inst.m.n
-    _, r = krylov(inst.m, inst.v)
-    if r == n:
+    r, decomp = inst.leading.r, inst.leading.decomp
+    if decomp is None:
         conj = companion_conjugate(inst.m, inst.v)
         obj = {
             "branch": "companion",
@@ -338,7 +361,6 @@ def cmd_decompose(args) -> int:
             f"companion form: {conj.m_tilde.rows}",
         ]
         return _emit(args, obj, human)
-    decomp = block_decompose(inst.m, inst.v)
     obj = {
         "branch": "block",
         "r": r,
@@ -363,14 +385,8 @@ def cmd_decompose(args) -> int:
 def cmd_witness(args) -> int:
     inst = load_instance(args.input)
     w = construct_witness(inst)
-    ok = verify_witness(inst, w)
-    obj = {
-        "alpha": _ser_rvec(w.alpha),
-        "ell": w.ell,
-        "phase": _ser_frac(w.phase),
-        "image": _ser_rvec(w.image),
-        "verified": ok,
-    }
+    ok = w.verified
+    obj = {**_witness_json(w), "verified": ok}
     human = [
         f"alpha: ({', '.join(_ser_rvec(w.alpha))})",
         f"ell: {w.ell}",
@@ -383,22 +399,9 @@ def cmd_witness(args) -> int:
 
 def cmd_hadamard(args) -> int:
     inst = load_instance(args.input)
-    n = inst.m.n
-    _, r = krylov(inst.m, inst.v)
-    if r == n:
-        m1, v1 = inst.m, inst.v
-    else:
-        reduced = reduce_dimension(block_decompose(inst.m, inst.v), inst.q)
-        m1, v1 = reduced.m1, reduced.v_prime
-    triple = construct_dual_digits(companion_conjugate(m1, v1), inst.q)
-    ok = triple.verify()
-    obj = {
-        "reduced_to_rank": r,
-        "matrix": _ser_imat(triple.m),
-        "digits": [_ser_ivec(d) for d in triple.digits],
-        "duals": [_ser_ivec(s) for s in triple.duals],
-        "verified": ok,
-    }
+    triple = leading_triple(inst)
+    ok = triple.verified
+    obj = {"reduced_to_rank": inst.leading.r, **_triple_json(triple), "verified": ok}
     human = [
         f"companion matrix: {triple.m.rows}",
         f"digits: {[tuple(d) for d in triple.digits]}",
@@ -410,7 +413,7 @@ def cmd_hadamard(args) -> int:
 
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.input)
-    spectrum = _spectrum_in_original_coords(inst, args.depth)
+    spectrum = _spectrum_in_original_coords(inst, leading_triple(inst), args.depth)
     zero = RatVector([0] * inst.m.n)
     certificates = []
     for idx, lam in enumerate(spectrum.frequencies):
@@ -441,13 +444,7 @@ def cmd_spectrum(args) -> int:
 def cmd_clique(args) -> int:
     inst = load_instance(args.input)
     rep = max_orthogonal_clique(inst, args.lattice_den, args.box, args.jmax)
-    obj = {
-        "lattice_denominator": rep.lattice_denominator,
-        "box_radius": rep.box_radius,
-        "max_clique_size": rep.max_clique_size,
-        "witness_set": [_ser_rvec(p) for p in rep.witness_set],
-        "certified": rep.certified,
-    }
+    obj = _clique_json(rep)
     human = [
         f"lattice denominator: {rep.lattice_denominator}",
         f"box radius: {rep.box_radius}",
@@ -559,7 +556,7 @@ def main(argv=None) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (InternalError, AssertionError) as e:
+    except InternalError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
 

@@ -6,7 +6,8 @@ characteristic polynomial by the basis of those iterates.  When they span
 a proper subspace, a unimodular change of basis exhibits M as a block
 upper-triangular matrix whose leading block acts on that subspace; the
 classification problem then reduces to the leading block in lower
-dimension.
+dimension.  ``leading_block`` is the one place that chooses between the
+two.
 
 Frequency sets transport through a conjugation by the transpose of the
 basis matrix, never the matrix itself; ``map_spectrum`` is the single
@@ -15,9 +16,12 @@ place that convention lives.
 
 from __future__ import annotations
 
-from .errors import FullRank, InternalRankError, NotFullRank, Singular
+from typing import NamedTuple
+
+from .errors import FullRank, InternalError, InternalRankError, NotFullRank, Singular
 from .linalg import (
     IntMatrix,
+    IntPolynomial,
     IntVector,
     RatMatrix,
     RatVector,
@@ -120,9 +124,11 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
     b_inv = inverse(b)
     m_tilde = companion_matrix(char_poly(m))
     # both defining identities are cheap; check them rather than trust them
-    assert b_inv * (m.to_rat() * b.to_rat()) == m_tilde.to_rat()
+    if b_inv * (m.to_rat() * b.to_rat()) != m_tilde.to_rat():
+        raise InternalError("iterate basis does not conjugate to the companion matrix")
     v_tilde = IntVector([0] * (n - 1) + [1]) if n > 1 else IntVector([1])
-    assert (b_inv * v).to_int() == v_tilde
+    if b_inv * v != v_tilde.to_rat():
+        raise InternalError("iterate basis does not carry v to the last basis vector")
     return CompanionConjugation(b, b_inv, m_tilde, v_tilde)
 
 
@@ -152,9 +158,11 @@ def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
     c = block.submatrix(range(r), range(r, n))
     m2 = block.submatrix(range(r, n), range(r, n))
     bv = b * v
-    assert all(bv[i] == 0 for i in range(r, n))
+    if any(bv[i] != 0 for i in range(r, n)):
+        raise InternalRankError("b*v has nonzero trailing entries")
     x = IntVector(bv[i] for i in range(r))
-    assert det(m) == det(m1) * det(m2)
+    if det(m) != det(m1) * det(m2):
+        raise InternalError("block determinants do not multiply to det M")
     return BlockDecomposition(b, b_inv, r, m1, c, m2, x)
 
 
@@ -173,6 +181,35 @@ def reduce_dimension(d: BlockDecomposition, q: int) -> ReducedInstance:
             f"reduced vector generates rank {r}, expected {d.r}"
         )
     return ReducedInstance(d.m1, d.x, q)
+
+
+class LeadingBlock(NamedTuple):
+    """Leading block (m1, v1) with the Krylov rank r, the decomposition
+    (None when r = n and m1, v1 are M, v), char poly and det of m1."""
+
+    r: int
+    decomp: BlockDecomposition | None
+    m1: IntMatrix
+    v1: IntVector
+    char_poly: IntPolynomial
+    det_m1: int
+
+
+def leading_block(m: IntMatrix, v: IntVector, q: int) -> LeadingBlock:
+    """The one place that decides between the full pair (r = n) and the
+    reduced pair from block_decompose and reduce_dimension (r < n)."""
+    _, r = krylov(m, v)
+    if r == m.n:
+        decomp = None
+        m1, v1 = m, v
+    else:
+        decomp = block_decompose(m, v)
+        reduced = reduce_dimension(decomp, q)
+        m1, v1 = reduced.m1, reduced.v_prime
+    f = char_poly(m1)
+    # det(xI - m1) at x = 0 is (-1)^r det m1; char_poly cross-checks that
+    # coefficient against a Bareiss determinant
+    return LeadingBlock(r, decomp, m1, v1, f, (-1) ** r * f.constant_term())
 
 
 def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:
@@ -203,10 +240,12 @@ def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:
 __all__ = [
     "BlockDecomposition",
     "CompanionConjugation",
+    "LeadingBlock",
     "ReducedInstance",
     "block_decompose",
     "companion_conjugate",
     "companion_matrix",
+    "leading_block",
     "map_spectrum",
     "reduce_dimension",
 ]

@@ -4,7 +4,8 @@ Three families, matching the CLI exit-code contract:
 
 * ``ParseError``        -> exit 1 (malformed input file or schema violation)
 * ``PreconditionError`` -> exit 2 (well-formed input outside the domain)
-* ``InternalError``     -> exit 3 (an internal consistency check failed)
+* ``InternalError``     -> exit 3 (an internal check failed; raised
+  explicitly, never by ``assert``, so it holds under ``python -O``)
 """
 
 
@@ -82,7 +83,7 @@ class NonConvergent(PreconditionError):
     """Iterates of the inverse transpose failed to contract in budget."""
 
 
-# --- internal assertions (exit 3) ---
+# --- internal invariants (exit 3) ---
 
 class InternalRankError(InternalError):
     """A reduced instance unexpectedly lost full Krylov rank."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import InternalError, TooLarge
 from .fourier import certify_orthogonal, mu_hat
 from .linalg import RatVector, inverse
 
@@ -245,7 +245,7 @@ def attractor_radius(inst) -> float:
         if rho < 1:
             return float(dmax * partial / (1 - rho))
         power = power * m_inv
-    raise AssertionError("expanding instance must contract eventually")
+    raise InternalError("expanding instance must contract eventually")
 
 
 def chaos_game(inst, iterations: int, seed: int) -> AttractorSample:

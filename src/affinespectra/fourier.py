@@ -22,17 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .conjugation import block_decompose
 from .errors import GcdOne, InternalError, NonConvergent
-from .linalg import (
-    IntMatrix,
-    IntVector,
-    RatVector,
-    det,
-    inverse,
-    krylov,
-    xgcd,
-)
+from .linalg import IntMatrix, IntVector, RatVector, inverse, xgcd
 
 _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
@@ -40,15 +31,17 @@ _MU_HAT_FACTOR_CAP = 100000
 
 class Witness:
     """A frequency alpha with vanishing mask whose image under (M*)^ell is
-    an integer vector; the seed of an infinite orthogonal family."""
+    an integer vector; the seed of an infinite orthogonal family.  The
+    verified flag is set only by construct_witness, from verify_witness."""
 
-    __slots__ = ("alpha", "ell", "phase", "image")
+    __slots__ = ("alpha", "ell", "phase", "image", "verified")
 
     def __init__(self, alpha: RatVector, ell: int, phase: Fraction, image: IntVector):
         self.alpha = alpha
         self.ell = ell
         self.phase = phase
         self.image = image
+        self.verified = False
 
     def __repr__(self):
         return f"Witness(alpha={self.alpha!r}, ell={self.ell})"
@@ -103,7 +96,12 @@ def _mask_from_phase(q: int, t: Fraction) -> complex:
         return complex(1.0)
     if (q * t).denominator == 1:
         return complex(0.0)  # exact zero of the geometric sum
-    tf = float(t)
+    # period 1: reduce into (-1/2, 1/2] while exact, or a phase just below
+    # an integer loses every digit of sin(pi t) in the float conversion
+    num, den = t.numerator % t.denominator, t.denominator
+    if 2 * num > den:
+        num -= den
+    tf = num / den
     # (1/q) sum_k e^{2 pi i k t} in closed Dirichlet-kernel form
     return (
         cmath.exp(1j * math.pi * (q - 1) * tf)
@@ -242,24 +240,26 @@ def _solve_phase_congruence(w: IntVector, m: int, target: int) -> IntVector:
     the positive one on ties)."""
     g, c = _bezout_vector(w)
     gg, ginv, _ = xgcd(g % m, m)
-    assert gg == 1, "gcd of numerators must be a unit modulo the denominator"
+    if gg != 1:
+        raise InternalError("gcd of numerators must be a unit modulo the denominator")
     t = (target * ginv) % m
     if 2 * t > m:
         t -= m
     z = c.scaled(t)
-    assert (w.dot(z) - target) % m == 0
+    if (w.dot(z) - target) % m != 0:
+        raise InternalError("phase congruence solution is wrong")
     return z
 
 
 def construct_witness(inst) -> Witness:
     """Build a witness frequency proving an infinite orthogonal family.
 
-    Works on the leading block (m1, v1) of the instance: m1 = M and
-    v1 = v when the iterates of v span everything, otherwise the reduced
-    pair from the block decomposition.  Inverse iterates m1^{-l} v1 are
-    computed until their common denominator shares a factor d > 1 with q
-    (this must happen: a prime dividing both q and det(m1) cannot leave
-    all inverse iterates p-integral).  A lattice congruence then produces
+    Works on the leading block (m1, v1) of the instance, ``inst.leading``:
+    m1 = M and v1 = v when the iterates of v span everything, otherwise
+    the reduced pair from the block decomposition.  Inverse iterates
+    m1^{-l} v1 are computed until their common denominator shares a
+    factor d > 1 with q (this must happen: a prime dividing both q and
+    det(m1) cannot leave all inverse iterates p-integral).  A lattice congruence then produces
     alpha with <v, alpha> = 1/d mod 1, killing the mask, while (M*)^l
     alpha is integral.  In the reduced case the trailing coordinates of
     alpha are chosen to cancel the coupling block, which preserves both
@@ -269,14 +269,7 @@ def construct_witness(inst) -> Witness:
     kind exists.
     """
     n = inst.m.n
-    _, r = krylov(inst.m, inst.v)
-    decomp = None
-    if r == n:
-        m1, v1 = inst.m, inst.v
-    else:
-        decomp = block_decompose(inst.m, inst.v)
-        m1, v1 = decomp.m1, decomp.x
-    d1 = det(m1)
+    r, decomp, m1, v1, _, d1 = inst.leading
     if gcd(inst.q, abs(d1)) == 1:
         raise GcdOne(
             f"gcd(q={inst.q}, |det m1|={abs(d1)}) = 1: no vanishing-denominator witness"
@@ -308,7 +301,9 @@ def construct_witness(inst) -> Witness:
         image = decomp.b.transpose() * IntVector(list(z) + [0] * (n - r))
     phase = alpha.dot(inst.v) % 1
     witness = Witness(alpha, ell, phase, image)
-    assert verify_witness(inst, witness), "constructed witness failed verification"
+    witness.verified = verify_witness(inst, witness)
+    if not witness.verified:
+        raise InternalError("constructed witness failed verification")
     return witness
 
 
@@ -338,7 +333,8 @@ def witness_orthogonal_family(inst, w: Witness, count: int) -> list[RatVector]:
     for _ in range(count - 1):
         term = step * term
         acc = acc + term
-        assert acc.is_integral()
+        if not acc.is_integral():
+            raise InternalError("orthogonal family member is not integral")
         out.append(acc)
     return out
 

@@ -17,8 +17,8 @@ from functools import lru_cache
 from math import lcm
 
 from .conjugation import CompanionConjugation, map_spectrum
-from .errors import DuplicateFrequency, NotDivisible, UnverifiedTriple
-from .linalg import IntMatrix, IntVector, RatVector, char_poly, inverse
+from .errors import DuplicateFrequency, InternalError, NotDivisible, UnverifiedTriple
+from .linalg import IntMatrix, IntVector, RatVector, inverse
 
 
 class HadamardTriple:
@@ -87,11 +87,11 @@ def construct_dual_digits(conj: CompanionConjugation, q: int) -> HadamardTriple:
     |a_n| = |det M|; q must divide it (NotDivisible otherwise).  The
     resulting phases are k*l/q and the triple verifies unitarily.
     """
-    f = char_poly(conj.m_tilde)
-    a_n = f.constant_term()
+    n = conj.m_tilde.n
+    # the companion matrix carries -a_n at the foot of its first column
+    a_n = -conj.m_tilde.rows[n - 1][0]
     if a_n % q != 0:
         raise NotDivisible(f"q={q} does not divide |det| = {abs(a_n)}")
-    n = conj.m_tilde.n
     u = IntVector([-a_n // q] + [0] * (n - 1))
     digits = [conj.v_tilde.scaled(k) for k in range(q)]
     duals = [u.scaled(k) for k in range(q)]
@@ -108,20 +108,12 @@ def phase_matrix(m: IntMatrix, digits, duals) -> PhaseMatrix:
 # -- exact vanishing of root-of-unity sums ----------------------------------
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _poly_div_exact(num, den):
     """Quotient of integer polynomials known to divide exactly (den monic)."""
     num = list(num)
     d = len(den) - 1
-    assert den[-1] == 1
+    if den[-1] != 1:
+        raise InternalError("exact division needs a monic divisor")
     quo = [0] * (len(num) - d)
     for i in range(len(num) - 1, d - 1, -1):
         c = num[i]
@@ -129,7 +121,8 @@ def _poly_div_exact(num, den):
             quo[i - d] = c
             for j, y in enumerate(den):
                 num[i - d + j] -= c * y
-    assert all(x == 0 for x in num), "division was not exact"
+    if any(num):
+        raise InternalError("division was not exact")
     return quo
 
 
@@ -215,7 +208,8 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
         freqs = map_spectrum(triple.coordinate_frame.b, sums, "inverse")
     else:
         freqs = [s.to_rat() for s in sums]
-    assert freqs[0].is_zero()
+    if not freqs[0].is_zero():
+        raise InternalError("candidate spectrum must start at 0")
     return CandidateSpectrum(depth, freqs, triple.coordinate_frame)
 
 

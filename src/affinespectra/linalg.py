@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
+    InternalError,
     NotUnimodular,
     RankDeficient,
     Singular,
@@ -41,15 +42,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-class IntVector:
-    """Immutable integer vector."""
+def _power(base, k: int, result):
+    """base^k for k >= 0 by repeated squaring, starting from the identity
+    ``result``."""
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
+class _Vector:
+    """Immutable vector; subclasses fix the entry type."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(_as_int(e) for e in entries)
-        if not self.entries:
-            raise ValueError("empty vector")
 
     def __len__(self):
         return len(self.entries)
@@ -61,25 +68,36 @@ class IntVector:
         return self.entries[i]
 
     def __eq__(self, other):
-        return isinstance(other, IntVector) and self.entries == other.entries
+        return type(other) is type(self) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(("IntVector", self.entries))
+        return hash((type(self).__name__, self.entries))
+
+    def __add__(self, other):
+        return type(self)(a + b for a, b in zip(self.entries, other.entries, strict=True))
+
+    def __sub__(self, other):
+        return type(self)(a - b for a, b in zip(self.entries, other.entries, strict=True))
+
+    def is_zero(self) -> bool:
+        return all(e == 0 for e in self.entries)
+
+
+class IntVector(_Vector):
+    """Immutable integer vector."""
+
+    __slots__ = ()
+
+    def __init__(self, entries):
+        self.entries = tuple(_as_int(e) for e in entries)
+        if not self.entries:
+            raise ValueError("empty vector")
 
     def __repr__(self):
         return f"IntVector({list(self.entries)})"
 
-    def __add__(self, other):
-        return IntVector(a + b for a, b in zip(self.entries, other.entries, strict=True))
-
-    def __sub__(self, other):
-        return IntVector(a - b for a, b in zip(self.entries, other.entries, strict=True))
-
     def scaled(self, c: int) -> "IntVector":
         return IntVector(c * e for e in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     def dot(self, other):
         if len(other) != len(self):
@@ -90,46 +108,22 @@ class IntVector:
         return RatVector(Fraction(e) for e in self.entries)
 
 
-class RatVector:
+class RatVector(_Vector):
     """Immutable rational vector; entries are canonical Fractions."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
     def __init__(self, entries):
         self.entries = tuple(Fraction(e) for e in entries)
         if not self.entries:
             raise ValueError("empty vector")
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        return isinstance(other, RatVector) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(("RatVector", self.entries))
-
     def __repr__(self):
         return f"RatVector([{', '.join(str(e) for e in self.entries)}])"
-
-    def __add__(self, other):
-        return RatVector(a + b for a, b in zip(self.entries, other.entries, strict=True))
-
-    def __sub__(self, other):
-        return RatVector(a - b for a, b in zip(self.entries, other.entries, strict=True))
 
     def scaled(self, c) -> "RatVector":
         c = Fraction(c)
         return RatVector(c * e for e in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
 
     def dot(self, other) -> Fraction:
         if len(other) != len(self):
@@ -146,9 +140,6 @@ class RatVector:
         if not self.is_integral():
             raise ValueError(f"{self!r} is not integral")
         return IntVector(int(e) for e in self.entries)
-
-    def to_float(self) -> tuple[float, ...]:
-        return tuple(float(e) for e in self.entries)
 
 
 class IntMatrix:
@@ -233,14 +224,7 @@ class IntMatrix:
         self._require_square()
         if k < 0:
             raise ValueError("negative powers are rational; use inverse() explicitly")
-        result = IntMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, IntMatrix.identity(self.nrows))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.rows))
@@ -248,9 +232,6 @@ class IntMatrix:
     def trace(self) -> int:
         self._require_square()
         return sum(self.rows[i][i] for i in range(self.nrows))
-
-    def column(self, j: int) -> IntVector:
-        return IntVector(row[j] for row in self.rows)
 
     def submatrix(self, row_range, col_range) -> "IntMatrix":
         return IntMatrix([self.rows[i][j] for j in col_range] for i in row_range)
@@ -320,14 +301,7 @@ class RatMatrix:
             raise ValueError("square matrix required")
         if k < 0:
             return inverse(self) ** (-k)
-        result = RatMatrix.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, RatMatrix.identity(self.nrows))
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self.rows))
@@ -402,7 +376,7 @@ def det(m: IntMatrix) -> int:
     """Determinant by fraction-free (Bareiss) elimination.
 
     Every intermediate value is a minor of the input, so the divisions on
-    the update formula are exact; this is asserted rather than assumed.
+    the update formula are exact; this is checked rather than assumed.
     """
     m._require_square()
     n = m.nrows
@@ -420,7 +394,8 @@ def det(m: IntMatrix) -> int:
             for j in range(k + 1, n):
                 num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
                 quo, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem:
+                    raise InternalError("Bareiss division must be exact")
                 a[i][j] = quo
             a[i][k] = 0
         prev = a[k][k]
@@ -444,7 +419,8 @@ def rank(m: IntMatrix) -> int:
             for j in range(c + 1, nc):
                 num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
                 quo, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem:
+                    raise InternalError("Bareiss division must be exact")
                 a[i][j] = quo
             a[i][c] = 0
         prev = a[r][c]
@@ -467,12 +443,14 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         work = m * work
         t = work.trace()
         ak, rem = divmod(-t, k)
-        assert rem == 0, "Faddeev-LeVerrier division must be exact"
+        if rem:
+            raise InternalError("Faddeev-LeVerrier division must be exact")
         a.append(ak)
         if k < n:
             work = work + ident.scaled(ak)
     # f(x) = x^n + a_1 x^{n-1} + ... + a_n; independent determinant route
-    assert a[-1] == (-1) ** n * det(m), "constant coefficient disagrees with det"
+    if a[-1] != (-1) ** n * det(m):
+        raise InternalError("constant coefficient disagrees with det")
     return IntPolynomial(list(reversed(a)) + [1])
 
 
@@ -540,8 +518,10 @@ def hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         row += 1
     b_mat = IntMatrix(b)
     h_mat = IntMatrix(work)
-    assert det(b_mat) in (1, -1), "row operations must stay unimodular"
-    assert b_mat * a == h_mat
+    if det(b_mat) not in (1, -1):
+        raise InternalError("row operations must stay unimodular")
+    if b_mat * a != h_mat:
+        raise InternalError("row operations do not reproduce the echelon form")
     return b_mat, h_mat
 
 
@@ -583,7 +563,8 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     if d not in (1, -1):
         raise NotUnimodular(f"det = {d}, expected +1 or -1")
     inv = inverse(m)
-    assert inv.is_integral(), "unimodular inverse must be integral"
+    if not inv.is_integral():
+        raise InternalError("unimodular inverse must be integral")
     return inv.to_int()
 
 

@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from affinespectra.cli import main
+from affinespectra.classify import WitnessCertificate
+from affinespectra.cli import _certificate_json, main
+from affinespectra.fourier import Witness
+from affinespectra.linalg import IntVector, RatVector
 
 CUBE = {"matrix": [[2, 6, 4], [-1, 2, 2], [-1, -1, -4]], "v": [0, 0, 1], "q": 6}
 DIAG = {"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 6}
@@ -187,6 +190,69 @@ def test_condition_only_certificate_verifies_trivially(write, capsys, tmp_path):
     )
     assert code == 0
     assert "no constructive certificate" in out
+
+
+def _verify_malformed(write, capsys, tmp_path, inst, edit):
+    """--verify-certificate on inst's own report after edit(report)."""
+    report_path = tmp_path / "report.json"
+    instance = write(inst)
+    _run(capsys, "classify", "--input", instance, "--report", str(report_path))
+    report = edit(json.loads(report_path.read_text()))
+    report_path.write_text(json.dumps(report))
+    return _run(capsys, "classify", "--input", instance, "--verify-certificate", str(report_path))
+
+
+def _drop(key):
+    def edit(report):
+        del report["certificate"][key]
+        return report
+
+    return edit
+
+
+def _set(key, value):
+    def edit(report):
+        report["certificate"][key] = value
+        return report
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "inst, edit",
+    [
+        (CUBE, lambda report: [1, 2]),
+        (CUBE, lambda report: {**report, "certificate": ["hadamard"]}),
+        *[(CUBE, _drop(key)) for key in ("type", "matrix", "digits", "duals")],
+        *[(DIAG, _drop(key)) for key in ("type", "alpha", "ell", "phase", "image")],
+        (DIAG, _set("ell", 1.5)),
+        (DIAG, _set("ell", "one")),
+        (DIAG, _set("ell", None)),
+        (DIAG, _set("phase", [1])),
+        (CUBE, _set("matrix", 5)),
+        (CUBE, _set("matrix", [[1, 2], [3, 4]])),
+        (CUBE, _set("digits", [["1/2", "0", "0"]] * 6)),
+    ],
+    ids=[
+        "list-report", "list-certificate",
+        "hadamard-no-type", "no-matrix", "no-digits", "no-duals",
+        "witness-no-type", "no-alpha", "no-ell", "no-phase", "no-image",
+        "float-ell", "string-ell", "null-ell", "list-phase",
+        "int-matrix", "matrix-dimension", "rational-digits",
+    ],
+)
+def test_malformed_report_exits_1_with_one_line(write, capsys, tmp_path, inst, edit):
+    code, _, err = _verify_malformed(write, capsys, tmp_path, inst, edit)
+    assert code == 1
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_witness_certificate_reports_its_verification():
+    unchecked = Witness(RatVector([Fraction(1, 2)]), 1, Fraction(1, 2), IntVector([2]))
+    assert _certificate_json(WitnessCertificate(unchecked))["reverified"] is False
+    unchecked.verified = True
+    assert _certificate_json(WitnessCertificate(unchecked))["reverified"] is True
 
 
 # -- decompose ----------------------------------------------------------------

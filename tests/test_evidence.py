@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from affinespectra.evidence import (
 )
 from affinespectra.fourier import certify_orthogonal, mu_hat
 from affinespectra.hadamard import candidate_spectrum, construct_dual_digits
-from affinespectra.linalg import IntMatrix, IntVector, RatVector
+from affinespectra.linalg import IntMatrix, IntVector, RatVector, inverse
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
 V_CUBE = IntVector([0, 0, 1])
@@ -162,6 +163,30 @@ def test_defect_3d_spectrum():
     spec = _spectrum(inst, depth=2)
     report = completeness_defect(inst, spec, probes=[RatVector([0, 0, 0])])
     assert abs(report.defects[0]) <= 1e-9
+
+
+def test_phases_just_below_an_integer_keep_the_bessel_bound():
+    # a unimodular conjugate of x^4 + 6 whose transform at this probe has
+    # mask phases within about 1e-8 of an integer
+    inst = _inst(
+        [[-903, -343, -1003, 2085], [-464, -148, -554, 1267],
+         [1879, 683, 2129, -4551], [437, 156, 499, -1078]],
+        [19, 12, -42, -10],
+        6,
+    )
+    xi = RatVector([Fraction(1, 7), Fraction(1, 11), Fraction(1, 39), Fraction(5, 18)])
+    val = mu_hat(inst, xi)
+    assert abs(val.value) ** 2 <= 1 + val.error
+    # the same truncated product, each mask summed term by term
+    m_inv_t = inverse(inst.m).transpose()
+    cur, direct = xi, 1.0
+    for _ in range(val.factors):
+        cur = m_inv_t * cur
+        t = float(cur.dot(inst.v) % 1)
+        direct *= sum(cmath.exp(2j * math.pi * k * t) for k in range(inst.q)) / inst.q
+    assert abs(val.value - direct) <= 1e-9
+    report = completeness_defect(inst, _spectrum(inst, depth=1), [xi])
+    assert report.defects[0] >= -1e-9
 
 
 # -- chaos_game ---------------------------------------------------------------

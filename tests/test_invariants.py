@@ -1,0 +1,157 @@
+"""Internal checks that must survive ``python -O``, and the one-pass
+leading-block analysis that every consumer reads."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from affinespectra import conjugation, hadamard
+from affinespectra.classify import ProblemInstance, classify, leading_triple
+from affinespectra.cli import main
+from affinespectra.linalg import IntMatrix, IntVector, char_poly, det
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "affinespectra"
+
+CUBE = {"matrix": [[2, 6, 4], [-1, 2, 2], [-1, -1, -4]], "v": [0, 0, 1], "q": 6}
+
+
+# ---------------------------------------------------------------------------
+# no assert statements in the package
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_has_no_assert_statements(path):
+    # python -O strips assert statements; invariants must be explicit raises
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+# ---------------------------------------------------------------------------
+# a failed internal check under python -O
+# ---------------------------------------------------------------------------
+
+_REJECT_EVERY_WITNESS = """
+import sys
+if not sys.flags.optimize:
+    sys.exit("expected to run under python -O")
+from affinespectra import fourier
+fourier.verify_witness = lambda inst, w: False
+"""
+
+
+def _run_optimized(script, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", _REJECT_EVERY_WITNESS + script, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_unverified_witness_raises_under_optimize():
+    proc = _run_optimized(
+        "from affinespectra.classify import ProblemInstance\n"
+        "from affinespectra.errors import InternalError\n"
+        "from affinespectra.linalg import IntMatrix, IntVector\n"
+        "try:\n"
+        "    fourier.construct_witness(ProblemInstance(IntMatrix([[6]]), IntVector([1]), 4))\n"
+        "except InternalError as e:\n"
+        "    print('InternalError:', e)\n"
+        "else:\n"
+        "    sys.exit('construct_witness returned an unverified witness')\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("InternalError: constructed witness failed verification")
+
+
+def test_unverified_witness_exits_3_without_report_under_optimize(tmp_path):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"matrix": [[6]], "v": [1], "q": 4}))
+    report = tmp_path / "report.json"
+    proc = _run_optimized(
+        "from affinespectra.cli import main\n"
+        "sys.exit(main(['classify', '--input', sys.argv[1], '--report', sys.argv[2]]))\n",
+        str(inst), str(report),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.strip().splitlines() == [
+        "internal error: constructed witness failed verification"
+    ]
+    assert not report.exists()
+
+
+# ---------------------------------------------------------------------------
+# the leading block, computed once
+# ---------------------------------------------------------------------------
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every package namespace that
+    binds it, the way the package's own modules reach it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("affinespectra"):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_leading_block_full_rank():
+    inst = ProblemInstance(IntMatrix(CUBE["matrix"]), IntVector(CUBE["v"]), 6)
+    lead = inst.leading
+    assert lead is inst.leading
+    assert (lead.r, lead.decomp, lead.m1, lead.v1) == (3, None, inst.m, inst.v)
+    assert lead.char_poly == char_poly(inst.m)
+    assert lead.det_m1 == det(inst.m) == -36
+
+
+def test_leading_block_reduced():
+    inst = ProblemInstance(IntMatrix([[4, 0], [0, 5]]), IntVector([1, 0]), 6)
+    lead = inst.leading
+    assert lead.r == 1 and lead.decomp is not None
+    assert lead.m1 == lead.decomp.m1 == IntMatrix([[4]])
+    assert lead.v1 == lead.decomp.x
+    assert lead.det_m1 == det(lead.m1) == 4
+
+
+def test_leading_triple_is_verified():
+    inst = ProblemInstance(IntMatrix([[4, 0], [0, 5]]), IntVector([1, 0]), 4)
+    triple = leading_triple(inst)
+    assert triple.verified and triple.q == 4 and triple.m == IntMatrix([[4]])
+
+
+def test_classify_decomposes_a_reduced_witness_instance_once(monkeypatch):
+    calls = _count_calls(monkeypatch, conjugation, "block_decompose")
+    inst = ProblemInstance(IntMatrix([[4, 0], [0, 5]]), IntVector([1, 0]), 6)
+    c = classify(inst)
+    assert c.verdict.value == "not_spectral_infinite_orthogonals"
+    assert c.certificate.kind == "witness"
+    assert len(calls) == 1
+
+
+def test_completeness_evidence_verifies_the_triple_once(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(CUBE))
+    calls = _count_calls(monkeypatch, hadamard, "verify_hadamard")
+    code = main(["classify", "--input", str(path), "--evidence", "completeness",
+                 "--depth", "1", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["evidence"]["kind"] == "completeness"
+    assert report["certificate"]["reverified"] is True
+    assert len(calls) == 1

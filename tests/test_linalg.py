@@ -109,8 +109,7 @@ def test_from_columns_round_trip():
     cols = [IntVector([1, 2]), IntVector([3, 4])]
     m = IntMatrix.from_columns(cols)
     assert m == IntMatrix([[1, 3], [2, 4]])
-    assert m.column(0) == cols[0]
-    assert m.column(1) == cols[1]
+    assert [IntVector(c) for c in m.transpose().rows] == cols
 
 
 def test_shape_validation():
