@@ -13,8 +13,6 @@ import itertools
 import random
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InternalError, TooLarge
 from .fourier import certify_orthogonal, mu_hat
 from .linalg import RatVector, inverse
@@ -253,6 +251,8 @@ def chaos_game(inst, iterations: int, seed: int) -> AttractorSample:
 
     x <- M^{-1}(x + k v) with k uniform on {0, ..., q-1}; the first 100
     iterates are discarded.  Deterministic for a fixed seed."""
+    import numpy as np  # only sampling needs numpy; keep it off the import path
+
     rng = random.Random(seed)
     n = inst.m.n
     m_inv = np.array([[float(x) for x in row] for row in inverse(inst.m).rows])

@@ -313,8 +313,11 @@ def verify_witness(inst, w: Witness) -> bool:
         return False
     if not mask_is_zero_exact(inst, w.alpha):
         return False
-    image = (inst.m.transpose().to_rat() ** w.ell) * w.alpha
-    return image.is_integral()
+    # with alpha = a / den, (M*)^ell alpha is integral iff (M*)^ell a = 0
+    # mod den; powering mod den keeps the cost at O(log ell) for any ell
+    den = w.alpha.denominator_lcm()
+    image = inst.m.transpose().pow_mod(w.ell, den) * w.alpha.scaled(den).to_int()
+    return all(x % den == 0 for x in image)
 
 
 def witness_orthogonal_family(inst, w: Witness, count: int) -> list[RatVector]:

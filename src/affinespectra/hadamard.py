@@ -3,10 +3,13 @@
 For a companion-form pair whose determinant is divisible by q, the dual
 set {0, ..., q-1} u with u = (-a_n/q, 0, ..., 0) makes the digit/dual
 phase matrix a scaled discrete Fourier matrix, hence unitary.  Unitarity
-is decided exactly: each column-pair sum of roots of unity is written as
-an integer polynomial and reduced modulo the appropriate cyclotomic
-polynomial, so a True from verify_hadamard is a proof, not a numerical
-observation.
+is decided exactly, so a True from verify_hadamard is a proof, not a
+numerical observation.  Consecutive collinear digits {0, w, ..., (q-1)w},
+the only kind the classifier builds, make every off-diagonal entry of
+H*H a geometric sum with a closed-form zero set (Laba-Wang), which one
+pass over the duals decides; any other digit set falls back to reducing
+each column-pair sum of roots of unity, written as an integer polynomial,
+modulo the appropriate cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -155,14 +158,19 @@ def _root_of_unity_sum_is_zero(exponents) -> bool:
     return all(x == 0 for x in coeffs)
 
 
-def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
-    """Exact unitarity of the phase matrix: H*H = qI.
+def _verify_collinear(m: IntMatrix, w, duals) -> bool:
+    # entry (j, l) of H*H is sum_k e^{2 pi i k (tau_l - tau_j)} with
+    # tau_l = <m^{-1} w, s_l>; it vanishes iff q (tau_l - tau_j) is an
+    # integer and tau_l - tau_j is not, so H is unitary iff the residues
+    # (tau_l - tau_0) mod 1 are q distinct multiples of 1/q
+    x = inverse(m) * w
+    taus = [x.dot(s) for s in duals]
+    q = len(duals)
+    residues = {(t - taus[0]) % 1 for t in taus}
+    return len(residues) == q and all((q * r).denominator == 1 for r in residues)
 
-    Diagonal entries are q automatically; each off-diagonal entry is a
-    sum of q roots of unity, tested for exact vanishing cyclotomically.
-    """
-    if len(digits) != len(duals):
-        raise ValueError("digit and dual sets must have equal size")
+
+def _verify_cyclotomic(m: IntMatrix, digits, duals) -> bool:
     q = len(digits)
     theta = phase_matrix(m, digits, duals)
     for j in range(q):
@@ -171,6 +179,27 @@ def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
             if not _root_of_unity_sum_is_zero(exps):
                 return False
     return True
+
+
+def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
+    """Exact unitarity of the phase matrix: H*H = qI.
+
+    Diagonal entries are q automatically; each off-diagonal entry is a
+    sum of q roots of unity.  For consecutive collinear digits
+    {0, w, ..., (q-1)w} (q >= 2) it is a geometric sum, and H is unitary
+    iff the phases tau_l = <m^{-1} w, s_l> are q distinct residues of
+    tau_0 + (1/q)Z mod 1: one exact inverse and one pass over the duals.
+    Every other digit set, including a permutation of consecutive
+    collinear digits, is decided by reducing each sum modulo a cyclotomic
+    polynomial.  Both paths are exact, with no tolerance.
+    """
+    if len(digits) != len(duals):
+        raise ValueError("digit and dual sets must have equal size")
+    if len(digits) >= 2 and all(
+        list(d) == [k * e for e in digits[1]] for k, d in enumerate(digits)
+    ):
+        return _verify_collinear(m, digits[1], duals)
+    return _verify_cyclotomic(m, digits, duals)
 
 
 def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:

@@ -42,13 +42,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _power(base, k: int, result):
+def _power(base, k: int, result, reduce=lambda x: x):
     """base^k for k >= 0 by repeated squaring, starting from the identity
-    ``result``."""
+    ``result``; ``reduce`` is applied to every product."""
     while k:
         if k & 1:
-            result = result * base
-        base = base * base if k > 1 else base
+            result = reduce(result * base)
+        base = reduce(base * base) if k > 1 else base
         k >>= 1
     return result
 
@@ -225,6 +225,15 @@ class IntMatrix:
         if k < 0:
             raise ValueError("negative powers are rational; use inverse() explicitly")
         return _power(self, k, IntMatrix.identity(self.nrows))
+
+    def pow_mod(self, k: int, modulus: int) -> "IntMatrix":
+        """self^k for k >= 0 with every entry reduced mod ``modulus``."""
+        self._require_square()
+
+        def reduce(a):
+            return IntMatrix([x % modulus for x in row] for row in a.rows)
+
+        return _power(reduce(self), k, reduce(IntMatrix.identity(self.nrows)), reduce)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(zip(*self.rows))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -192,7 +196,7 @@ def test_condition_only_certificate_verifies_trivially(write, capsys, tmp_path):
     assert "no constructive certificate" in out
 
 
-def _verify_malformed(write, capsys, tmp_path, inst, edit):
+def _reverify_edited(write, capsys, tmp_path, inst, edit):
     """--verify-certificate on inst's own report after edit(report)."""
     report_path = tmp_path / "report.json"
     instance = write(inst)
@@ -242,10 +246,52 @@ def _set(key, value):
     ],
 )
 def test_malformed_report_exits_1_with_one_line(write, capsys, tmp_path, inst, edit):
-    code, _, err = _verify_malformed(write, capsys, tmp_path, inst, edit)
+    code, _, err = _reverify_edited(write, capsys, tmp_path, inst, edit)
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_witness_at_any_depth_reverifies_quickly(write, capsys, tmp_path):
+    # a witness stays valid at every larger depth; the integrality check
+    # powers the matrix modulo the denominator, in about log2(ell) steps
+    code, out, _ = _reverify_edited(write, capsys, tmp_path, DIAG, _set("ell", 10**100))
+    assert code == 0
+    assert "witness certificate re-verified" in out
+
+
+def test_tampered_witness_at_huge_depth_exits_2(write, capsys, tmp_path):
+    def edit(report):
+        # the mask still vanishes at this alpha; only integrality fails
+        report["certificate"].update(alpha=["1/3", "0", "0"], ell=str(10**100))
+        return report
+
+    code, _, err = _reverify_edited(write, capsys, tmp_path, DIAG, edit)
+    assert code == 2
+    assert "witness certificate failed" in err
+
+
+def test_large_q_report_reverifies(write, capsys, tmp_path):
+    inst = {"matrix": [[10**4]], "v": [1], "q": 200}
+    code, out, _ = _run(capsys, "classify", "--input", write(inst), "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "spectral"
+    code, out, _ = _reverify_edited(write, capsys, tmp_path, inst, lambda report: report)
+    assert code == 0
+    assert "hadamard certificate re-verified" in out
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, affinespectra.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_witness_certificate_reports_its_verification():

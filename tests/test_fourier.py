@@ -257,8 +257,12 @@ def test_verify_witness_rejects_bad_candidates():
     assert not verify_witness(four, Witness(RatVector([Fraction(1, 2), 0]), 1, Fraction(1, 2), IntVector([2, 0])))
 
 
-def test_witness_random_instances():
+def _random_witness_instances():
+    """Random expanding instances with q the least prime factor of |det m|,
+    each paired with whether gcd(q, |det m1|) > 1, i.e. whether a witness
+    must exist; drawn until 25 of them have one."""
     rng = random.Random(2718)
+    out = []
     built = 0
     while built < 25:
         n = rng.randint(1, 3)
@@ -287,13 +291,61 @@ def test_witness_random_instances():
             d1 = abs(det(block_decompose(m, v).m1))
         else:
             d1 = d
-        if math.gcd(p, d1) == 1:
+        constructible = math.gcd(p, d1) > 1
+        built += constructible
+        out.append((inst, constructible))
+    return out
+
+
+def test_witness_random_instances():
+    for inst, constructible in _random_witness_instances():
+        if not constructible:
             with pytest.raises(GcdOne):
                 construct_witness(inst)
             continue
-        built += 1
         w = construct_witness(inst)
         assert verify_witness(inst, w)
+
+
+def _integral_by_exact_power(inst, w):
+    """verify_witness with the image (M*)^ell alpha computed over the
+    rationals, as the direct definition states it."""
+    if len(w.alpha) != inst.m.n or w.ell < 1:
+        return False
+    if not mask_is_zero_exact(inst, w.alpha):
+        return False
+    return ((inst.m.transpose().to_rat() ** w.ell) * w.alpha).is_integral()
+
+
+def test_verify_witness_matches_exact_power():
+    # every witness built above, at its own depth and at nearby depths,
+    # with its frequency shifted, and the hand-made bad candidates
+    insts = [
+        _inst([[0, 1, 0], [0, 0, 1], [-36, 0, 0]], [0, 0, 1], 6),
+        _inst([[4]], [1], 2),
+        ProblemInstance(M_DIAG, V_DIAG, 6),
+        _inst([[0, 2], [3, 0]], [2, 0], 2),
+        ProblemInstance(M_CUBE, V_CUBE, 8),
+        *(inst for inst, constructible in _random_witness_instances() if constructible),
+    ]
+    cases = [
+        (_inst([[3]], [1], 2), Witness(RatVector([Fraction(1, 2)]), 1, Fraction(1, 2), IntVector([1]))),
+        (_inst([[4]], [1], 2), Witness(RatVector([3]), 1, Fraction(0), IntVector([12]))),
+        (_inst([[4]], [1], 2), Witness(RatVector([Fraction(1, 2)]), 0, Fraction(1, 2), IntVector([2]))),
+    ]
+    for inst in insts:
+        w = construct_witness(inst)
+        n = inst.m.n
+        for ell in {1, w.ell - 1, w.ell, w.ell + 1, 2 * w.ell + 3}:
+            for shift in (Fraction(0), Fraction(1, 3), Fraction(1, 4)):
+                alpha = w.alpha + RatVector([shift] + [0] * (n - 1))
+                cases.append((inst, Witness(alpha, ell, w.phase, w.image)))
+    valid = 0
+    for inst, w in cases:
+        expected = _integral_by_exact_power(inst, w)
+        assert verify_witness(inst, w) == expected, (inst.m, w.alpha, w.ell)
+        valid += expected
+    assert 0 < valid < len(cases)
 
 
 def test_witness_family_realizes_orthogonality():

@@ -3,11 +3,16 @@
 import cmath
 import random
 from fractions import Fraction
+from math import lcm
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from affinespectra.classify import ProblemInstance
+from affinespectra import hadamard
+from affinespectra.classify import ProblemInstance, Verdict, classify
 from affinespectra.conjugation import companion_conjugate, companion_matrix
 from affinespectra.errors import (
     DuplicateFrequency,
@@ -30,7 +35,9 @@ from affinespectra.linalg import (
     IntVector,
     RatVector,
     det,
+    inverse,
     inverse_unimodular,
+    is_expanding,
 )
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
@@ -183,6 +190,155 @@ def test_unitarity_preserved_under_conjugation():
     digits = [IntVector([0]), IntVector([1])]
     duals = [IntVector([0]), IntVector([1])]
     assert not verify_hadamard(m, digits, duals)
+
+
+def test_verify_hadamard_collinear_keeps_errors():
+    # the closed form raises exactly what the phase matrix would
+    digits = [IntVector([0, 0]), IntVector([1, 1]), IntVector([2, 2])]
+    duals = [IntVector([0, 0])] * 3
+    with pytest.raises(ValueError):
+        verify_hadamard(IntMatrix([[2, 0], [0, 3]]), digits, duals[:2])
+    with pytest.raises(Singular):
+        verify_hadamard(IntMatrix([[1, 2], [2, 4]]), digits, duals)
+    with pytest.raises(ValueError):
+        verify_hadamard(IntMatrix([[2, 0], [0, 3]]), digits, duals[:2] + [IntVector([1])])
+
+
+def _spy_cyclotomic():
+    return mock.patch.object(hadamard, "_verify_cyclotomic", wraps=hadamard._verify_cyclotomic)
+
+
+def test_only_consecutive_multiples_take_the_closed_form():
+    m = IntMatrix([[4, 0], [0, 6]])
+    w = IntVector([1, -2])
+    duals = [IntVector([k, 0]) for k in range(4)]
+    for ks, closed_form in [
+        (range(4), True),
+        ((0, 2, 1, 3), False),
+        (range(1, 5), False),
+        ((0, 1, 2, 4), False),
+    ]:
+        with _spy_cyclotomic() as spy:
+            verify_hadamard(m, [w.scaled(k) for k in ks], duals)
+        assert spy.call_count == (0 if closed_form else 1), ks
+    with _spy_cyclotomic() as spy:
+        assert verify_hadamard(m, [w.scaled(0)], [IntVector([3, 3])])
+    assert spy.call_count == 1
+
+
+def test_classify_makes_no_cyclotomic_reduction(monkeypatch):
+    # the classifier's digits are consecutive multiples of v, so the
+    # closed form decides unitarity; the cyclotomic path reduced
+    # 36 * 35 / 2 = 630 column-pair sums for this instance
+    calls = []
+    original = hadamard._root_of_unity_sum_is_zero
+    monkeypatch.setattr(
+        hadamard, "_root_of_unity_sum_is_zero", lambda e: calls.append(e) or original(e)
+    )
+    c = classify(ProblemInstance(M_CUBE, V_CUBE, 36))
+    assert c.verdict is Verdict.SPECTRAL
+    assert c.certificate.triple.verified
+    assert calls == []
+
+
+def test_large_one_dimensional_q_is_certified():
+    c = classify(ProblemInstance(IntMatrix([[10**4]]), IntVector([1]), 200))
+    assert c.verdict is Verdict.SPECTRAL
+    triple = c.certificate.triple
+    assert triple.verified and triple.q == 200
+    # a permuted digit set is decided by the cyclotomic path
+    digits = random.Random(200).sample(triple.digits, 12)
+    with _spy_cyclotomic() as spy:
+        exact = verify_hadamard(triple.m, digits, triple.duals[:12])
+    assert exact == _gram_is_scaled_identity(triple.m, digits, triple.duals[:12])
+    assert spy.call_count == 1
+
+
+def _gram_is_scaled_identity(m, digits, duals):
+    # phases <m^-1 d_k, s_l> reduced mod 1 exactly, as Python integers over
+    # a common denominator, then H*H = qI tested in floats
+    m_inv = inverse(m)
+    pre = [m_inv * d for d in digits]
+    den = lcm(*(p.denominator_lcm() for p in pre))
+    a = np.array([[int(x * den) for x in p] for p in pre], dtype=object)
+    s = np.array([list(t) for t in duals], dtype=object)
+    h = np.exp(2j * np.pi * ((a @ s.T) % den).astype(float) / den)
+    q = len(digits)
+    return bool(np.max(np.abs(h.conj().T @ h - q * np.eye(q))) < 1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_closed_form_matches_gram_for_every_q(n):
+    # constructed, permuted and corrupted duals at every q <= 40; the
+    # cyclotomic path rejects the corrupted ones within a few column pairs
+    rng = random.Random(40 + n)
+    e_n = IntVector([0] * (n - 1) + [1])
+    for q in range(2, 41):
+        comp = companion_matrix(IntPolynomial([2 * q] + [0] * (n - 1) + [1]))
+        triple = construct_dual_digits(companion_conjugate(comp, e_n), q)
+        corrupted = list(triple.duals)
+        corrupted[1] = corrupted[1] + IntVector([1] * n)
+        for duals in (triple.duals, rng.sample(triple.duals, q), corrupted):
+            exact = verify_hadamard(triple.m, triple.digits, duals)
+            assert exact == _gram_is_scaled_identity(triple.m, triple.digits, duals), q
+        assert hadamard._verify_cyclotomic(triple.m, triple.digits, corrupted) == exact
+
+
+@st.composite
+def _unitarity_cases(draw):
+    """A dual-digit triple of a random expanding companion matrix with
+    q | det, conjugated by a random unimodular u, so that M = u C u^-1 and
+    the digits k w with w = u e_n are arbitrary; then its duals constructed,
+    permuted, or with one entry corrupted as acceptance criterion 9 does,
+    and its digits consecutive, permuted, or random."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(2, 40))
+    c = q * draw(st.sampled_from([-2, -1, 1, 2]))
+    comp = companion_matrix(
+        IntPolynomial([c] + [draw(st.integers(-2, 2)) for _ in range(n - 1)] + [1])
+    )
+    assume(is_expanding(comp))
+    u = IntMatrix.identity(n)
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-2, 2)), max_size=6)):
+        if i != j:
+            rows = [list(r) for r in u.rows]
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            u = IntMatrix(rows)
+    u_inv_t = inverse_unimodular(u).transpose()
+    triple = construct_dual_digits(companion_conjugate(comp, IntVector([0] * (n - 1) + [1])), q)
+    m = u * triple.m * inverse_unimodular(u)
+    digits = [u * d for d in triple.digits]
+    duals = [u_inv_t * s for s in triple.duals]
+    dual_kind = draw(st.sampled_from(["constructed", "permuted", "corrupted"]))
+    if dual_kind == "permuted":
+        duals = draw(st.permutations(duals))
+    elif dual_kind == "corrupted":
+        duals[1] = duals[1] + IntVector([1] * n)
+    digit_kind = draw(st.sampled_from(["consecutive", "permuted", "random"]))
+    if digit_kind == "permuted":
+        digits = draw(st.permutations(digits))
+    elif digit_kind == "random":
+        digits = [IntVector(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+                  for _ in range(q)]
+    return m, digits, duals
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_unitarity_cases())
+def test_closed_form_and_cyclotomic_unitarity_agree(case):
+    m, digits, duals = case
+    numeric = _gram_is_scaled_identity(m, digits, duals)
+    consecutive = all(d == digits[1].scaled(k) for k, d in enumerate(digits))
+    with _spy_cyclotomic() as spy:
+        exact = verify_hadamard(m, digits, duals)
+    assert exact == numeric
+    if consecutive:
+        assert spy.call_count == 0
+        assert hadamard._verify_cyclotomic(m, digits, duals) == exact
+    else:
+        # permuted or random digits: the cyclotomic path decided
+        assert spy.call_count == 1
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,23 @@ def test_matrix_powers_and_transpose():
     assert t.transpose() == M_CUBE
 
 
+def test_pow_mod_matches_reduced_exact_power():
+    rng = random.Random(77)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+        k = rng.randint(0, 12)
+        modulus = rng.randint(1, 50)
+        exact = m ** k
+        assert m.pow_mod(k, modulus) == IntMatrix(
+            [x % modulus for x in row] for row in exact.rows
+        )
+    # Cayley-Hamilton: M_CUBE^3 = -36 I, so every power of 3 is 0 mod 36
+    assert M_CUBE.pow_mod(3 * 10**50, 36) == IntMatrix.identity(3).scaled(0)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]]).pow_mod(2, 5)
+
+
 def test_from_columns_round_trip():
     cols = [IntVector([1, 2]), IntVector([3, 4])]
     m = IntMatrix.from_columns(cols)
