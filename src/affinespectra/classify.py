@@ -24,23 +24,19 @@ from __future__ import annotations
 import enum
 from math import gcd
 
-from .conjugation import LeadingBlock, companion_conjugate, leading_block
+from .conjugation import LeadingBlock, _leading_block
 from .errors import BadQ, InternalError, NotExpanding, ZeroVector
 from .fourier import Witness, construct_witness
 from .hadamard import HadamardTriple, construct_dual_digits
-from .linalg import (
-    IntMatrix,
-    IntPolynomial,
-    IntVector,
-    is_expanding,
-)
+from .linalg import IntMatrix, IntPolynomial, IntVector, _no_root_in_closed_unit_disk, char_poly
 
 
 class ProblemInstance:
     """Validated input triple: expanding integer matrix, nonzero digit
-    direction, digit count q >= 2; ``leading`` is built once, on first use."""
+    direction, digit count q >= 2; ``leading`` is built once, on first use,
+    from the char poly of m that decided the expanding test."""
 
-    __slots__ = ("m", "v", "q", "_leading")
+    __slots__ = ("m", "v", "q", "_char_poly", "_leading")
 
     def __init__(self, m: IntMatrix, v: IntVector, q: int):
         n = m.n
@@ -50,19 +46,21 @@ class ProblemInstance:
             raise ZeroVector("digit direction v must be nonzero")
         if not isinstance(q, int) or isinstance(q, bool) or q < 2:
             raise BadQ(f"q must be an integer >= 2, got {q!r}")
-        if not is_expanding(m):
+        f = char_poly(m)  # is_expanding(m), keeping the polynomial
+        if not _no_root_in_closed_unit_disk(f.coeffs):
             raise NotExpanding(
                 "matrix is not expanding: all eigenvalues must exceed 1 in modulus"
             )
         self.m = m
         self.v = v
         self.q = q
+        self._char_poly = f
         self._leading = None
 
     @property
     def leading(self) -> LeadingBlock:
         if self._leading is None:
-            self._leading = leading_block(self.m, self.v, self.q)
+            self._leading = _leading_block(self.m, self.v, self._char_poly)
         return self._leading
 
     def __repr__(self):
@@ -158,8 +156,7 @@ def leading_triple(inst: ProblemInstance) -> HadamardTriple:
     """Dual digit triple of the leading block in its companion frame, with
     exact unitarity checked (``triple.verified``).  Raises NotDivisible
     when q does not divide |det m1|."""
-    lead = inst.leading
-    triple = construct_dual_digits(companion_conjugate(lead.m1, lead.v1), inst.q)
+    triple = construct_dual_digits(inst.leading.companion(), inst.q)
     triple.verify()
     return triple
 

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from .classify import ProblemInstance, classify, leading_triple
-from .conjugation import companion_conjugate, map_spectrum
+from .conjugation import map_spectrum
 from .errors import InternalError, ParseError, PreconditionError
 from .evidence import chaos_game, completeness_defect, max_orthogonal_clique
 from .fourier import Witness, certify_orthogonal, construct_witness, verify_witness
@@ -346,7 +346,7 @@ def cmd_decompose(args) -> int:
     inst = load_instance(args.input)
     r, decomp = inst.leading.r, inst.leading.decomp
     if decomp is None:
-        conj = companion_conjugate(inst.m, inst.v)
+        conj = inst.leading.companion()
         obj = {
             "branch": "companion",
             "r": r,

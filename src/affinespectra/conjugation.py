@@ -120,16 +120,20 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
         raise NotFullRank(
             f"iterates of v span a {r}-dimensional subspace of dimension {n}"
         )
+    return _companion_conjugate(m, vecs, char_poly(m))
+
+
+def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConjugation:
+    n = m.n  # vecs = [v, Mv, ..., M^{n-1}v] of full rank, f = char_poly(m)
     b = IntMatrix.from_columns(list(reversed(vecs)))
-    b_inv = inverse(b)
-    m_tilde = companion_matrix(char_poly(m))
-    # both defining identities are cheap; check them rather than trust them
-    if b_inv * (m.to_rat() * b.to_rat()) != m_tilde.to_rat():
+    m_tilde = companion_matrix(f)
+    v_tilde = IntVector([0] * (n - 1) + [1])
+    # with b invertible these are b_inv M b = m_tilde and b_inv v = v_tilde
+    if m * b != b * m_tilde:
         raise InternalError("iterate basis does not conjugate to the companion matrix")
-    v_tilde = IntVector([0] * (n - 1) + [1]) if n > 1 else IntVector([1])
-    if b_inv * v != v_tilde.to_rat():
+    if b * v_tilde != vecs[0]:
         raise InternalError("iterate basis does not carry v to the last basis vector")
-    return CompanionConjugation(b, b_inv, m_tilde, v_tilde)
+    return CompanionConjugation(b, inverse(b), m_tilde, v_tilde)
 
 
 def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
@@ -141,8 +145,11 @@ def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
     b*v has only its first r entries nonzero.  Raises FullRank when r = n,
     where the companion conjugation is the right tool.
     """
-    n = m.n
-    vecs, r = krylov(m, v)
+    return _block_decompose(m, v, *krylov(m, v))
+
+
+def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int) -> BlockDecomposition:
+    n = m.n  # vecs, r = krylov(m, v)
     if r == n:
         raise FullRank(f"iterates of v already span dimension {n}")
     a = IntMatrix.from_columns(list(reversed(vecs[:r])))
@@ -175,17 +182,23 @@ def reduce_dimension(d: BlockDecomposition, q: int) -> ReducedInstance:
     iterate basis for m1; a failure would mean the decomposition upstream
     is wrong, hence InternalRankError rather than a precondition error.
     """
-    _, r = krylov(d.m1, d.x)
+    _reduced_krylov(d)
+    return ReducedInstance(d.m1, d.x, q)
+
+
+def _reduced_krylov(d: BlockDecomposition):
+    vecs, r = krylov(d.m1, d.x)  # must span all r dimensions
     if r != d.r:
         raise InternalRankError(
             f"reduced vector generates rank {r}, expected {d.r}"
         )
-    return ReducedInstance(d.m1, d.x, q)
+    return vecs
 
 
 class LeadingBlock(NamedTuple):
     """Leading block (m1, v1) with the Krylov rank r, the decomposition
-    (None when r = n and m1, v1 are M, v), char poly and det of m1."""
+    (None when r = n and m1, v1 are M, v), char poly and det of m1, and
+    the iterates v1, m1 v1, ..., m1^{r-1} v1."""
 
     r: int
     decomp: BlockDecomposition | None
@@ -193,23 +206,32 @@ class LeadingBlock(NamedTuple):
     v1: IntVector
     char_poly: IntPolynomial
     det_m1: int
+    krylov: tuple
+
+    def companion(self) -> CompanionConjugation:
+        """companion_conjugate(m1, v1) from the recorded iterates and char poly."""
+        return _companion_conjugate(self.m1, self.krylov, self.char_poly)
 
 
 def leading_block(m: IntMatrix, v: IntVector, q: int) -> LeadingBlock:
     """The one place that decides between the full pair (r = n) and the
     reduced pair from block_decompose and reduce_dimension (r < n)."""
-    _, r = krylov(m, v)
+    return _leading_block(m, v, None)
+
+
+def _leading_block(m: IntMatrix, v: IntVector, f_m: IntPolynomial | None) -> LeadingBlock:
+    vecs, r = krylov(m, v)  # f_m, when given, is char_poly(m)
     if r == m.n:
-        decomp = None
-        m1, v1 = m, v
+        decomp, m1, v1 = None, m, v
+        f = char_poly(m) if f_m is None else f_m
     else:
-        decomp = block_decompose(m, v)
-        reduced = reduce_dimension(decomp, q)
-        m1, v1 = reduced.m1, reduced.v_prime
-    f = char_poly(m1)
+        decomp = _block_decompose(m, v, vecs, r)
+        vecs = _reduced_krylov(decomp)
+        m1, v1 = decomp.m1, decomp.x
+        f = char_poly(m1)
     # det(xI - m1) at x = 0 is (-1)^r det m1; char_poly cross-checks that
     # coefficient against a Bareiss determinant
-    return LeadingBlock(r, decomp, m1, v1, f, (-1) ** r * f.constant_term())
+    return LeadingBlock(r, decomp, m1, v1, f, (-1) ** r * f.constant_term(), tuple(vecs))
 
 
 def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:

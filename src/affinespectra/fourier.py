@@ -269,7 +269,7 @@ def construct_witness(inst) -> Witness:
     kind exists.
     """
     n = inst.m.n
-    r, decomp, m1, v1, _, d1 = inst.leading
+    r, decomp, m1, v1, _, d1, _ = inst.leading
     if gcd(inst.q, abs(d1)) == 1:
         raise GcdOne(
             f"gcd(q={inst.q}, |det m1|={abs(d1)}) = 1: no vanishing-denominator witness"

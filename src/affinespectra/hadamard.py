@@ -6,10 +6,10 @@ phase matrix a scaled discrete Fourier matrix, hence unitary.  Unitarity
 is decided exactly, so a True from verify_hadamard is a proof, not a
 numerical observation.  Consecutive collinear digits {0, w, ..., (q-1)w},
 the only kind the classifier builds, make every off-diagonal entry of
-H*H a geometric sum with a closed-form zero set (Laba-Wang), which one
-pass over the duals decides; any other digit set falls back to reducing
-each column-pair sum of roots of unity, written as an integer polynomial,
-modulo the appropriate cyclotomic polynomial.
+H*H a geometric sum with a closed-form zero set (Laba-Wang), in any
+order, which one pass over the duals decides; any other digit set falls
+back to reducing each column-pair sum of roots of unity, written as an
+integer polynomial, modulo the appropriate cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -185,20 +185,21 @@ def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
     """Exact unitarity of the phase matrix: H*H = qI.
 
     Diagonal entries are q automatically; each off-diagonal entry is a
-    sum of q roots of unity.  For consecutive collinear digits
-    {0, w, ..., (q-1)w} (q >= 2) it is a geometric sum, and H is unitary
+    sum of q roots of unity.  When the digits, as a set of q vectors in any
+    order (H*H does not depend on it), are {0, w, ..., (q-1)w} with w the
+    nonzero digit of least l1 norm, it is a geometric sum, and H is unitary
     iff the phases tau_l = <m^{-1} w, s_l> are q distinct residues of
     tau_0 + (1/q)Z mod 1: one exact inverse and one pass over the duals.
-    Every other digit set, including a permutation of consecutive
-    collinear digits, is decided by reducing each sum modulo a cyclotomic
-    polynomial.  Both paths are exact, with no tolerance.
+    Every other digit set is decided by reducing each sum modulo a
+    cyclotomic polynomial.  Both paths are exact, with no tolerance.
     """
     if len(digits) != len(duals):
         raise ValueError("digit and dual sets must have equal size")
-    if len(digits) >= 2 and all(
-        list(d) == [k * e for e in digits[1]] for k, d in enumerate(digits)
-    ):
-        return _verify_collinear(m, digits[1], duals)
+    keys = [tuple(d) for d in digits]
+    w = min((d for d, key in zip(digits, keys) if any(key)),
+            key=lambda d: sum(abs(e) for e in d), default=None)
+    if w is not None and set(keys) == {tuple(k * e for e in w) for k in range(len(keys))}:
+        return _verify_collinear(m, w, duals)
     return _verify_cyclotomic(m, digits, duals)
 
 

@@ -1,16 +1,18 @@
 """Exact linear algebra over the integers and rationals.
 
-Small dense matrices only (n <= 8 in practice), so everything is written
-for clarity and exactness rather than asymptotics: Python ints, stdlib
-Fraction, fraction-free (Bareiss) elimination for determinants and ranks,
-and an exact Schur-Cohn sign test for the expanding property.  No float
-ever participates in a mathematical decision made by this module.
+Small dense matrices (n <= 16 in the benchmark).  The kernels run on lists
+of Python ints and make Fractions only at the end: fraction-free (Bareiss)
+elimination for determinants, ranks and, in Gauss-Jordan form, inverses;
+Faddeev-LeVerrier for characteristic polynomials; and an exact Schur-Cohn
+test for the expanding property that keeps each reduced polynomial
+content-free.  Every division assumed exact is checked.  No float ever
+participates in a mathematical decision made by this module.
 """
-
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     InternalError,
@@ -114,7 +116,7 @@ class RatVector(_Vector):
     __slots__ = ()
 
     def __init__(self, entries):
-        self.entries = tuple(Fraction(e) for e in entries)
+        self.entries = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
         if not self.entries:
             raise ValueError("empty vector")
 
@@ -206,12 +208,12 @@ class IntMatrix:
                 raise ValueError("dimension mismatch")
             cols = list(zip(*other.rows))
             return IntMatrix(
-                [sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows
+                [sum(map(mul, row, col)) for col in cols] for row in self.rows
             )
         if isinstance(other, IntVector):
             if self.ncols != len(other):
                 raise ValueError("dimension mismatch")
-            return IntVector(sum(a * b for a, b in zip(row, other)) for row in self.rows)
+            return IntVector(sum(map(mul, row, other)) for row in self.rows)
         if isinstance(other, RatVector):
             if self.ncols != len(other):
                 raise ValueError("dimension mismatch")
@@ -255,7 +257,7 @@ class RatMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
         if not self.rows or not self.rows[0]:
             raise ValueError("empty matrix")
         width = len(self.rows[0])
@@ -314,14 +316,6 @@ class RatMatrix:
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self.rows))
-
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
-
-    def to_int(self) -> IntMatrix:
-        if not self.is_integral():
-            raise ValueError("matrix is not integral")
-        return IntMatrix([int(x) for x in row] for row in self.rows)
 
     def inf_norm(self) -> Fraction:
         """Induced infinity norm: max absolute row sum.  Exact."""
@@ -440,23 +434,24 @@ def rank(m: IntMatrix) -> int:
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - M), monic, exact.
 
-    Faddeev-LeVerrier recursion; all divisions land on integers because
-    the coefficients are integers.  The constant coefficient is checked
-    against an independently computed Bareiss determinant.
+    Faddeev-LeVerrier recursion on lists of ints; all divisions land on
+    integers because the coefficients are integers (checked).  The constant
+    coefficient is checked against an independent Bareiss determinant.
     """
     n = m.n
-    ident = IntMatrix.identity(n)
-    work = ident
+    rows = m.rows
+    work = [list(row) for row in rows]  # M * I
     a = []
     for k in range(1, n + 1):
-        work = m * work
-        t = work.trace()
-        ak, rem = divmod(-t, k)
+        if k > 1:
+            cols = list(zip(*work))
+            work = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        ak, rem = divmod(-sum(work[i][i] for i in range(n)), k)
         if rem:
             raise InternalError("Faddeev-LeVerrier division must be exact")
         a.append(ak)
-        if k < n:
-            work = work + ident.scaled(ak)
+        for i in range(n):
+            work[i][i] += ak
     # f(x) = x^n + a_1 x^{n-1} + ... + a_n; independent determinant route
     if a[-1] != (-1) ** n * det(m):
         raise InternalError("constant coefficient disagrees with det")
@@ -539,42 +534,61 @@ def hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 # ---------------------------------------------------------------------------
 
 
+def _adjugate(rows) -> tuple[list[list[int]] | None, int]:
+    """(adj A, det A) of a square integer matrix, or (None, 0) if singular,
+    by fraction-free Gauss-Jordan: [A | I] -> [d I | d A^{-1}] with d = +-det A.
+    Every entry is a minor of [A | I], so each division is exact (checked)."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return None, 0
+        a[k], a[piv] = a[piv], a[k]
+        sign = sign if piv == k else -sign
+        pivot_row, p = a[k], a[k][k]
+        # columns up to k are never read again, so only the rest is updated
+        for row in a:
+            if row is not pivot_row:
+                f = row[k]
+                for j in range(k + 1, 2 * n):
+                    quo, rem = divmod(p * row[j] - f * pivot_row[j], prev)
+                    if rem:
+                        raise InternalError("fraction-free division must be exact")
+                    row[j] = quo
+        prev = p
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
+
+
 def inverse(m) -> RatMatrix:
-    """Exact rational inverse by Gauss-Jordan elimination."""
+    """Exact rational inverse: adj(A) / det(A) from one fraction-free
+    elimination over the integers.  A rational matrix is first scaled to
+    an integer one by the lcm of its denominators."""
     if isinstance(m, IntMatrix):
         m._require_square()
-        rows = [[Fraction(x) for x in row] for row in m.rows]
+        scale, rows = 1, m.rows
     elif isinstance(m, RatMatrix):
         if m.nrows != m.ncols:
             raise ValueError("square matrix required")
-        rows = [list(row) for row in m.rows]
+        scale = lcm(*(x.denominator for row in m.rows for x in row))
+        rows = [[x.numerator * (scale // x.denominator) for x in row] for row in m.rows]
     else:
         raise TypeError(f"matrix expected, got {type(m).__name__}")
-    n = len(rows)
-    aug = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return RatMatrix([row[n:] for row in aug])
+    adj, d = _adjugate(rows)
+    if d == 0:
+        raise Singular("matrix is singular")
+    return RatMatrix([Fraction(scale * x, d) for x in row] for row in adj)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix, returned with integer entries."""
-    d = det(m)
+    """Inverse of a unimodular matrix, returned with integer entries; the
+    determinant comes from the same elimination as the adjugate."""
+    m._require_square()
+    adj, d = _adjugate(m.rows)
     if d not in (1, -1):
         raise NotUnimodular(f"det = {d}, expected +1 or -1")
-    inv = inverse(m)
-    if not inv.is_integral():
-        raise InternalError("unimodular inverse must be integral")
-    return inv.to_int()
+    return IntMatrix([d * x for x in row] for row in adj)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +607,8 @@ def _no_root_in_closed_unit_disk(coeffs: list[int]) -> bool:
     polynomial q = p(0)*p - lead(p)*p* (degree drops by at least one)
     again has no root in the closed disk.  The base case, degree zero,
     has no roots at all.  q(0) = p(0)^2 - lead(p)^2 > 0 whenever we
-    recurse, so q is never the zero polynomial.
+    recurse, so q is never the zero polynomial; dividing it by the gcd of
+    its coefficients keeps its roots and stops its size doubling per step.
     """
     c = list(coeffs)
     while True:
@@ -606,6 +621,8 @@ def _no_root_in_closed_unit_disk(coeffs: list[int]) -> bool:
             return False
         deg = len(c) - 1
         c = [a0 * c[i] - an * c[deg - i] for i in range(deg)]
+        g = gcd(*c)
+        c = [x // g for x in c]
 
 
 def is_expanding(m: IntMatrix) -> bool:

@@ -281,6 +281,28 @@ def test_large_q_report_reverifies(write, capsys, tmp_path):
     assert "hadamard certificate re-verified" in out
 
 
+def _swap_digits(report):
+    digits = report["certificate"]["digits"]
+    digits[1], digits[2] = digits[2], digits[1]
+    return report
+
+
+def test_report_with_swapped_digits_reverifies(write, capsys, tmp_path):
+    # the digit set, not its order, decides unitarity
+    inst = {"matrix": [[10**4]], "v": [1], "q": 40}
+    code, out, _ = _reverify_edited(write, capsys, tmp_path, inst, _swap_digits)
+    assert code == 0
+    assert "hadamard certificate re-verified" in out
+
+    def corrupt(report):
+        report["certificate"]["duals"][3] = [str(int(report["certificate"]["duals"][3][0]) + 1)]
+        return _swap_digits(report)
+
+    code, _, err = _reverify_edited(write, capsys, tmp_path, inst, corrupt)
+    assert code == 2
+    assert "hadamard certificate failed exact unitarity" in err
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)

@@ -6,13 +6,14 @@ import pytest
 
 from affinespectra.conjugation import (
     BlockDecomposition,
+    _companion_conjugate,
     block_decompose,
     companion_conjugate,
     companion_matrix,
     map_spectrum,
     reduce_dimension,
 )
-from affinespectra.errors import FullRank, InternalRankError, NotFullRank, Singular
+from affinespectra.errors import FullRank, InternalError, InternalRankError, NotFullRank, Singular
 from affinespectra.linalg import (
     IntMatrix,
     IntPolynomial,
@@ -108,6 +109,18 @@ def test_companion_conjugate_already_companion():
     conj = companion_conjugate(m, IntVector([0, 1]))
     assert conj.b == IntMatrix.identity(2)
     assert conj.m_tilde == m
+
+
+def test_companion_identities_are_checked_in_integers():
+    # a char poly or iterates that do not belong to (M, v) fail M b = b M~
+    vecs, _ = krylov(M_CUBE, V_CUBE)
+    assert _companion_conjugate(M_CUBE, vecs, char_poly(M_CUBE)).m_tilde == companion_matrix(
+        IntPolynomial([36, 0, 0, 1])
+    )
+    with pytest.raises(InternalError, match="companion matrix"):
+        _companion_conjugate(M_CUBE, vecs, IntPolynomial([-36, 0, 0, 1]))
+    with pytest.raises(InternalError, match="companion matrix"):
+        _companion_conjugate(M_CUBE, [vecs[0], vecs[2], vecs[1]], char_poly(M_CUBE))
 
 
 def test_companion_conjugate_rejects_deficient():

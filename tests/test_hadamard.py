@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinespectra import hadamard
-from affinespectra.classify import ProblemInstance, Verdict, classify
+from affinespectra.classify import ProblemInstance, Verdict, classify, leading_triple
 from affinespectra.conjugation import companion_conjugate, companion_matrix
 from affinespectra.errors import (
     DuplicateFrequency,
@@ -214,9 +214,12 @@ def test_only_consecutive_multiples_take_the_closed_form():
     duals = [IntVector([k, 0]) for k in range(4)]
     for ks, closed_form in [
         (range(4), True),
-        ((0, 2, 1, 3), False),
+        ((0, 2, 1, 3), True),  # the same digit set in another order
+        ((3, 1, 0, 2), True),
+        ((0, -1, -2, -3), True),  # consecutive multiples of -w
         (range(1, 5), False),
         ((0, 1, 2, 4), False),
+        ((0, 1, 1, 2), False),
     ]:
         with _spy_cyclotomic() as spy:
             verify_hadamard(m, [w.scaled(k) for k in ks], duals)
@@ -241,12 +244,30 @@ def test_classify_makes_no_cyclotomic_reduction(monkeypatch):
     assert calls == []
 
 
+def test_permuted_consecutive_digits_make_no_cyclotomic_reduction(monkeypatch):
+    # H*H does not depend on the order of the digits, so swapping two of
+    # them keeps the closed form
+    triple = leading_triple(ProblemInstance(M_CUBE, V_CUBE, 36))
+    digits = list(triple.digits)
+    digits[1], digits[2] = digits[2], digits[1]
+    corrupted = list(triple.duals)
+    corrupted[1] = corrupted[1] + IntVector([1, 0, 0])
+    calls = []
+    original = hadamard._root_of_unity_sum_is_zero
+    monkeypatch.setattr(
+        hadamard, "_root_of_unity_sum_is_zero", lambda e: calls.append(e) or original(e)
+    )
+    assert verify_hadamard(triple.m, digits, triple.duals)
+    assert not verify_hadamard(triple.m, digits, corrupted)
+    assert calls == []
+
+
 def test_large_one_dimensional_q_is_certified():
     c = classify(ProblemInstance(IntMatrix([[10**4]]), IntVector([1]), 200))
     assert c.verdict is Verdict.SPECTRAL
     triple = c.certificate.triple
     assert triple.verified and triple.q == 200
-    # a permuted digit set is decided by the cyclotomic path
+    # 12 of the 200 digits, not 12 consecutive multiples: the cyclotomic path decides
     digits = random.Random(200).sample(triple.digits, 12)
     with _spy_cyclotomic() as spy:
         exact = verify_hadamard(triple.m, digits, triple.duals[:12])
@@ -329,7 +350,11 @@ def _unitarity_cases(draw):
 def test_closed_form_and_cyclotomic_unitarity_agree(case):
     m, digits, duals = case
     numeric = _gram_is_scaled_identity(m, digits, duals)
-    consecutive = all(d == digits[1].scaled(k) for k, d in enumerate(digits))
+    q = len(digits)
+    # the digit set is {0, w, ..., (q-1)w} for some digit w, in any order
+    consecutive = any(
+        set(digits) == {w.scaled(k) for k in range(q)} for w in digits if not w.is_zero()
+    )
     with _spy_cyclotomic() as spy:
         exact = verify_hadamard(m, digits, duals)
     assert exact == numeric
@@ -337,7 +362,7 @@ def test_closed_form_and_cyclotomic_unitarity_agree(case):
         assert spy.call_count == 0
         assert hadamard._verify_cyclotomic(m, digits, duals) == exact
     else:
-        # permuted or random digits: the cyclotomic path decided
+        # random digits: the cyclotomic path decided
         assert spy.call_count == 1
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from affinespectra import conjugation, hadamard
+from affinespectra import conjugation, hadamard, linalg
 from affinespectra.classify import ProblemInstance, classify, leading_triple
 from affinespectra.cli import main
 from affinespectra.linalg import IntMatrix, IntVector, char_poly, det
@@ -136,12 +136,31 @@ def test_leading_triple_is_verified():
 
 
 def test_classify_decomposes_a_reduced_witness_instance_once(monkeypatch):
-    calls = _count_calls(monkeypatch, conjugation, "block_decompose")
+    # every decomposition, block_decompose's included, runs _block_decompose
+    calls = _count_calls(monkeypatch, conjugation, "_block_decompose")
     inst = ProblemInstance(IntMatrix([[4, 0], [0, 5]]), IntVector([1, 0]), 6)
     c = classify(inst)
     assert c.verdict.value == "not_spectral_infinite_orthogonals"
     assert c.certificate.kind == "witness"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("inst, verdict, char_polys, krylovs", [
+    # full rank: char_poly(M) decides the expanding test and is the leading
+    # block's; krylov(M, v) gives r and the companion basis (3 and 2 before)
+    (CUBE, "spectral", 1, 1),
+    # rank 1: char_poly of M and of m1; krylov of (M, v) and of (m1, x),
+    # shared by the decomposition and the companion basis (3 and 4 before)
+    ({"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 4}, "spectral", 2, 2),
+])
+def test_classify_computes_each_char_poly_and_krylov_basis_once(
+    monkeypatch, inst, verdict, char_polys, krylovs
+):
+    char_poly_calls = _count_calls(monkeypatch, linalg, "char_poly")
+    krylov_calls = _count_calls(monkeypatch, linalg, "krylov")
+    c = classify(ProblemInstance(IntMatrix(inst["matrix"]), IntVector(inst["v"]), inst["q"]))
+    assert c.verdict.value == verdict and c.certificate.triple.verified
+    assert (len(char_poly_calls), len(krylov_calls)) == (char_polys, krylovs)
 
 
 def test_completeness_evidence_verifies_the_triple_once(monkeypatch, tmp_path, capsys):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinespectra.errors import (
     NotUnimodular,
@@ -367,3 +369,93 @@ def test_expanding_against_numpy_eigenvalues():
             continue  # too close to the circle for a float oracle
         checked += 1
         assert is_expanding(m) == bool(all(abs(z) > 1.0 for z in eigs))
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against independent oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _int_matrices(draw, max_n=8, entries=st.integers(-6, 6)):
+    """A random n x n integer matrix, 1 <= n <= max_n; a third of them
+    low-rank products, so singular inputs come up often."""
+    n = draw(st.integers(1, max_n))
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(1, n))
+        a = [[draw(entries) for _ in range(k)] for _ in range(n)]
+        b = [[draw(entries) for _ in range(n)] for _ in range(k)]
+        return IntMatrix([[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a])
+    return IntMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+def _inverse_by_fraction_gauss_jordan(rows):
+    """Plain Fraction Gauss-Jordan on [A | I]; None when A is singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_int_matrices(), st.lists(st.integers(1, 12), min_size=64, max_size=64))
+def test_inverse_matches_fraction_gauss_jordan(m, dens):
+    n = m.nrows
+    rat = RatMatrix([[Fraction(x, dens[(i * n + j) % 64]) for j, x in enumerate(row)]
+                     for i, row in enumerate(m.rows)])
+    for a in (m, rat):
+        expected = _inverse_by_fraction_gauss_jordan(a.rows)
+        if expected is None:
+            with pytest.raises(Singular):
+                inverse(a)
+            continue
+        inv = inverse(a)
+        assert inv == RatMatrix(expected)
+        assert RatMatrix(a.rows) * inv == RatMatrix.identity(n)
+        assert inv * a == RatMatrix.identity(n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_int_matrices(entries=st.integers(-20, 20)))
+def test_char_poly_matches_det_at_integer_points(m):
+    n = m.nrows
+    f = char_poly(m)
+    assert f.degree == n and f.is_monic
+    for k in range(-(n // 2), n + 1 - n // 2):
+        shifted = IntMatrix.identity(n).scaled(k) + m.scaled(-1)
+        assert f(k) == det(shifted), k
+
+
+def _schur_cohn_unreduced(coeffs):
+    # the recursion without the content reduction, as it was first written
+    c = list(coeffs)
+    while True:
+        while len(c) > 1 and c[-1] == 0:
+            c.pop()
+        if len(c) == 1:
+            return True
+        a0, an = c[0], c[-1]
+        if a0 * a0 <= an * an:
+            return False
+        deg = len(c) - 1
+        c = [a0 * c[i] - an * c[deg - i] for i in range(deg)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_int_matrices(entries=st.integers(-9, 9)))
+def test_is_expanding_matches_unreduced_schur_cohn_and_eigenvalues(m):
+    expanding = is_expanding(m)
+    assert expanding == _schur_cohn_unreduced(char_poly(m).coeffs)
+    eigs = np.linalg.eigvals(np.array(m.rows, dtype=float))
+    if min(abs(abs(z) - 1.0) for z in eigs) > 1e-6:
+        assert expanding == bool(all(abs(z) > 1.0 for z in eigs))
