@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import GcdOne, InternalError, NonConvergent
-from .linalg import IntMatrix, IntVector, RatVector, inverse, xgcd
+from .linalg import IntMatrix, IntVector, RatVector, _inverse_parts, inverse, xgcd
 
 _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
@@ -274,32 +274,37 @@ def construct_witness(inst) -> Witness:
         raise GcdOne(
             f"gcd(q={inst.q}, |det m1|={abs(d1)}) = 1: no vanishing-denominator witness"
         )
-    m1_inv = inverse(m1)
-    cur = v1.to_rat()
+    # all in integers: m1^{-1} = adj / d1_abs, and m1^{-ell} v1 = a / den
+    # with gcd(den, a) = 1, so den is the lcm of the entry denominators
+    adj, d1_abs = _inverse_parts(m1)
+    a, den = v1, 1
     for ell in range(1, _WITNESS_DEPTH_CAP + 1):
-        cur = m1_inv * cur
-        den = cur.denominator_lcm()
+        a, den = adj * a, den * d1_abs
+        g = gcd(den, *a)
+        a, den = IntVector(x // g for x in a), den // g
         dstar = gcd(den, inst.q)
         if dstar > 1:
             break
     else:
         raise InternalError("witness depth cap reached; should be unreachable")
-    w = cur.scaled(den).to_int()
-    z = _solve_phase_congruence(w, den, den // dstar)
-    alpha1 = (m1_inv.transpose() ** ell) * z
+    z = _solve_phase_congruence(a, den, den // dstar)
+    # alpha1 = (m1^{-T})^ell z = num1 / den1
+    num1, den1 = (adj.transpose() ** ell) * z, d1_abs ** ell
     if decomp is None:
-        alpha = alpha1
+        num, den = num1, den1
         image = z
     else:
         block_t = (decomp.b * inst.m * decomp.b_inv).transpose()
         pow_t = block_t ** ell
         coupling = pow_t.submatrix(range(r, n), range(r))
-        m2t_pow = pow_t.submatrix(range(r, n), range(r, n))
-        tail = (inverse(m2t_pow) * (coupling * alpha1)).scaled(-1)
-        alpha_block = RatVector(list(alpha1) + list(tail))
-        alpha = decomp.b.transpose().to_rat() * alpha_block
+        adj2, d2 = _inverse_parts(pow_t.submatrix(range(r, n), range(r, n)))
+        # tail = -(m2t_pow^{-1} coupling alpha1), over the denominator d2 den1
+        tail = adj2 * (coupling * num1)
+        num = decomp.b.transpose() * IntVector([d2 * x for x in num1] + [-x for x in tail])
+        den = d2 * den1
         image = decomp.b.transpose() * IntVector(list(z) + [0] * (n - r))
-    phase = alpha.dot(inst.v) % 1
+    alpha = RatVector(Fraction(x, den) for x in num)
+    phase = Fraction(num.dot(inst.v) % den, den)
     witness = Witness(alpha, ell, phase, image)
     witness.verified = verify_witness(inst, witness)
     if not witness.verified:

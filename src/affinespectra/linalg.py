@@ -561,6 +561,17 @@ def _adjugate(rows) -> tuple[list[list[int]] | None, int]:
     return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
+def _inverse_parts(m: IntMatrix) -> tuple[IntMatrix, int]:
+    """(a, d) with m^{-1} = a / d, a integral and d = |det m| > 0, from the
+    same fraction-free elimination as ``inverse``, with no Fraction made."""
+    m._require_square()
+    adj, d = _adjugate(m.rows)
+    if d == 0:
+        raise Singular("matrix is singular")
+    s = 1 if d > 0 else -1
+    return IntMatrix([s * x for x in row] for row in adj), s * d
+
+
 def inverse(m) -> RatMatrix:
     """Exact rational inverse: adj(A) / det(A) from one fraction-free
     elimination over the integers.  A rational matrix is first scaled to

@@ -9,6 +9,7 @@ import pytest
 from affinespectra.classify import ProblemInstance
 from affinespectra.conjugation import map_spectrum
 from affinespectra.errors import GcdOne, NonConvergent
+from affinespectra import fourier
 from affinespectra.fourier import (
     certify_orthogonal,
     construct_witness,
@@ -22,8 +23,10 @@ from affinespectra.fourier import (
 from affinespectra.linalg import (
     IntMatrix,
     IntVector,
+    RatMatrix,
     RatVector,
     det,
+    inverse,
     inverse_unimodular,
     is_expanding,
     krylov,
@@ -305,6 +308,107 @@ def test_witness_random_instances():
             continue
         w = construct_witness(inst)
         assert verify_witness(inst, w)
+
+
+def _witness_over_fractions(inst):
+    """(alpha, ell, phase, image) of construct_witness, computed by rational
+    matrix arithmetic: inverse iterates of v1, powers of the rational
+    inverse transpose and the rational inverse of the trailing block."""
+    n = inst.m.n
+    r, decomp, m1, v1 = inst.leading[:4]
+    m1_inv = inverse(m1)
+    cur, ell = v1.to_rat(), 0
+    while True:
+        cur, ell = m1_inv * cur, ell + 1
+        den = cur.denominator_lcm()
+        dstar = math.gcd(den, inst.q)
+        if dstar > 1:
+            break
+    z = fourier._solve_phase_congruence(cur.scaled(den).to_int(), den, den // dstar)
+    alpha1 = (m1_inv.transpose() ** ell) * z
+    if decomp is None:
+        alpha, image = alpha1, z
+    else:
+        pow_t = (decomp.b * inst.m * decomp.b_inv).transpose() ** ell
+        coupling = pow_t.submatrix(range(r, n), range(r))
+        tail = (inverse(pow_t.submatrix(range(r, n), range(r, n))) * (coupling * alpha1)).scaled(-1)
+        alpha = decomp.b.transpose().to_rat() * RatVector(list(alpha1) + list(tail))
+        image = decomp.b.transpose() * IntVector(list(z) + [0] * (n - r))
+    return alpha, ell, alpha.dot(inst.v) % 1, image
+
+
+def _random_block_witness_instances(count):
+    """Instances U [[B1, C], [0, B2]] U^-1, v = U (x, 0), with B1 a companion
+    block whose determinant shares the prime q, so a witness exists; the
+    leading block has rank r < n for about half of them."""
+    rng = random.Random(31415)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        r = rng.randint(1, n)
+        q = rng.choice((2, 3))
+        coeffs = [q * rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-2, 2) for _ in range(r - 1)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(1, r):
+            rows[i][i - 1] = 1
+        for i in range(r):
+            rows[i][r - 1] = -coeffs[i]
+        for i in range(r, n):
+            rows[i][i] = rng.choice((-5, -4, 4, 5, 7))
+            for j in range(i + 1, n):
+                rows[i][j] = rng.randint(-2, 2)
+        for i in range(r):
+            for j in range(r, n):
+                rows[i][j] = rng.randint(-2, 2)
+        u = IntMatrix.identity(n)
+        for _ in range(2 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                e = [[int(a == b) + (rng.choice((-1, 1)) if (a, b) == (i, j) else 0)
+                      for b in range(n)] for a in range(n)]
+                u = u * IntMatrix(e)
+        m = u * IntMatrix(rows) * inverse_unimodular(u)
+        x = [0] * n
+        x[0] = rng.choice((1, 2, 3))
+        if not is_expanding(m):
+            continue
+        out.append(ProblemInstance(m, u * IntVector(x), q))
+    return out
+
+
+def test_witness_matches_rational_construction():
+    insts = [
+        _inst([[0, 1, 0], [0, 0, 1], [-36, 0, 0]], [0, 0, 1], 6),
+        ProblemInstance(M_DIAG, V_DIAG, 6),
+        _inst([[0, 2], [3, 0]], [2, 0], 2),
+        ProblemInstance(M_CUBE, V_CUBE, 8),
+        *(inst for inst, constructible in _random_witness_instances() if constructible),
+        *_random_block_witness_instances(60),
+    ]
+    reduced = deep = 0
+    for inst in insts:
+        w = construct_witness(inst)
+        assert (w.alpha, w.ell, w.phase, w.image) == _witness_over_fractions(inst), inst.m
+        assert w.verified
+        reduced += inst.leading.decomp is not None
+        deep += w.ell > 1
+    assert reduced >= 10 and deep >= 5, (reduced, deep)
+
+
+def test_witness_makes_no_rational_matrix_product(monkeypatch):
+    # reduced frame and depth 3: the paths that took rational matrix powers
+    insts = [ProblemInstance(M_DIAG, V_DIAG, 6), _inst([[0, 2], [3, 0]], [2, 0], 2)]
+    for inst in insts:
+        inst.leading  # built before the spies go in
+
+    def refuse(*args):
+        raise AssertionError("rational matrix arithmetic in construct_witness")
+
+    monkeypatch.setattr(RatMatrix, "__mul__", refuse)
+    monkeypatch.setattr(RatMatrix, "__pow__", refuse)
+    monkeypatch.setattr(fourier, "inverse", refuse)
+    for inst in insts:
+        assert construct_witness(inst).verified
 
 
 def _integral_by_exact_power(inst, w):
