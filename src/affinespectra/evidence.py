@@ -13,9 +13,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .errors import InternalError, TooLarge
-from .fourier import certify_orthogonal, mu_hat
-from .linalg import RatVector, inverse
+from .errors import TooLarge
+from .fourier import _contraction_data, _vanishing_factor, mu_hat
+from .linalg import RatVector
 
 _CANDIDATE_CAP = 5000
 
@@ -150,30 +150,27 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
         raise TooLarge(
             f"{per_axis ** n} lattice points exceed the cap of {_CANDIDATE_CAP}"
         )
+    # points are integer coordinates g of g / L, and itertools.product over
+    # an ascending span lists them in lexicographic order, the order of
+    # the rational points since L > 0.  Orthogonality depends only on the
+    # difference, and negating it flips every phase mod 1 without changing
+    # the verdict, so one certification per sign class covers all pairs
     span = range(-box_radius * ell, box_radius * ell + 1)
-    zero = RatVector([0] * n)
-    points = [
-        RatVector([Fraction(g, ell) for g in coords])
-        for coords in itertools.product(span, repeat=n)
-    ]
-    # orthogonality depends only on the difference, and negating it flips
-    # every phase mod 1 without changing the verdict, so one certification
-    # per sign class of lattice difference covers all pairs
+    zero = (0,) * n
     cache: dict[tuple, bool] = {}
 
-    def connected(a: RatVector, b: RatVector) -> bool:
-        key = tuple(int((x - y) * ell) for x, y in zip(a, b))
-        lead = next((c for c in key if c != 0), 0)
-        if lead < 0:
-            key = tuple(-c for c in key)
-        hit = cache.get(key)
-        if hit is None:
-            hit = certify_orthogonal(inst, a, b, j_max) is not None
-            cache[key] = hit
-        return hit
+    def certified_pair(a, b) -> bool:
+        return _vanishing_factor(inst, [x - y for x, y in zip(a, b)], ell, j_max) is not None
 
-    neighbors_of_zero = [p for p in points if not p.is_zero() and connected(zero, p)]
-    neighbors_of_zero.sort(key=lambda p: p.entries)
+    def connected(a, b) -> bool:
+        key = tuple(x - y for x, y in zip(a, b))
+        if next(c for c in key if c) < 0:
+            key = tuple(-c for c in key)
+        if key not in cache:
+            cache[key] = certified_pair(key, zero)
+        return cache[key]
+
+    neighbors_of_zero = [p for p in itertools.product(span, repeat=n) if any(p) and connected(p, zero)]
     count = len(neighbors_of_zero)
     adj_bits = [0] * count
     for i in range(count):
@@ -183,10 +180,8 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
                 adj_bits[j] |= 1 << i
     clique = _max_clique(count, adj_bits)
     witness = [zero] + [neighbors_of_zero[i] for i in sorted(clique)]
-    certified = all(
-        certify_orthogonal(inst, a, b, j_max) is not None
-        for a, b in itertools.combinations(witness, 2)
-    )
+    certified = all(certified_pair(a, b) for a, b in itertools.combinations(witness, 2))
+    witness = [RatVector([Fraction(g, ell) for g in p]) for p in witness]
     return CliqueReport(
         lattice_denominator=ell,
         box_radius=box_radius,
@@ -233,37 +228,45 @@ _BURN_IN = 100
 def attractor_radius(inst) -> float:
     """Sup-norm bound on the invariant set: max digit norm times the
     summed norms of inverse powers, via exact geometric tail bounding."""
-    m_inv = inverse(inst.m)
+    _, _, _, _, (_, rho, partial) = _contraction_data(inst.m)
     dmax = (inst.q - 1) * max(abs(e) for e in inst.v)
-    power = m_inv
-    partial = Fraction(0)
-    for _ in range(10 * inst.m.n):
-        rho = power.inf_norm()
-        partial += rho
-        if rho < 1:
-            return float(dmax * partial / (1 - rho))
-        power = power * m_inv
-    raise InternalError("expanding instance must contract eventually")
+    return float(dmax * partial / (1 - rho))
+
+
+def _chaos_taps(inst) -> list[list[float]]:
+    """Taps M^{-j} v = n_j / d^j for j = 1, ..., J, each rounded once from
+    its exact value, with J the first j where |M^{-j} v| < 2^-60 |v|.
+    Every later tap is M^{-i} M^{-J} v, and the contraction data bound the
+    sum of the norms of the M^{-i} by s / (1 - rho), so the taps left out
+    sum to less than 2^-60 of the attractor radius."""
+    adj, _, d, _, _ = _contraction_data(inst.m)
+    vmax = max(abs(e) for e in inst.v)
+    taps, x, scale = [], inst.v, 1
+    while True:
+        x, scale = adj * x, scale * d
+        taps.append([e / scale for e in x])
+        if max(map(abs, x)) << 60 < vmax * scale:
+            return taps
 
 
 def chaos_game(inst, iterations: int, seed: int) -> AttractorSample:
     """Sample the invariant measure by random digit-driven iteration.
 
-    x <- M^{-1}(x + k v) with k uniform on {0, ..., q-1}; the first 100
-    iterates are discarded.  Deterministic for a fixed seed."""
+    The chain x <- M^{-1}(x + k v) from x = 0, with k uniform on
+    {0, ..., q-1}, is x_t = sum_j k_{t-j} M^{-(j+1)} v after t steps: one
+    FIR convolution per coordinate of the digit stream with the exact
+    taps of _chaos_taps, truncated where the tail is provably below 2^-60
+    of the attractor radius; no float power of M^{-1} is iterated.  The
+    digits are those random.Random(seed) gave the iteration, so a seed
+    keeps its meaning; the first 100 iterates are discarded."""
     import numpy as np  # only sampling needs numpy; keep it off the import path
 
     rng = random.Random(seed)
-    n = inst.m.n
-    m_inv = np.array([[float(x) for x in row] for row in inverse(inst.m).rows])
-    v = np.array([float(x) for x in inst.v])
-    x = np.zeros(n)
-    for _ in range(_BURN_IN):
-        x = m_inv @ (x + rng.randrange(inst.q) * v)
-    points = np.empty((iterations, n))
-    for i in range(iterations):
-        x = m_inv @ (x + rng.randrange(inst.q) * v)
-        points[i] = x
+    digits = np.array([rng.randrange(inst.q) for _ in range(_BURN_IN + iterations)], dtype=float)
+    taps = np.array(_chaos_taps(inst))
+    points = np.empty((iterations, inst.m.n))
+    for c in range(inst.m.n):
+        points[:, c] = np.convolve(digits, taps[:, c])[_BURN_IN:_BURN_IN + iterations]
     return AttractorSample(
         points=points, iterations=iterations, seed=seed, radius=attractor_radius(inst)
     )

@@ -5,9 +5,11 @@ mu_hat(xi) = prod_{j >= 1} mask((M*)^{-j} xi), where the mask is the
 normalized exponential sum over the digits.  Because the digits are
 consecutive multiples of one vector, the mask is a geometric sum and its
 zero set has an exact rational description: the phase <v, xi> must be a
-non-integer multiple of 1/q.  Everything decision-grade here runs on
-Fractions; floats appear only in reported numeric values and error
-bounds.
+non-integer multiple of 1/q.  Everything decision-grade here is exact:
+with M^{-1} = adj / d, the factor phases are <a, n_j> mod L d^j for
+xi = a / L and M^{-j} v = n_j / d^j, all Python ints.  Floats appear only
+in reported numeric values and error bounds, each rounded once from an
+exact rational.
 
 Orthogonality of two exponentials is certified by exhibiting a factor
 index j with an exactly vanishing mask; absence of a certificate proves
@@ -21,9 +23,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .errors import GcdOne, InternalError, NonConvergent
-from .linalg import IntMatrix, IntVector, RatVector, _inverse_parts, inverse, xgcd
+from .linalg import IntMatrix, IntVector, RatVector, _inverse_parts, is_expanding, xgcd
 
 _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
@@ -91,14 +94,15 @@ def _phase(inst, xi: RatVector) -> Fraction:
     return xi.dot(inst.v)
 
 
-def _mask_from_phase(q: int, t: Fraction) -> complex:
-    if t.denominator == 1:
+def _mask_from_phase(q: int, num: int, den: int) -> complex:
+    # the mask at phase t = num / den
+    num %= den
+    if num == 0:
         return complex(1.0)
-    if (q * t).denominator == 1:
+    if q * num % den == 0:
         return complex(0.0)  # exact zero of the geometric sum
     # period 1: reduce into (-1/2, 1/2] while exact, or a phase just below
     # an integer loses every digit of sin(pi t) in the float conversion
-    num, den = t.numerator % t.denominator, t.denominator
     if 2 * num > den:
         num -= den
     tf = num / den
@@ -112,7 +116,8 @@ def _mask_from_phase(q: int, t: Fraction) -> complex:
 
 def mask(inst, xi) -> complex:
     """Normalized digit exponential sum (1/q) sum_k e^{2 pi i k <v, xi>}."""
-    return _mask_from_phase(inst.q, _phase(inst, _as_rat_vector(xi)))
+    t = _phase(inst, _as_rat_vector(xi))
+    return _mask_from_phase(inst.q, t.numerator, t.denominator)
 
 
 def mask_is_zero_exact(inst, xi) -> bool:
@@ -128,21 +133,31 @@ def mask_is_zero_exact(inst, xi) -> bool:
 
 @lru_cache(maxsize=None)
 def _contraction_data(m: IntMatrix):
-    """Smallest k with ||(M*)^{-k}||_inf < 1, plus that norm and the sum
-    of the first k power norms.  Exact; raises NonConvergent if no power
-    up to 10 n contracts, which means the matrix is not expanding."""
-    p = inverse(m).transpose()
-    power = p
-    norm_sum = Fraction(0)
-    for k in range(1, 10 * m.n + 1):
-        rho = power.inf_norm()
-        norm_sum += rho
-        if rho < 1:
-            return p, k, rho, norm_sum
-        power = power * p
-    raise NonConvergent(
-        f"no power of the inverse transpose up to {10 * m.n} contracts"
-    )
+    """(adj, adj^T, d, col, row) with M^{-1} = adj / d, d = |det M|, and
+    (k, rho, s) for (M*)^{-k} (col) and M^{-k} (row): the least k whose inf
+    norm rho, the column or row sums of adj^k over d^k, is below 1, and the
+    sum s of the first k norms, exact.  A non-expanding M raises NonConvergent."""
+    adj, d = _inverse_parts(m)
+    power, scale, k = adj, d, 1
+    sums, found = [Fraction(0), Fraction(0)], [None, None]
+    while True:
+        for i, rows in enumerate((zip(*power.rows), power.rows)):
+            if found[i] is None:
+                rho = Fraction(max(sum(map(abs, row)) for row in rows), scale)
+                sums[i] += rho
+                if rho < 1:
+                    found[i] = (k, rho, sums[i])
+        if None not in found:
+            return adj, adj.transpose(), d, found[0], found[1]
+        # an expanding M contracts eventually, after however many powers
+        if k == 10 * m.n and not is_expanding(m):
+            raise NonConvergent("matrix is not expanding: no power of its inverse contracts")
+        power, scale, k = power * adj, scale * d, k + 1
+
+
+def _over_common_denominator(x: RatVector) -> tuple[list[int], int]:
+    den = x.denominator_lcm()
+    return [e.numerator * (den // e.denominator) for e in x], den
 
 
 def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
@@ -152,29 +167,32 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     provably below tail_eps, using |mask(eta) - 1| <= pi (q-1) |<v, eta>|
     and geometric decay of the exact power norms.  If any factor is an
     exact rational zero the product short-circuits to exactly 0.  The
-    returned error field bounds |true - value| absolutely.
+    returned error field bounds |true - value| absolutely.  The iterate
+    (M*)^{-j} xi is kept exactly as (adj^T)^j a over L d^j, gcd removed.
     """
     xi = _as_rat_vector(xi)
     if len(xi) != len(inst.v):
         raise ValueError("frequency dimension does not match the instance")
     if xi.is_zero():
         return MuHatValue(complex(1.0), 0.0, 0)
-    p, kstar, rho, norm_sum = _contraction_data(inst.m)
-    v_l1 = sum(abs(e) for e in inst.v)
-    coeff = Fraction(norm_sum, 1) / (1 - rho) * v_l1 * (inst.q - 1)
-    cur = xi
+    _, adj_t, d, (_, rho, norm_sum), _ = _contraction_data(inst.m)
+    q, v = inst.q, inst.v.entries
+    coeff = Fraction(norm_sum, 1) / (1 - rho) * sum(abs(e) for e in v) * (q - 1)
+    a, den = _over_common_denominator(xi)
     product = complex(1.0)
     j = 0
     while True:
-        cur = p * cur
+        a = [sum(map(mul, row, a)) for row in adj_t.rows]
+        den *= d
+        g = gcd(den, *a)
+        a, den = [x // g for x in a], den // g
         j += 1
-        t = cur.dot(inst.v)
-        tm = t % 1
-        if tm != 0 and (inst.q * tm).denominator == 1:
+        t = sum(map(mul, a, v)) % den
+        if t and q * t % den == 0:
             return MuHatValue(complex(0.0), 0.0, j)
-        product *= _mask_from_phase(inst.q, tm)
-        cur_norm = max(abs(e) for e in cur)
-        tail = math.pi * float(coeff * cur_norm)
+        product *= _mask_from_phase(q, t, den)
+        # int / int rounds once, as the float of the exact Fraction would
+        tail = math.pi * (coeff.numerator * max(map(abs, a)) / (coeff.denominator * den))
         if tail < tail_eps:
             return MuHatValue(product, math.expm1(tail), j)
         if j > _MU_HAT_FACTOR_CAP:
@@ -182,12 +200,34 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
 
 
 @lru_cache(maxsize=None)
-def _probe_vector(m: IntMatrix, v: IntVector, j: int) -> RatVector:
-    # <(M*)^{-j} delta, v> = <delta, M^{-j} v>, so the matrix powers are
-    # shared across every pair ever certified against this instance
-    if j == 0:
-        return v.to_rat()
-    return inverse(m) * _probe_vector(m, v, j - 1)
+def _probe_sequence(m: IntMatrix, v: IntVector) -> list:
+    """[(n_j, d^j) for j = 0, 1, ...] with M^{-j} v = n_j / d^j, grown on
+    demand by _vanishing_factor.  <(M*)^{-j} delta, v> = <delta, M^{-j} v>,
+    so one sequence serves every pair ever certified against (M, v)."""
+    return [(v.entries, 1)]
+
+
+def _vanishing_factor(inst, a, den: int, j_max: int | None):
+    """(j, r, modulus) for the first j <= j_max whose mask vanishes at
+    (M*)^{-j} (a / den), with phase r / modulus = <a, n_j> / (den d^j) mod 1,
+    or None.  The default j_max grows with the reduced entries of a / den."""
+    if j_max is None:
+        max_den = max(den // gcd(x, den) for x in a)
+        max_num = max(abs(x) // gcd(x, den) for x in a)
+        j_max = 3 * inst.m.n + (max_den * max_num).bit_length()
+    seq = _probe_sequence(inst.m, inst.v)
+    q = inst.q
+    for j in range(1, j_max + 1):
+        if j == len(seq):
+            adj, _, d, _, _ = _contraction_data(inst.m)
+            prev, scale = seq[-1]
+            seq.append((tuple(sum(map(mul, row, prev)) for row in adj.rows), scale * d))
+        n_j, d_j = seq[j]
+        modulus = den * d_j
+        r = sum(map(mul, a, n_j)) % modulus
+        if r and q * r % modulus == 0:
+            return j, r, modulus
+    return None
 
 
 def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
@@ -200,17 +240,12 @@ def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
     lambda1 = _as_rat_vector(lambda1)
     lambda2 = _as_rat_vector(lambda2)
     delta = lambda1 - lambda2
+    if len(delta) != len(inst.v):
+        raise ValueError("frequency dimension does not match the instance")
     if delta.is_zero():
         raise ValueError("frequencies must differ")
-    if j_max is None:
-        max_den = max(e.denominator for e in delta)
-        max_num = max(abs(e.numerator) for e in delta)
-        j_max = 3 * inst.m.n + (max_den * max_num).bit_length()
-    for j in range(1, j_max + 1):
-        t = delta.dot(_probe_vector(inst.m, inst.v, j)) % 1
-        if t != 0 and (inst.q * t).denominator == 1:
-            return OrthogonalityCertificate(lambda1, lambda2, j, t)
-    return None
+    hit = _vanishing_factor(inst, *_over_common_denominator(delta), j_max)
+    return None if hit is None else OrthogonalityCertificate(lambda1, lambda2, hit[0], Fraction(*hit[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from math import lcm
 
 from .conjugation import CompanionConjugation, map_spectrum
 from .errors import DuplicateFrequency, InternalError, NotDivisible, UnverifiedTriple
-from .linalg import IntMatrix, IntVector, RatVector, inverse
+from .linalg import IntMatrix, IntVector, _inverse_parts, inverse
 
 
 class HadamardTriple:
@@ -162,12 +162,14 @@ def _verify_collinear(m: IntMatrix, w, duals) -> bool:
     # entry (j, l) of H*H is sum_k e^{2 pi i k (tau_l - tau_j)} with
     # tau_l = <m^{-1} w, s_l>; it vanishes iff q (tau_l - tau_j) is an
     # integer and tau_l - tau_j is not, so H is unitary iff the residues
-    # (tau_l - tau_0) mod 1 are q distinct multiples of 1/q
-    x = inverse(m) * w
+    # (tau_l - tau_0) mod 1 are q distinct multiples of 1/q.  With
+    # m^{-1} = adj / d, d tau_l = <adj w, s_l> and the residues live mod d
+    adj, d = _inverse_parts(m)
+    x = adj * w
     taus = [x.dot(s) for s in duals]
     q = len(duals)
-    residues = {(t - taus[0]) % 1 for t in taus}
-    return len(residues) == q and all((q * r).denominator == 1 for r in residues)
+    residues = {(t - taus[0]) % d for t in taus}
+    return len(residues) == q and all(q * r % d == 0 for r in residues)
 
 
 def _verify_cyclotomic(m: IntMatrix, digits, duals) -> bool:
