@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from math import gcd
 
-from .conjugation import LeadingBlock, _leading_block
+from .conjugation import _leading_block
 from .errors import BadQ, InternalError, NotExpanding, ZeroVector
 from .fourier import Witness, construct_witness
 from .hadamard import HadamardTriple, construct_dual_digits
@@ -33,10 +33,11 @@ from .linalg import IntMatrix, IntPolynomial, IntVector, _no_root_in_closed_unit
 
 class ProblemInstance:
     """Validated input triple: expanding integer matrix, nonzero digit
-    direction, digit count q >= 2; ``leading`` is built once, on first use,
-    from the char poly of m that decided the expanding test."""
+    direction, digit count q >= 2.  ``leading`` is built first and decides
+    the expanding test: char_poly(m) is the char poly of m1, read off the
+    Krylov elimination, times char_poly(m2) of the trailing block."""
 
-    __slots__ = ("m", "v", "q", "_char_poly", "_leading")
+    __slots__ = ("m", "v", "q", "leading")
 
     def __init__(self, m: IntMatrix, v: IntVector, q: int):
         n = m.n
@@ -46,22 +47,18 @@ class ProblemInstance:
             raise ZeroVector("digit direction v must be nonzero")
         if not isinstance(q, int) or isinstance(q, bool) or q < 2:
             raise BadQ(f"q must be an integer >= 2, got {q!r}")
-        f = char_poly(m)  # is_expanding(m), keeping the polynomial
-        if not _no_root_in_closed_unit_disk(f.coeffs):
+        lead = _leading_block(m, v)
+        expanding = _no_root_in_closed_unit_disk(lead.char_poly.coeffs) and (
+            lead.decomp is None or _no_root_in_closed_unit_disk(char_poly(lead.decomp.m2).coeffs)
+        )
+        if not expanding:
             raise NotExpanding(
                 "matrix is not expanding: all eigenvalues must exceed 1 in modulus"
             )
         self.m = m
         self.v = v
         self.q = q
-        self._char_poly = f
-        self._leading = None
-
-    @property
-    def leading(self) -> LeadingBlock:
-        if self._leading is None:
-            self._leading = _leading_block(self.m, self.v, self._char_poly)
-        return self._leading
+        self.leading = lead
 
     def __repr__(self):
         return f"ProblemInstance(m={self.m!r}, v={self.v!r}, q={self.q})"

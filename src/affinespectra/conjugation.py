@@ -25,11 +25,11 @@ from .linalg import (
     IntVector,
     RatMatrix,
     RatVector,
-    char_poly,
+    _annihilates,
+    _hnf_unimodular,
+    _krylov_relation,
     det,
-    hnf_unimodular,
     inverse,
-    inverse_unimodular,
     krylov,
 )
 
@@ -38,17 +38,20 @@ class CompanionConjugation:
     """Exact conjugation b_inv * M * b = m_tilde with m_tilde in companion
     form and b_inv * v the last standard basis vector.
 
-    b is the integer matrix [M^{n-1}v, ..., Mv, v]; its inverse is rational
-    in general, so frequency arithmetic downstream stays in Fractions.
+    b is the integer matrix [M^{n-1}v, ..., Mv, v]; its rational inverse
+    is computed on access.
     """
 
-    __slots__ = ("b", "b_inv", "m_tilde", "v_tilde")
+    __slots__ = ("b", "m_tilde", "v_tilde")
 
-    def __init__(self, b: IntMatrix, b_inv: RatMatrix, m_tilde: IntMatrix, v_tilde: IntVector):
+    def __init__(self, b: IntMatrix, m_tilde: IntMatrix, v_tilde: IntVector):
         self.b = b
-        self.b_inv = b_inv
         self.m_tilde = m_tilde
         self.v_tilde = v_tilde
+
+    @property
+    def b_inv(self) -> RatMatrix:
+        return inverse(self.b)
 
     def __repr__(self):
         return f"CompanionConjugation(m_tilde={self.m_tilde!r})"
@@ -67,6 +70,12 @@ class BlockDecomposition:
         self.c = c
         self.m2 = m2
         self.x = x
+
+    @property
+    def block(self) -> IntMatrix:
+        """b*M*b_inv, assembled from its blocks."""
+        top = [a + c for a, c in zip(self.m1.rows, self.c.rows)]
+        return IntMatrix(top + [(0,) * self.r + row for row in self.m2.rows])
 
     def __repr__(self):
         return f"BlockDecomposition(r={self.r}, m1={self.m1!r}, m2={self.m2!r})"
@@ -115,12 +124,12 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
     otherwise.  The returned m_tilde is integer even though b_inv is not.
     """
     n = m.n
-    vecs, r = krylov(m, v)
+    vecs, r, f = _krylov_relation(m, v)
     if r < n:
         raise NotFullRank(
             f"iterates of v span a {r}-dimensional subspace of dimension {n}"
         )
-    return _companion_conjugate(m, vecs, char_poly(m))
+    return _companion_conjugate(m, vecs[:n], f)
 
 
 def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConjugation:
@@ -133,7 +142,7 @@ def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConju
         raise InternalError("iterate basis does not conjugate to the companion matrix")
     if b * v_tilde != vecs[0]:
         raise InternalError("iterate basis does not carry v to the last basis vector")
-    return CompanionConjugation(b, inverse(b), m_tilde, v_tilde)
+    return CompanionConjugation(b, m_tilde, v_tilde)
 
 
 def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
@@ -145,16 +154,16 @@ def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
     b*v has only its first r entries nonzero.  Raises FullRank when r = n,
     where the companion conjugation is the right tool.
     """
-    return _block_decompose(m, v, *krylov(m, v))
+    vecs, r, _ = _krylov_relation(m, v)
+    return _block_decompose(m, v, vecs, r)
 
 
 def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int) -> BlockDecomposition:
-    n = m.n  # vecs, r = krylov(m, v)
+    n = m.n  # vecs[:r] = [v, Mv, ..., M^{r-1}v], independent
     if r == n:
         raise FullRank(f"iterates of v already span dimension {n}")
     a = IntMatrix.from_columns(list(reversed(vecs[:r])))
-    b, h = hnf_unimodular(a)
-    b_inv = inverse_unimodular(b)
+    b, b_inv, _ = _hnf_unimodular(a)
     block = b * m * b_inv
     lower_left_zero = all(
         block.rows[i][j] == 0 for i in range(r, n) for j in range(r)
@@ -182,17 +191,12 @@ def reduce_dimension(d: BlockDecomposition, q: int) -> ReducedInstance:
     iterate basis for m1; a failure would mean the decomposition upstream
     is wrong, hence InternalRankError rather than a precondition error.
     """
-    _reduced_krylov(d)
-    return ReducedInstance(d.m1, d.x, q)
-
-
-def _reduced_krylov(d: BlockDecomposition):
-    vecs, r = krylov(d.m1, d.x)  # must span all r dimensions
+    _, r = krylov(d.m1, d.x)  # must span all r dimensions
     if r != d.r:
         raise InternalRankError(
             f"reduced vector generates rank {r}, expected {d.r}"
         )
-    return vecs
+    return ReducedInstance(d.m1, d.x, q)
 
 
 class LeadingBlock(NamedTuple):
@@ -216,22 +220,26 @@ class LeadingBlock(NamedTuple):
 def leading_block(m: IntMatrix, v: IntVector, q: int) -> LeadingBlock:
     """The one place that decides between the full pair (r = n) and the
     reduced pair from block_decompose and reduce_dimension (r < n)."""
-    return _leading_block(m, v, None)
+    return _leading_block(m, v)
 
 
-def _leading_block(m: IntMatrix, v: IntVector, f_m: IntPolynomial | None) -> LeadingBlock:
-    vecs, r = krylov(m, v)  # f_m, when given, is char_poly(m)
+def _leading_block(m: IntMatrix, v: IntVector) -> LeadingBlock:
+    """One Krylov elimination gives r and the minimal polynomial f of v,
+    which is the char poly of m1; r < n adds the block decomposition."""
+    vecs, r, f = _krylov_relation(m, v)
     if r == m.n:
         decomp, m1, v1 = None, m, v
-        f = char_poly(m) if f_m is None else f_m
     else:
         decomp = _block_decompose(m, v, vecs, r)
-        vecs = _reduced_krylov(decomp)
         m1, v1 = decomp.m1, decomp.x
-        f = char_poly(m1)
-    # det(xI - m1) at x = 0 is (-1)^r det m1; char_poly cross-checks that
-    # coefficient against a Bareiss determinant
-    return LeadingBlock(r, decomp, m1, v1, f, (-1) ** r * f.constant_term(), tuple(vecs))
+        # m1^k v1 is the head of b M^k v, so the first r are independent
+        vecs = [v1]
+        for _ in range(r):
+            vecs.append(m1 * vecs[-1])
+        if not _annihilates(f, vecs):
+            raise InternalRankError("minimal polynomial of v does not annihilate the reduced vector")
+    # det(xI - m1) at x = 0 is (-1)^r det m1
+    return LeadingBlock(r, decomp, m1, v1, f, (-1) ** r * f.constant_term(), tuple(vecs[:r]))
 
 
 def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:

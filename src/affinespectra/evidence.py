@@ -249,6 +249,32 @@ def _chaos_taps(inst) -> list[list[float]]:
             return taps
 
 
+def _randrange_stream(rng: random.Random, q: int, count: int):
+    """[rng.randrange(q) for _ in range(count)] as an array.  randrange
+    draws getrandbits(k), k = q.bit_length(), until it is below q;
+    getrandbits(k) takes w = ceil(k / 32) words, lowest first, and drops the
+    low 32 w - k bits of the last, and getrandbits(32 N) emits the words of
+    N getrandbits(32) calls.  So one call per batch is decoded in w-word
+    draws (uint64 up to w = 2, Python ints beyond) and the rejects dropped."""
+    import numpy as np
+
+    k = q.bit_length()
+    w = -(-k // 32)
+    dtype = np.uint64 if w <= 2 else object
+    shift, word, bound = (np.array(x, dtype=dtype) for x in (32 * w - k, 32, q))
+    parts, have = [np.empty(0, dtype)], 0
+    while have < count:
+        n = (count - have) * (1 << k) // q + 64
+        words = np.frombuffer(rng.getrandbits(32 * w * n).to_bytes(4 * w * n, "little"), "<u4")
+        words = words.reshape(n, w).astype(dtype)
+        values = words[:, -1] >> shift
+        for i in range(w - 2, -1, -1):
+            values = (values << word) | words[:, i]
+        parts.append(values[values < bound][:count - have])
+        have += len(parts[-1])
+    return np.concatenate(parts)
+
+
 def chaos_game(inst, iterations: int, seed: int) -> AttractorSample:
     """Sample the invariant measure by random digit-driven iteration.
 
@@ -257,12 +283,12 @@ def chaos_game(inst, iterations: int, seed: int) -> AttractorSample:
     FIR convolution per coordinate of the digit stream with the exact
     taps of _chaos_taps, truncated where the tail is provably below 2^-60
     of the attractor radius; no float power of M^{-1} is iterated.  The
-    digits are those random.Random(seed) gave the iteration, so a seed
-    keeps its meaning; the first 100 iterates are discarded."""
+    digits are the stream of random.Random(seed).randrange(q), decoded in
+    batches from getrandbits by _randrange_stream, so a seed keeps its
+    meaning; the first 100 iterates are discarded."""
     import numpy as np  # only sampling needs numpy; keep it off the import path
 
-    rng = random.Random(seed)
-    digits = np.array([rng.randrange(inst.q) for _ in range(_BURN_IN + iterations)], dtype=float)
+    digits = _randrange_stream(random.Random(seed), inst.q, _BURN_IN + iterations).astype(float)
     taps = np.array(_chaos_taps(inst))
     points = np.empty((iterations, inst.m.n))
     for c in range(inst.m.n):

@@ -329,8 +329,7 @@ def construct_witness(inst) -> Witness:
         num, den = num1, den1
         image = z
     else:
-        block_t = (decomp.b * inst.m * decomp.b_inv).transpose()
-        pow_t = block_t ** ell
+        pow_t = decomp.block.transpose() ** ell
         coupling = pow_t.submatrix(range(r, n), range(r))
         adj2, d2 = _inverse_parts(pow_t.submatrix(range(r, n), range(r, n)))
         # tail = -(m2t_pow^{-1} coupling alpha1), over the denominator d2 den1

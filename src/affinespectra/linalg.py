@@ -2,11 +2,12 @@
 
 Small dense matrices (n <= 16 in the benchmark).  The kernels run on lists
 of Python ints and make Fractions only at the end: fraction-free (Bareiss)
-elimination for determinants, ranks and, in Gauss-Jordan form, inverses;
-Faddeev-LeVerrier for characteristic polynomials; and an exact Schur-Cohn
-test for the expanding property that keeps each reduced polynomial
-content-free.  Every division assumed exact is checked.  No float ever
-participates in a mathematical decision made by this module.
+elimination for determinants, ranks, inverses and, on the iterates
+v, Mv, ..., the minimal polynomial of v; Faddeev-LeVerrier for other
+characteristic polynomials; and an exact Schur-Cohn test for the
+expanding property that keeps each reduced polynomial content-free.
+Every division assumed exact is checked.  No float ever participates in
+a mathematical decision made by this module.
 """
 from __future__ import annotations
 
@@ -458,19 +459,64 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(list(reversed(a)) + [1])
 
 
-def krylov(m: IntMatrix, v: IntVector) -> tuple[list[IntVector], int]:
-    """Return ([v, Mv, ..., M^{n-1}v], rank of their span)."""
+def _krylov_relation(m: IntMatrix, v: IntVector) -> tuple[list[IntVector], int, IntPolynomial]:
+    """(vecs, r, f): the iterates [v, Mv, ..., M^r v], their rank r and the
+    minimal polynomial f of v, monic of degree r.
+
+    Bareiss elimination of the iterates as columns, each reduced by the
+    earlier steps on arrival; the first with no pivot left is M^r v, and
+    back-substitution over the r pivot rows solves sum c_k M^k v = -M^r v.
+    f divides the char poly of M, so every division is exact (checked), and
+    f(M) v = 0 is checked on the iterates."""
     n = m.n
     if len(v) != n:
         raise ValueError("dimension mismatch")
     if v.is_zero():
         raise ZeroVector("krylov: v must be nonzero")
-    vecs = [v]
-    cur = v
-    for _ in range(n - 1):
-        cur = m * cur
-        vecs.append(cur)
-    return vecs, rank(IntMatrix.from_columns(vecs))
+    vecs, steps, rest, prev = [v], [], list(range(n)), 1
+    while True:
+        col = list(vecs[-1])
+        for prow, piv, below, last in steps:  # rows below the pivot row prow
+            p, y = piv[prow], col[prow]
+            for i in below:
+                col[i], rem = divmod(p * col[i] - piv[i] * y, last)
+                if rem:
+                    raise InternalError("Bareiss division must be exact")
+        prow = next((i for i in rest if col[i]), None)
+        if prow is None:
+            break
+        rest = [i for i in rest if i != prow]
+        steps.append((prow, col, rest, prev))
+        prev = col[prow]
+        vecs.append(m * vecs[-1])
+    r, coeffs = len(steps), []
+    for k in reversed(range(r)):  # the pivot row of step k, solved for c_k
+        prow, piv = steps[k][:2]
+        num = -col[prow] - sum(steps[l][1][prow] * c for l, c in zip(range(k + 1, r), coeffs))
+        c, rem = divmod(num, piv[prow])
+        if rem:
+            raise InternalError("minimal polynomial of v must be integral")
+        coeffs.insert(0, c)
+    f = IntPolynomial(coeffs + [1])
+    if not _annihilates(f, vecs):
+        raise InternalError("minimal polynomial does not annihilate v")
+    return vecs, r, f
+
+
+def _annihilates(f: IntPolynomial, vecs) -> bool:
+    """f(M) v = 0 for vecs = [v, Mv, ..., M^{deg f} v]."""
+    if len(vecs) != len(f.coeffs):
+        return False
+    return all(sum(map(mul, f.coeffs, col)) == 0 for col in zip(*vecs))
+
+
+def krylov(m: IntMatrix, v: IntVector) -> tuple[list[IntVector], int]:
+    """Return ([v, Mv, ..., M^{n-1}v], rank of their span), the rank read
+    off the elimination of ``_krylov_relation``."""
+    vecs, r, _ = _krylov_relation(m, v)
+    while len(vecs) < m.n:
+        vecs.append(m * vecs[-1])
+    return vecs[:m.n], r
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +538,17 @@ def hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     Raises RankDeficient if the columns of ``a`` are linearly dependent.
     """
+    b, _, h = _hnf_unimodular(a)
+    return b, h
+
+
+def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """(b, b^{-1}, h): a row swap on b swaps columns of b^{-1}, and
+    row_i -= t row_p makes col_p += t col_i; b b^{-1} = I implies det +-1."""
     nr, nc = a.nrows, a.ncols
     work = [list(row) for row in a.rows]
     b = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    b_inv_t = [list(row) for row in b]  # columns of b^{-1}, as rows
     row = 0
     for col in range(nc):
         if row == nr:
@@ -507,6 +561,7 @@ def hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             if piv != row:
                 work[row], work[piv] = work[piv], work[row]
                 b[row], b[piv] = b[piv], b[row]
+                b_inv_t[row], b_inv_t[piv] = b_inv_t[piv], b_inv_t[row]
             clean = True
             for i in range(row + 1, nr):
                 if work[i][col] == 0:
@@ -515,18 +570,20 @@ def hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
                 if t:
                     work[i] = [x - t * y for x, y in zip(work[i], work[row])]
                     b[i] = [x - t * y for x, y in zip(b[i], b[row])]
+                    b_inv_t[row] = [x + t * y for x, y in zip(b_inv_t[row], b_inv_t[i])]
                 if work[i][col] != 0:
                     clean = False
             if clean:
                 break
         row += 1
     b_mat = IntMatrix(b)
+    b_inv = IntMatrix(b_inv_t).transpose()
     h_mat = IntMatrix(work)
-    if det(b_mat) not in (1, -1):
+    if b_mat * b_inv != IntMatrix.identity(nr):
         raise InternalError("row operations must stay unimodular")
     if b_mat * a != h_mat:
         raise InternalError("row operations do not reproduce the echelon form")
-    return b_mat, h_mat
+    return b_mat, b_inv, h_mat
 
 
 # ---------------------------------------------------------------------------

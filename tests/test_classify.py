@@ -4,6 +4,8 @@ import random
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinespectra.classify import (
     Classification,
@@ -56,6 +58,52 @@ def test_instance_validation():
         ProblemInstance(IntMatrix([[1, 0], [0, 2]]), IntVector([1, 1]), 2)
     with pytest.raises(ValueError):
         ProblemInstance(M_CUBE, IntVector([1, 0]), 2)
+
+
+@st.composite
+def _block_instances(draw, max_n=5):
+    """(m, v): a block upper-triangular matrix with entries in -3..3,
+    conjugated by a random unimodular u, and a v in its leading
+    r-dimensional block; the eigenvalues of both blocks decide whether
+    m is expanding, and r = n half of the time."""
+    n = draw(st.integers(1, max_n))
+    r = n if draw(st.booleans()) else draw(st.integers(1, n))
+    a = IntMatrix([[draw(st.integers(-3, 3)) if i < r or j >= r else 0 for j in range(n)]
+                   for i in range(n)])
+    x = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(ops, max_size=2 * n)):
+        if i != j:
+            u[i] = [p + c * q for p, q in zip(u[i], u[j])]
+    u = IntMatrix(u)
+    return u * a * inverse_unimodular(u), u * IntVector(list(x) + [0] * (n - r))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_block_instances())
+def test_instance_accepts_exactly_the_expanding_matrices(pair):
+    m, v = pair
+    if is_expanding(m):
+        assert ProblemInstance(m, v, 2).leading.r == krylov(m, v)[1]
+    else:
+        with pytest.raises(NotExpanding):
+            ProblemInstance(m, v, 2)
+
+
+def test_instance_errors_keep_their_order():
+    # each input breaks every check from its own on; the first one raises
+    flat = IntMatrix([[1, 0], [0, 2]])  # not expanding
+    cases = [
+        ((flat, IntVector([1, 0, 0]), 1), ValueError),
+        ((flat, IntVector([0, 0]), 1), ZeroVector),
+        ((flat, IntVector([1, 1]), 1), BadQ),
+        ((flat, IntVector([1, 0]), 2), NotExpanding),
+    ]
+    for args, error in cases:
+        with pytest.raises(error) as info:
+            ProblemInstance(*args)
+        assert type(info.value) is error
 
 
 def test_pure_power_form():

@@ -355,6 +355,35 @@ def test_chaos_game_keeps_the_digit_stream_of_its_seed(b, q):
     assert np.array_equal(first.points, again.points)
 
 
+STREAM_QS = [*range(2, 70), 127, 128, 129, 1000, 2 ** 20, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32,
+             3 ** 25, 2 ** 64 - 1, 2 ** 64 + 1, 10 ** 30]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42])
+def test_digit_stream_is_randranges(seed):
+    # one to four words per draw, powers of two (half the draws rejected)
+    # and values just below a word boundary included
+    for q in STREAM_QS:
+        count = 1500 if q < 2 ** 32 else 300
+        rng = random.Random(seed)
+        expected = [rng.randrange(q) for _ in range(count)]
+        digits = evidence._randrange_stream(random.Random(seed), q, count)
+        assert [int(k) for k in digits] == expected, q
+        assert digits.astype(float).tolist() == [float(k) for k in expected], q
+
+
+@pytest.mark.parametrize("m, v, q", BASES)
+def test_chaos_game_points_are_those_of_the_randrange_digits(m, v, q):
+    # the samples as computed from one randrange call per digit
+    inst = ProblemInstance(m, v, q)
+    taps = np.array(evidence._chaos_taps(inst))
+    for seed in (0, 9):
+        rng = random.Random(seed)
+        digits = np.array([rng.randrange(q) for _ in range(2100)], dtype=float)
+        expected = np.stack([np.convolve(digits, taps[:, c])[100:2100] for c in range(m.n)], axis=1)
+        assert np.array_equal(chaos_game(inst, 2000, seed).points, expected)
+
+
 def test_chaos_tap_count_stays_bounded():
     # |2^-J| < 2^-60 first at J = 61
     assert len(evidence._chaos_taps(ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2))) == 61

@@ -13,6 +13,7 @@ import pytest
 from affinespectra import conjugation, hadamard, linalg
 from affinespectra.classify import ProblemInstance, classify, leading_triple
 from affinespectra.cli import main
+from affinespectra.errors import InternalRankError
 from affinespectra.linalg import IntMatrix, IntVector, char_poly, det
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -145,22 +146,58 @@ def test_classify_decomposes_a_reduced_witness_instance_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("inst, verdict, char_polys, krylovs", [
-    # full rank: char_poly(M) decides the expanding test and is the leading
-    # block's; krylov(M, v) gives r and the companion basis (3 and 2 before)
-    (CUBE, "spectral", 1, 1),
-    # rank 1: char_poly of M and of m1; krylov of (M, v) and of (m1, x),
-    # shared by the decomposition and the companion basis (3 and 4 before)
-    ({"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 4}, "spectral", 2, 2),
-])
+RANK_ONE = {"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 4}
+
+
+@pytest.mark.parametrize("inst, verdict, char_polys, krylovs, relations", [
+    # full rank: the Krylov elimination gives r and the char poly of M,
+    # which decides the expanding test (1 char poly and 1 krylov before)
+    (CUBE, "spectral", 0, 0, 1),
+    # rank 1: the elimination gives r and the char poly of m1, Faddeev runs
+    # on the trailing block m2 only (2 char polys and 2 krylovs before)
+    (RANK_ONE, "spectral", 1, 0, 1),
+], ids=["full-rank", "rank-1"])
 def test_classify_computes_each_char_poly_and_krylov_basis_once(
-    monkeypatch, inst, verdict, char_polys, krylovs
+    monkeypatch, inst, verdict, char_polys, krylovs, relations
 ):
     char_poly_calls = _count_calls(monkeypatch, linalg, "char_poly")
     krylov_calls = _count_calls(monkeypatch, linalg, "krylov")
+    relation_calls = _count_calls(monkeypatch, linalg, "_krylov_relation")
     c = classify(ProblemInstance(IntMatrix(inst["matrix"]), IntVector(inst["v"]), inst["q"]))
     assert c.verdict.value == verdict and c.certificate.triple.verified
-    assert (len(char_poly_calls), len(krylov_calls)) == (char_polys, krylovs)
+    counts = (len(char_poly_calls), len(krylov_calls), len(relation_calls))
+    assert counts == (char_polys, krylovs, relations)
+
+
+@pytest.mark.parametrize("inst", [CUBE, RANK_ONE], ids=["full-rank", "rank-1"])
+def test_classify_runs_no_faddeev_on_m_and_no_inverse(monkeypatch, inst):
+    m = IntMatrix(inst["matrix"])
+    char_poly_args = _count_calls(monkeypatch, linalg, "char_poly")
+
+    def refuse(*args):
+        raise AssertionError("inverse computed on the classify path")
+
+    for name in ("inverse", "inverse_unimodular"):
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("affinespectra") and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    c = classify(ProblemInstance(m, IntVector(inst["v"]), inst["q"]))
+    assert c.certificate.triple.verified
+    assert all(args[0] != m for args in char_poly_args)
+
+
+def test_reduced_pair_must_satisfy_the_minimal_polynomial(monkeypatch):
+    # a leading block that is not the restriction of M fails f(m1) x = 0
+    decompose = conjugation._block_decompose
+
+    def shifted(*args):
+        d = decompose(*args)
+        d.m1 = d.m1 + IntMatrix.identity(d.r)
+        return d
+
+    monkeypatch.setattr(conjugation, "_block_decompose", shifted)
+    with pytest.raises(InternalRankError, match="minimal polynomial"):
+        ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), RANK_ONE["q"])
 
 
 def test_completeness_evidence_verifies_the_triple_once(monkeypatch, tmp_path, capsys):

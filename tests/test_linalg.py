@@ -30,6 +30,8 @@ from affinespectra.linalg import (
     krylov,
     rank,
     xgcd,
+    _hnf_unimodular,
+    _krylov_relation,
     _no_root_in_closed_unit_disk,
 )
 
@@ -274,6 +276,7 @@ def test_hnf_properties():
         b, h = hnf_unimodular(a)
         assert det(b) in (1, -1)
         assert b * a == h
+        assert _hnf_unimodular(a) == (b, inverse_unimodular(b), h)
         for i in range(nc):
             assert h.rows[i][i] != 0
             assert all(h.rows[j][i] == 0 for j in range(i + 1, nr))
@@ -459,3 +462,75 @@ def test_is_expanding_matches_unreduced_schur_cohn_and_eigenvalues(m):
     eigs = np.linalg.eigvals(np.array(m.rows, dtype=float))
     if min(abs(abs(z) - 1.0) for z in eigs) > 1e-6:
         assert expanding == bool(all(abs(z) > 1.0 for z in eigs))
+
+
+# ---------------------------------------------------------------------------
+# Krylov relation: rank and minimal polynomial from one elimination
+# ---------------------------------------------------------------------------
+
+
+def _poly_mul(f, g):
+    out = [0] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial(out)
+
+
+def _nonzero_vectors(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(IntVector)
+
+
+@st.composite
+def _krylov_pairs(draw, max_n=6):
+    """(m, v) with v nonzero.  Half are random or low-rank matrices,
+    singular ones included.  The other half conjugate, by a random
+    unimodular u, a block upper-triangular matrix with entries in -1..1
+    (roots of unity, on the unit circle, come up often) and a v in its
+    leading r-dimensional block, so the Krylov rank is at most r."""
+    if draw(st.booleans()):
+        m = draw(_int_matrices(max_n=max_n))
+        return m, draw(_nonzero_vectors(m.nrows))
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(1, n))
+    a = IntMatrix([[draw(st.integers(-1, 1)) if i < r or j >= r else 0 for j in range(n)]
+                   for i in range(n)])
+    x = draw(_nonzero_vectors(r))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, c in draw(st.lists(ops, max_size=2 * n)):
+        if i != j:
+            u[i] = [p + c * q for p, q in zip(u[i], u[j])]
+    u = IntMatrix(u)
+    return u * a * inverse_unimodular(u), u * IntVector(list(x) + [0] * (n - r))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_krylov_pairs())
+def test_krylov_relation_gives_rank_and_minimal_polynomial(pair):
+    from affinespectra.conjugation import block_decompose
+
+    m, v = pair
+    n = m.nrows
+    vecs, r, f = _krylov_relation(m, v)
+    assert vecs == [(m ** k) * v for k in range(r + 1)]
+    assert r == rank(IntMatrix.from_columns(vecs)) == rank(IntMatrix.from_columns(vecs[:r]))
+    assert krylov(m, v) == ([(m ** k) * v for k in range(n)], r)
+    assert f.degree == r and f.is_monic
+    assert f.eval_matrix(m) * v == IntVector([0] * n)
+    if r == n:
+        assert char_poly(m) == f
+    else:
+        assert char_poly(m) == _poly_mul(f, char_poly(block_decompose(m, v).m2))
+
+
+def test_krylov_relation_on_the_unit_circle():
+    # rotation by a quarter turn: x^2 + 1; an eigenvector of 1 and of -1
+    vecs, r, f = _krylov_relation(IntMatrix([[0, -1], [1, 0]]), IntVector([1, 0]))
+    assert (r, f) == (2, IntPolynomial([1, 0, 1]))
+    assert _krylov_relation(IntMatrix([[1, 0], [0, -1]]), IntVector([0, 3]))[1:] == (
+        1, IntPolynomial([1, 1]))
+    assert _krylov_relation(M_DIAG, V_DIAG) == (
+        [V_DIAG, V_DIAG.scaled(4)], 1, IntPolynomial([-4, 1]))
+    assert _krylov_relation(IntMatrix([[0, 0], [0, 0]]), IntVector([1, 1]))[1:] == (
+        1, IntPolynomial([0, 1]))
