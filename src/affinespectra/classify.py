@@ -28,14 +28,15 @@ from .conjugation import _leading_block
 from .errors import BadQ, InternalError, NotExpanding, ZeroVector
 from .fourier import Witness, construct_witness
 from .hadamard import HadamardTriple, construct_dual_digits
-from .linalg import IntMatrix, IntPolynomial, IntVector, _no_root_in_closed_unit_disk, char_poly
+from .linalg import IntMatrix, IntPolynomial, IntVector, _no_root_in_closed_unit_disk
 
 
 class ProblemInstance:
     """Validated input triple: expanding integer matrix, nonzero digit
     direction, digit count q >= 2.  ``leading`` is built first and decides
     the expanding test: char_poly(m) is the char poly of m1, read off the
-    Krylov elimination, times char_poly(m2) of the trailing block."""
+    Krylov elimination, times the char poly of the trailing block m2 that
+    the block decomposition records."""
 
     __slots__ = ("m", "v", "q", "leading")
 
@@ -49,7 +50,7 @@ class ProblemInstance:
             raise BadQ(f"q must be an integer >= 2, got {q!r}")
         lead = _leading_block(m, v)
         expanding = _no_root_in_closed_unit_disk(lead.char_poly.coeffs) and (
-            lead.decomp is None or _no_root_in_closed_unit_disk(char_poly(lead.decomp.m2).coeffs)
+            lead.decomp is None or _no_root_in_closed_unit_disk(lead.decomp.m2_char_poly.coeffs)
         )
         if not expanding:
             raise NotExpanding(
@@ -186,38 +187,20 @@ def classify(inst: ProblemInstance) -> Classification:
         return Classification(
             Verdict.SPECTRAL, conditions, HadamardCertificate(triple, lead.decomp), reasons
         )
-    if pure_c is not None:
-        if g > 1:
-            witness = construct_witness(inst)
-            reasons.extend(["gcd-witness", "pure-power-necessity"])
-            return Classification(
-                Verdict.NOT_SPECTRAL_INFINITE_ORTHOGONALS,
-                conditions,
-                WitnessCertificate(witness),
-                reasons,
-            )
-        reasons.append("pure-power-finiteness")
-        return Classification(
-            Verdict.NOT_SPECTRAL_FINITELY_MANY,
-            conditions,
-            ConditionOnly("coprime digit count over a pure-power block"),
-            reasons,
-        )
     if g > 1:
-        witness = construct_witness(inst)
         reasons.append("gcd-witness")
-        return Classification(
-            Verdict.INFINITE_ORTHOGONALS_SPECTRALITY_UNKNOWN,
-            conditions,
-            WitnessCertificate(witness),
-            reasons,
-        )
-    return Classification(
-        Verdict.UNKNOWN,
-        conditions,
-        ConditionOnly("no established criterion applies"),
-        reasons,
-    )
+        verdict = Verdict.INFINITE_ORTHOGONALS_SPECTRALITY_UNKNOWN
+        if pure_c is not None:
+            reasons.append("pure-power-necessity")
+            verdict = Verdict.NOT_SPECTRAL_INFINITE_ORTHOGONALS
+        witness = WitnessCertificate(construct_witness(inst))
+        return Classification(verdict, conditions, witness, reasons)
+    if pure_c is not None:
+        reasons.append("pure-power-finiteness")
+        note = "coprime digit count over a pure-power block"
+        return Classification(Verdict.NOT_SPECTRAL_FINITELY_MANY, conditions, ConditionOnly(note), reasons)
+    note = "no established criterion applies"
+    return Classification(Verdict.UNKNOWN, conditions, ConditionOnly(note), reasons)
 
 
 __all__ = [

@@ -28,6 +28,7 @@ from .linalg import (
     _annihilates,
     _hnf_unimodular,
     _krylov_relation,
+    char_poly,
     det,
     inverse,
     krylov,
@@ -58,11 +59,12 @@ class CompanionConjugation:
 
 
 class BlockDecomposition:
-    """Unimodular b with b*M*b_inv = [[m1, c], [0, m2]] and b*v = (x, 0)."""
+    """Unimodular b with b*M*b_inv = [[m1, c], [0, m2]] and b*v = (x, 0),
+    with the char poly of m2."""
 
-    __slots__ = ("b", "b_inv", "r", "m1", "c", "m2", "x")
+    __slots__ = ("b", "b_inv", "r", "m1", "c", "m2", "x", "m2_char_poly")
 
-    def __init__(self, b, b_inv, r, m1, c, m2, x):
+    def __init__(self, b, b_inv, r, m1, c, m2, x, m2_char_poly):
         self.b = b
         self.b_inv = b_inv
         self.r = r
@@ -70,6 +72,7 @@ class BlockDecomposition:
         self.c = c
         self.m2 = m2
         self.x = x
+        self.m2_char_poly = m2_char_poly
 
     @property
     def block(self) -> IntMatrix:
@@ -154,21 +157,20 @@ def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
     b*v has only its first r entries nonzero.  Raises FullRank when r = n,
     where the companion conjugation is the right tool.
     """
-    vecs, r, _ = _krylov_relation(m, v)
-    return _block_decompose(m, v, vecs, r)
+    vecs, r, f = _krylov_relation(m, v)
+    return _block_decompose(m, v, vecs, r, f)
 
 
-def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int) -> BlockDecomposition:
-    n = m.n  # vecs[:r] = [v, Mv, ..., M^{r-1}v], independent
+def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial) -> BlockDecomposition:
+    # vecs[:r] = [v, Mv, ..., M^{r-1}v], independent; f, the minimal
+    # polynomial of v, is the char poly of m1, so det m1 = (-1)^r f(0)
+    n = m.n
     if r == n:
         raise FullRank(f"iterates of v already span dimension {n}")
     a = IntMatrix.from_columns(list(reversed(vecs[:r])))
     b, b_inv, _ = _hnf_unimodular(a)
     block = b * m * b_inv
-    lower_left_zero = all(
-        block.rows[i][j] == 0 for i in range(r, n) for j in range(r)
-    )
-    if not lower_left_zero:
+    if any(block.rows[i][j] for i in range(r, n) for j in range(r)):
         raise InternalRankError("block triangularization failed to zero the lower-left block")
     m1 = block.submatrix(range(r), range(r))
     c = block.submatrix(range(r), range(r, n))
@@ -177,9 +179,10 @@ def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int) -> BlockDecomposi
     if any(bv[i] != 0 for i in range(r, n)):
         raise InternalRankError("b*v has nonzero trailing entries")
     x = IntVector(bv[i] for i in range(r))
-    if det(m) != det(m1) * det(m2):
+    f2 = char_poly(m2)
+    if (-1) ** n * det(m) != f.constant_term() * f2.constant_term():
         raise InternalError("block determinants do not multiply to det M")
-    return BlockDecomposition(b, b_inv, r, m1, c, m2, x)
+    return BlockDecomposition(b, b_inv, r, m1, c, m2, x, f2)
 
 
 def reduce_dimension(d: BlockDecomposition, q: int) -> ReducedInstance:
@@ -230,7 +233,7 @@ def _leading_block(m: IntMatrix, v: IntVector) -> LeadingBlock:
     if r == m.n:
         decomp, m1, v1 = None, m, v
     else:
-        decomp = _block_decompose(m, v, vecs, r)
+        decomp = _block_decompose(m, v, vecs, r, f)
         m1, v1 = decomp.m1, decomp.x
         # m1^k v1 is the head of b M^k v, so the first r are independent
         vecs = [v1]
@@ -259,12 +262,7 @@ def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:
         op = inverse(b).transpose()
     else:
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    out = []
-    for lam in lambda_set:
-        if isinstance(lam, IntVector):
-            lam = lam.to_rat()
-        out.append(op * lam)
-    return out
+    return [op * lam for lam in lambda_set]
 
 
 __all__ = [

@@ -26,7 +26,8 @@ from math import gcd
 from operator import mul
 
 from .errors import GcdOne, InternalError, NonConvergent
-from .linalg import IntMatrix, IntVector, RatVector, _inverse_parts, is_expanding, xgcd
+from .linalg import IntMatrix, IntVector, RatVector, _apply_power, _inverse_parts, _solve_parts
+from .linalg import is_expanding, xgcd
 
 _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
@@ -323,20 +324,20 @@ def construct_witness(inst) -> Witness:
     else:
         raise InternalError("witness depth cap reached; should be unreachable")
     z = _solve_phase_congruence(a, den, den // dstar)
-    # alpha1 = (m1^{-T})^ell z = num1 / den1
-    num1, den1 = (adj.transpose() ** ell) * z, d1_abs ** ell
     if decomp is None:
-        num, den = num1, den1
-        image = z
+        # alpha = (m1^{-T})^ell z = num / den
+        num = IntVector._make(tuple(_apply_power(adj.transpose().rows, ell, z.entries)))
+        den, image = d1_abs ** ell, z
     else:
-        pow_t = decomp.block.transpose() ** ell
-        coupling = pow_t.submatrix(range(r, n), range(r))
-        adj2, d2 = _inverse_parts(pow_t.submatrix(range(r, n), range(r, n)))
-        # tail = -(m2t_pow^{-1} coupling alpha1), over the denominator d2 den1
-        tail = adj2 * (coupling * num1)
-        num = decomp.b.transpose() * IntVector([d2 * x for x in num1] + [-x for x in tail])
-        den = d2 * den1
-        image = decomp.b.transpose() * IntVector(list(z) + [0] * (n - r))
+        # alpha = b^T (B^{-T})^ell (z, 0) with B = b M b^{-1}: (M*)^ell alpha
+        # = b^T (z, 0) is integral, and the leading block of b^{-T} alpha is
+        # (m1^{-T})^ell z; ell solves x / d = B^{-T} x_prev, d = |det M|
+        bt, image = decomp.block.transpose(), IntVector(list(z) + [0] * (n - r))
+        num, den = image, 1
+        for _ in range(ell):
+            num, d = _solve_parts(bt, num)
+            den *= d
+        num, image = decomp.b.transpose() * num, decomp.b.transpose() * image
     alpha = RatVector(Fraction(x, den) for x in num)
     phase = Fraction(num.dot(inst.v) % den, den)
     witness = Witness(alpha, ell, phase, image)
@@ -347,16 +348,18 @@ def construct_witness(inst) -> Witness:
 
 
 def verify_witness(inst, w: Witness) -> bool:
-    """Exact re-check of both witness properties against the instance."""
+    """Exact re-check of both witness properties against the instance, on
+    the integers a of alpha = a / den: the mask vanishes iff t = <v, a> mod
+    den is nonzero with q t = 0 mod den, and (M*)^ell alpha is integral iff
+    (M^T)^ell a = 0 mod den, one vector power mod den: no matrix squaring
+    at ell = 1 and O(log ell) squarings for any ell."""
     if len(w.alpha) != inst.m.n or w.ell < 1:
         return False
-    if not mask_is_zero_exact(inst, w.alpha):
+    a, den = _over_common_denominator(w.alpha)
+    t = sum(map(mul, a, inst.v.entries)) % den
+    if t == 0 or inst.q * t % den:
         return False
-    # with alpha = a / den, (M*)^ell alpha is integral iff (M*)^ell a = 0
-    # mod den; powering mod den keeps the cost at O(log ell) for any ell
-    den = w.alpha.denominator_lcm()
-    image = inst.m.transpose().pow_mod(w.ell, den) * w.alpha.scaled(den).to_int()
-    return all(x % den == 0 for x in image)
+    return not any(_apply_power(inst.m.transpose().rows, w.ell, a, den))
 
 
 def witness_orthogonal_family(inst, w: Witness, count: int) -> list[RatVector]:

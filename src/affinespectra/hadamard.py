@@ -21,7 +21,7 @@ from math import lcm
 
 from .conjugation import CompanionConjugation, map_spectrum
 from .errors import DuplicateFrequency, InternalError, NotDivisible, UnverifiedTriple
-from .linalg import IntMatrix, IntVector, _inverse_parts, inverse
+from .linalg import IntMatrix, IntVector, _solve_parts, inverse
 
 
 class HadamardTriple:
@@ -111,22 +111,20 @@ def phase_matrix(m: IntMatrix, digits, duals) -> PhaseMatrix:
 # -- exact vanishing of root-of-unity sums ----------------------------------
 
 
-def _poly_div_exact(num, den):
-    """Quotient of integer polynomials known to divide exactly (den monic)."""
+def _poly_divmod(num, den):
+    """Quotient and remainder of integer polynomials (ascending), den monic."""
     num = list(num)
     d = len(den) - 1
     if den[-1] != 1:
         raise InternalError("exact division needs a monic divisor")
-    quo = [0] * (len(num) - d)
+    quo = [0] * max(len(num) - d, 0)
     for i in range(len(num) - 1, d - 1, -1):
         c = num[i]
         if c:
             quo[i - d] = c
             for j, y in enumerate(den):
                 num[i - d + j] -= c * y
-    if any(num):
-        raise InternalError("division was not exact")
-    return quo
+    return quo, num
 
 
 @lru_cache(maxsize=None)
@@ -136,26 +134,21 @@ def _cyclotomic(order: int):
     poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            poly = _poly_div_exact(poly, _cyclotomic(d))
+            poly, rem = _poly_divmod(poly, _cyclotomic(d))
+            if any(rem):
+                raise InternalError("division was not exact")
     return tuple(poly)
 
 
 def _root_of_unity_sum_is_zero(exponents) -> bool:
-    """Exact test of sum_i e^{2 pi i e_i} = 0 for rational exponents."""
+    """Exact test of sum_i e^{2 pi i e_i} = 0 for rational exponents: the
+    sum vanishes iff its polynomial has zero remainder mod Phi_order."""
     exps = [Fraction(e) % 1 for e in exponents]
     order = lcm(*(e.denominator for e in exps))
     coeffs = [0] * order
     for e in exps:
         coeffs[int(e * order)] += 1
-    phi = _cyclotomic(order)
-    d = len(phi) - 1
-    # reduce mod Phi_order; zero remainder iff the sum vanishes
-    for i in range(order - 1, d - 1, -1):
-        c = coeffs[i]
-        if c:
-            for j, y in enumerate(phi):
-                coeffs[i - d + j] -= c * y
-    return all(x == 0 for x in coeffs)
+    return not any(_poly_divmod(coeffs, _cyclotomic(order))[1])
 
 
 def _verify_collinear(m: IntMatrix, w, duals) -> bool:
@@ -163,9 +156,8 @@ def _verify_collinear(m: IntMatrix, w, duals) -> bool:
     # tau_l = <m^{-1} w, s_l>; it vanishes iff q (tau_l - tau_j) is an
     # integer and tau_l - tau_j is not, so H is unitary iff the residues
     # (tau_l - tau_0) mod 1 are q distinct multiples of 1/q.  With
-    # m^{-1} = adj / d, d tau_l = <adj w, s_l> and the residues live mod d
-    adj, d = _inverse_parts(m)
-    x = adj * w
+    # m^{-1} w = x / d, d tau_l = <x, s_l> and the residues live mod d
+    x, d = _solve_parts(m, w)
     taus = [x.dot(s) for s in duals]
     q = len(duals)
     residues = {(t - taus[0]) % d for t in taus}
@@ -191,7 +183,8 @@ def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
     order (H*H does not depend on it), are {0, w, ..., (q-1)w} with w the
     nonzero digit of least l1 norm, it is a geometric sum, and H is unitary
     iff the phases tau_l = <m^{-1} w, s_l> are q distinct residues of
-    tau_0 + (1/q)Z mod 1: one exact inverse and one pass over the duals.
+    tau_0 + (1/q)Z mod 1: one exact linear solve for m^{-1} w and one
+    pass over the duals.
     Every other digit set is decided by reducing each sum modulo a
     cyclotomic polynomial.  Both paths are exact, with no tolerance.
     """
@@ -218,13 +211,9 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
         raise UnverifiedTriple("run verify() before expanding a spectrum")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    q = triple.q
-    mt = triple.m.transpose()
-    layers = []
-    power = IntMatrix.identity(mt.n)
-    for _ in range(depth):
-        layers.append([power * s for s in triple.duals])
-        power = power * mt
+    q, mt, layers = triple.q, triple.m.transpose(), [list(triple.duals)]
+    while len(layers) < depth:  # layer j holds (M*)^j s for each dual s
+        layers.append([mt * s for s in layers[-1]])
     sums = []
     seen = set()
     for choice in itertools.product(range(q), repeat=depth):

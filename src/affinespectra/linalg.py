@@ -45,15 +45,39 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _power(base, k: int, result, reduce=lambda x: x):
+def _power(base, k: int, result):
     """base^k for k >= 0 by repeated squaring, starting from the identity
-    ``result``; ``reduce`` is applied to every product."""
+    ``result``."""
     while k:
         if k & 1:
-            result = reduce(result * base)
-        base = reduce(base * base) if k > 1 else base
+            result = result * base
+        base = base * base if k > 1 else base
         k >>= 1
     return result
+
+
+def _mat_mul(a, b) -> tuple:
+    """Rows of the product of two integer matrices given by their rows."""
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _apply_power(rows, k: int, x, modulus: int | None = None) -> list[int]:
+    """rows^k x for k >= 0, every entry reduced mod ``modulus`` when one is
+    given.  Binary powering on the vector: x is multiplied on each set bit
+    of k and the matrix squared only while bits remain, so k = 1 costs one
+    matrix-vector product and any k O(log k) squarings."""
+    def reduce(y):
+        return y if modulus is None else [e % modulus for e in y]
+
+    x = reduce(x)
+    while k:
+        if k & 1:
+            x = reduce([sum(map(mul, row, x)) for row in rows])
+        k >>= 1
+        if k:
+            rows = [reduce(row) for row in _mat_mul(rows, rows)]
+    return x
 
 
 class _Vector:
@@ -96,11 +120,19 @@ class IntVector(_Vector):
         if not self.entries:
             raise ValueError("empty vector")
 
+    @classmethod
+    def _make(cls, entries: tuple) -> "IntVector":
+        """Unchecked: a non-empty tuple of ints from validated operands."""
+        vec = object.__new__(cls)
+        vec.entries = entries
+        return vec
+
     def __repr__(self):
         return f"IntVector({list(self.entries)})"
 
     def scaled(self, c: int) -> "IntVector":
-        return IntVector(c * e for e in self.entries)
+        c = _as_int(c)
+        return IntVector._make(tuple(c * e for e in self.entries))
 
     def dot(self, other):
         if len(other) != len(self):
@@ -160,6 +192,14 @@ class IntMatrix:
             raise ValueError("ragged rows")
 
     @classmethod
+    def _make(cls, rows: tuple) -> "IntMatrix":
+        """Unchecked: rectangular tuple-of-int rows from validated operands
+        (tuples, since matrices hash and compare by their rows)."""
+        mat = object.__new__(cls)
+        mat.rows = rows
+        return mat
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -201,20 +241,18 @@ class IntMatrix:
         )
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix([c * x for x in row] for row in self.rows)
+        c = _as_int(c)
+        return IntMatrix._make(tuple(tuple(c * x for x in row) for row in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, IntMatrix):
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
-            cols = list(zip(*other.rows))
-            return IntMatrix(
-                [sum(map(mul, row, col)) for col in cols] for row in self.rows
-            )
+            return IntMatrix._make(_mat_mul(self.rows, other.rows))
         if isinstance(other, IntVector):
             if self.ncols != len(other):
                 raise ValueError("dimension mismatch")
-            return IntVector(sum(map(mul, row, other)) for row in self.rows)
+            return IntVector._make(tuple(sum(map(mul, row, other.entries)) for row in self.rows))
         if isinstance(other, RatVector):
             if self.ncols != len(other):
                 raise ValueError("dimension mismatch")
@@ -229,24 +267,17 @@ class IntMatrix:
             raise ValueError("negative powers are rational; use inverse() explicitly")
         return _power(self, k, IntMatrix.identity(self.nrows))
 
-    def pow_mod(self, k: int, modulus: int) -> "IntMatrix":
-        """self^k for k >= 0 with every entry reduced mod ``modulus``."""
-        self._require_square()
-
-        def reduce(a):
-            return IntMatrix([x % modulus for x in row] for row in a.rows)
-
-        return _power(reduce(self), k, reduce(IntMatrix.identity(self.nrows)), reduce)
-
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
+        return IntMatrix._make(tuple(zip(*self.rows)))
 
     def trace(self) -> int:
         self._require_square()
         return sum(self.rows[i][i] for i in range(self.nrows))
 
     def submatrix(self, row_range, col_range) -> "IntMatrix":
-        return IntMatrix([self.rows[i][j] for j in col_range] for i in row_range)
+        if not row_range or not col_range:
+            raise ValueError("empty matrix")
+        return IntMatrix._make(tuple(tuple(self.rows[i][j] for j in col_range) for i in row_range))
 
     def to_rat(self) -> "RatMatrix":
         return RatMatrix(self.rows)
@@ -377,59 +408,15 @@ class IntPolynomial:
 
 
 def det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Every intermediate value is a minor of the input, so the divisions on
-    the update formula are exact; this is checked rather than assumed.
-    """
+    """Determinant by fraction-free (Bareiss) elimination."""
     m._require_square()
-    n = m.nrows
-    a = [list(row) for row in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                quo, rem = divmod(num, prev)
-                if rem:
-                    raise InternalError("Bareiss division must be exact")
-                a[i][j] = quo
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r, sign, prev = _eliminate([list(row) for row in m.rows], m.nrows)
+    return sign * prev if r == m.nrows else 0
 
 
 def rank(m: IntMatrix) -> int:
     """Rank by fraction-free elimination with column skipping."""
-    a = [list(row) for row in m.rows]
-    nr, nc = m.nrows, m.ncols
-    r = 0
-    prev = 1
-    for c in range(nc):
-        if r == nr:
-            break
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                num = a[i][j] * a[r][c] - a[i][c] * a[r][j]
-                quo, rem = divmod(num, prev)
-                if rem:
-                    raise InternalError("Bareiss division must be exact")
-                a[i][j] = quo
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-    return r
+    return _eliminate([list(row) for row in m.rows], m.ncols)[0]
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
@@ -445,8 +432,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     a = []
     for k in range(1, n + 1):
         if k > 1:
-            cols = list(zip(*work))
-            work = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+            work = [list(row) for row in _mat_mul(rows, work)]
         ak, rem = divmod(-sum(work[i][i] for i in range(n)), k)
         if rem:
             raise InternalError("Faddeev-LeVerrier division must be exact")
@@ -544,78 +530,119 @@ def hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(b, b^{-1}, h): a row swap on b swaps columns of b^{-1}, and
-    row_i -= t row_p makes col_p += t col_i; b b^{-1} = I implies det +-1."""
+    row_i -= t row_p makes col_p += t col_i; b b^{-1} = I implies det +-1.
+    Rows from col down are zero left of col, so only columns col.. of the
+    work rows are updated."""
     nr, nc = a.nrows, a.ncols
     work = [list(row) for row in a.rows]
     b = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     b_inv_t = [list(row) for row in b]  # columns of b^{-1}, as rows
-    row = 0
-    for col in range(nc):
-        if row == nr:
+    for col in range(nc):  # full column rank puts the pivot of col in row col
+        if col == nr:
             raise RankDeficient(f"hnf_unimodular: no pivot row left for column {col}")
         while True:
-            cand = [(abs(work[i][col]), i) for i in range(row, nr) if work[i][col] != 0]
+            cand = [(abs(work[i][col]), i) for i in range(col, nr) if work[i][col] != 0]
             if not cand:
                 raise RankDeficient(f"hnf_unimodular: column {col} is dependent")
             _, piv = min(cand)
-            if piv != row:
-                work[row], work[piv] = work[piv], work[row]
-                b[row], b[piv] = b[piv], b[row]
-                b_inv_t[row], b_inv_t[piv] = b_inv_t[piv], b_inv_t[row]
-            clean = True
-            for i in range(row + 1, nr):
-                if work[i][col] == 0:
-                    continue
-                t = work[i][col] // work[row][col]
+            if piv != col:
+                work[col], work[piv] = work[piv], work[col]
+                b[col], b[piv] = b[piv], b[col]
+                b_inv_t[col], b_inv_t[piv] = b_inv_t[piv], b_inv_t[col]
+            top, clean = work[col], True
+            for i in range(col + 1, nr):
+                w_i = work[i]
+                t = w_i[col] // top[col]
                 if t:
-                    work[i] = [x - t * y for x, y in zip(work[i], work[row])]
-                    b[i] = [x - t * y for x, y in zip(b[i], b[row])]
-                    b_inv_t[row] = [x + t * y for x, y in zip(b_inv_t[row], b_inv_t[i])]
-                if work[i][col] != 0:
-                    clean = False
+                    for j in range(col, nc):
+                        w_i[j] -= t * top[j]
+                    b[i] = [x - t * y for x, y in zip(b[i], b[col])]
+                    b_inv_t[col] = [x + t * y for x, y in zip(b_inv_t[col], b_inv_t[i])]
+                clean = clean and w_i[col] == 0
             if clean:
                 break
-        row += 1
-    b_mat = IntMatrix(b)
-    b_inv = IntMatrix(b_inv_t).transpose()
-    h_mat = IntMatrix(work)
-    if b_mat * b_inv != IntMatrix.identity(nr):
+    b_inv, h = tuple(zip(*b_inv_t)), tuple(map(tuple, work))
+    if _mat_mul(b, b_inv) != tuple(tuple(int(i == j) for j in range(nr)) for i in range(nr)):
         raise InternalError("row operations must stay unimodular")
-    if b_mat * a != h_mat:
+    if _mat_mul(b, a.rows) != h:
         raise InternalError("row operations do not reproduce the echelon form")
-    return b_mat, b_inv, h_mat
+    return IntMatrix._make(tuple(map(tuple, b))), IntMatrix._make(b_inv), IntMatrix._make(h)
 
 
 # ---------------------------------------------------------------------------
-# inverses
+# fraction-free elimination, solves and inverses
 # ---------------------------------------------------------------------------
+
+
+def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) forward elimination of the rows ``a`` in
+    place over the first ``ncols`` columns, skipping a column with no pivot
+    left: (rank, sign of the row permutation, last pivot).  Every entry
+    stays a minor of the input, so each division is exact (checked)."""
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == len(a):
+            break
+        piv = r if a[r][c] else next((i for i in range(r + 1, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        pivot_row, p = a[r], a[r][c]
+        for row in a[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, len(row)):
+                row[j], rem = divmod(p * row[j] - f * pivot_row[j], prev)
+                if rem:
+                    raise InternalError("Bareiss division must be exact")
+        prev, r = p, r + 1
+    return r, sign, prev
+
+
+def _solve(rows, rhs) -> tuple[list[list[int]] | None, int]:
+    """(X, det A) with X = adj(A) W, for the rows of a square integer A and
+    the columns W of ``rhs``, or (None, 0) when A is singular.
+
+    The last pivot D of the elimination of [A | W] is +-det A, and
+    back-substitution solves U x = D c column by column: x = D A^{-1} w is
+    integral by Cramer's rule, so each division is exact (checked)."""
+    n, width = len(rows), len(rows) + len(rhs)
+    a = [list(row) + [w[i] for w in rhs] for i, row in enumerate(rows)]
+    r, sign, prev = _eliminate(a, n)
+    if r < n:
+        return None, 0
+    cols = []
+    for c in range(n, width):
+        x = [0] * n
+        for i in reversed(range(n)):
+            row = a[i]
+            x[i], rem = divmod(prev * row[c] - sum(map(mul, row[i + 1:n], x[i + 1:])), row[i])
+            if rem:
+                raise InternalError("back-substitution must be exact")
+        cols.append([sign * e for e in x])
+    return cols, sign * prev
 
 
 def _adjugate(rows) -> tuple[list[list[int]] | None, int]:
-    """(adj A, det A) of a square integer matrix, or (None, 0) if singular,
-    by fraction-free Gauss-Jordan: [A | I] -> [d I | d A^{-1}] with d = +-det A.
-    Every entry is a minor of [A | I], so each division is exact (checked)."""
+    """(adj A, det A) of a square integer matrix, or (None, 0) if singular:
+    ``_solve`` against the columns of the identity."""
     n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return None, 0
-        a[k], a[piv] = a[piv], a[k]
-        sign = sign if piv == k else -sign
-        pivot_row, p = a[k], a[k][k]
-        # columns up to k are never read again, so only the rest is updated
-        for row in a:
-            if row is not pivot_row:
-                f = row[k]
-                for j in range(k + 1, 2 * n):
-                    quo, rem = divmod(p * row[j] - f * pivot_row[j], prev)
-                    if rem:
-                        raise InternalError("fraction-free division must be exact")
-                    row[j] = quo
-        prev = p
-    return [[sign * x for x in row[n:]] for row in a], sign * prev
+    cols, d = _solve(rows, [[int(i == j) for i in range(n)] for j in range(n)])
+    return (None if cols is None else [list(row) for row in zip(*cols)]), d
+
+
+def _solve_parts(m: IntMatrix, w) -> tuple[IntVector, int]:
+    """(x, d) with m^{-1} w = x / d, x integral and d = |det m| > 0, from one
+    elimination of [m | w] and one back-substitution, not the adjugate."""
+    m._require_square()
+    if len(w) != m.nrows:
+        raise ValueError("dimension mismatch")
+    cols, d = _solve(m.rows, [w])
+    if d == 0:
+        raise Singular("matrix is singular")
+    s = 1 if d > 0 else -1
+    return IntVector._make(tuple(s * e for e in cols[0])), s * d
 
 
 def _inverse_parts(m: IntMatrix) -> tuple[IntMatrix, int]:
@@ -626,7 +653,7 @@ def _inverse_parts(m: IntMatrix) -> tuple[IntMatrix, int]:
     if d == 0:
         raise Singular("matrix is singular")
     s = 1 if d > 0 else -1
-    return IntMatrix([s * x for x in row] for row in adj), s * d
+    return IntMatrix._make(tuple(tuple(s * x for x in row) for row in adj)), s * d
 
 
 def inverse(m) -> RatMatrix:
@@ -656,7 +683,7 @@ def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     adj, d = _adjugate(m.rows)
     if d not in (1, -1):
         raise NotUnimodular(f"det = {d}, expected +1 or -1")
-    return IntMatrix([d * x for x in row] for row in adj)
+    return IntMatrix._make(tuple(tuple(d * x for x in row) for row in adj))
 
 
 # ---------------------------------------------------------------------------

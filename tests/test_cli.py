@@ -252,6 +252,24 @@ def test_malformed_report_exits_1_with_one_line(write, capsys, tmp_path, inst, e
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+def _singular_matrix(collinear):
+    def edit(report):
+        cert = report["certificate"]
+        cert["matrix"] = [["1", "2", "3"], ["2", "4", "6"], ["0", "0", "1"]]
+        if not collinear:
+            cert["digits"][1] = ["1", "0", "0"]
+        return report
+
+    return edit
+
+
+@pytest.mark.parametrize("collinear", [True, False], ids=["closed-form", "cyclotomic"])
+def test_singular_certificate_matrix_exits_2(write, capsys, tmp_path, collinear):
+    code, _, err = _reverify_edited(write, capsys, tmp_path, CUBE, _singular_matrix(collinear))
+    assert code == 2
+    assert err == "error: matrix is singular\n"
+
+
 def test_witness_at_any_depth_reverifies_quickly(write, capsys, tmp_path):
     # a witness stays valid at every larger depth; the integrality check
     # powers the matrix modulo the denominator, in about log2(ell) steps

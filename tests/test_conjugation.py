@@ -211,6 +211,7 @@ def test_reduce_dimension_guards_rank():
         c=IntMatrix([[0], [0]]),
         m2=IntMatrix([[5]]),
         x=IntVector([1, 0]),  # generates rank 1, not 2
+        m2_char_poly=IntPolynomial([-5, 1]),
     )
     with pytest.raises(InternalRankError):
         reduce_dimension(bad, 2)

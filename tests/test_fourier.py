@@ -454,6 +454,19 @@ def test_verify_witness_matches_exact_power():
     assert 0 < valid < len(cases)
 
 
+@pytest.mark.parametrize("ell, squarings", [(1, 0), (2, 1), (3, 1), (4, 2), (2**40, 40)])
+def test_verify_witness_squares_only_while_bits_remain(monkeypatch, ell, squarings):
+    # (M*)^ell alpha is one vector power: no matrix-matrix product at
+    # ell = 1, and one squaring per bit of ell after the lowest
+    inst = ProblemInstance(M_CUBE, V_CUBE, 8)
+    w = construct_witness(inst)
+    products = []
+    original = linalg._mat_mul
+    monkeypatch.setattr(linalg, "_mat_mul", lambda a, b: products.append(a) or original(a, b))
+    assert verify_witness(inst, Witness(w.alpha, ell, w.phase, w.image))
+    assert len(products) == squarings
+
+
 def test_witness_family_realizes_orthogonality():
     inst = _inst([[4]], [1], 2)
     w = construct_witness(inst)

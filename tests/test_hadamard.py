@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affinespectra import hadamard
+from affinespectra import hadamard, linalg
 from affinespectra.classify import ProblemInstance, Verdict, classify, leading_triple
 from affinespectra.conjugation import companion_conjugate, companion_matrix
 from affinespectra.errors import (
@@ -241,6 +241,20 @@ def test_classify_makes_no_cyclotomic_reduction(monkeypatch):
     c = classify(ProblemInstance(M_CUBE, V_CUBE, 36))
     assert c.verdict is Verdict.SPECTRAL
     assert c.certificate.triple.verified
+    assert calls == []
+
+
+def test_collinear_verification_solves_instead_of_inverting(monkeypatch):
+    # the closed form needs only M^-1 w: one solve of [M | w], no adjugate
+    triple = leading_triple(ProblemInstance(M_CUBE, V_CUBE, 36))
+    calls = []
+    original = linalg._adjugate
+    monkeypatch.setattr(linalg, "_adjugate", lambda rows: calls.append(rows) or original(rows))
+    assert verify_hadamard(triple.m, triple.digits, triple.duals)
+    assert verify_hadamard(triple.m, list(reversed(triple.digits)), triple.duals)
+    duals = list(triple.duals)
+    duals[1] = duals[1].scaled(2)
+    assert not verify_hadamard(triple.m, triple.digits, duals)
     assert calls == []
 
 

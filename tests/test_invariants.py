@@ -13,7 +13,7 @@ import pytest
 from affinespectra import conjugation, hadamard, linalg
 from affinespectra.classify import ProblemInstance, classify, leading_triple
 from affinespectra.cli import main
-from affinespectra.errors import InternalRankError
+from affinespectra.errors import InternalError, InternalRankError
 from affinespectra.linalg import IntMatrix, IntVector, char_poly, det
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -167,6 +167,35 @@ def test_classify_computes_each_char_poly_and_krylov_basis_once(
     assert c.verdict.value == verdict and c.certificate.triple.verified
     counts = (len(char_poly_calls), len(krylov_calls), len(relation_calls))
     assert counts == (char_polys, krylovs, relations)
+
+
+RANK_TWO = {"matrix": [[4, 0, 0, 0], [0, 3, 0, 1], [0, 0, 5, 0], [0, 0, 0, 7]],
+            "v": [1, 1, 0, 0], "q": 8}
+
+
+@pytest.mark.parametrize("inst, verdict", [
+    (RANK_ONE, "spectral"),
+    ({**RANK_ONE, "q": 8}, "not_spectral_infinite_orthogonals"),
+    (RANK_TWO, "infinite_orthogonals_spectrality_unknown"),
+    ({"matrix": [[4, 0], [0, 5]], "v": [1, 0], "q": 6}, "not_spectral_infinite_orthogonals"),
+], ids=["rank-1-spectral", "rank-1-witness", "rank-2-witness", "diagonal"])
+def test_rank_deficient_instance_computes_two_determinants(monkeypatch, inst, verdict):
+    # det M for the block check, and det m2 once, inside the char poly of
+    # m2 that the expanding test reads; det m1 is (-1)^r f(0) (4 before)
+    det_calls = _count_calls(monkeypatch, linalg, "det")
+    c = classify(ProblemInstance(IntMatrix(inst["matrix"]), IntVector(inst["v"]), inst["q"]))
+    assert c.verdict.value == verdict and "rank-reduction" in c.reasons
+    assert len(det_calls) <= 2
+    n = len(inst["matrix"])
+    assert sorted(len(args[0].rows) for args in det_calls) == sorted([n, n - c.conditions.r])
+
+
+def test_block_determinant_check_still_fires(monkeypatch):
+    # det M == det m1 * det m2 is still checked, with det m1 read off f
+    original = linalg.det
+    monkeypatch.setattr(conjugation, "det", lambda m: original(m) + 1)
+    with pytest.raises(InternalError, match="block determinants"):
+        ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), RANK_ONE["q"])
 
 
 @pytest.mark.parametrize("inst", [CUBE, RANK_ONE], ids=["full-rank", "rank-1"])

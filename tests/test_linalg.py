@@ -30,9 +30,12 @@ from affinespectra.linalg import (
     krylov,
     rank,
     xgcd,
+    _apply_power,
     _hnf_unimodular,
+    _inverse_parts,
     _krylov_relation,
     _no_root_in_closed_unit_disk,
+    _solve_parts,
 )
 
 # char poly x^3 + 36; v generates a full Krylov basis
@@ -109,21 +112,38 @@ def test_matrix_powers_and_transpose():
     assert t.transpose() == M_CUBE
 
 
-def test_pow_mod_matches_reduced_exact_power():
+def _pow_mod_oracle(m, k, modulus):
+    """m^k mod ``modulus`` by repeated squaring of the whole matrix, the
+    way the removed IntMatrix.pow_mod computed it."""
+    def reduce(a):
+        return IntMatrix([x % modulus for x in row] for row in a.rows)
+
+    result, base = reduce(IntMatrix.identity(m.n)), reduce(m)
+    while k:
+        if k & 1:
+            result = reduce(result * base)
+        base = reduce(base * base) if k > 1 else base
+        k >>= 1
+    return result
+
+
+def test_vector_power_matches_matrix_pow_mod():
     rng = random.Random(77)
     for _ in range(30):
         n = rng.randint(1, 4)
         m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        k = rng.randint(0, 12)
+        x = [rng.randint(-9, 9) for _ in range(n)]
         modulus = rng.randint(1, 50)
-        exact = m ** k
-        assert m.pow_mod(k, modulus) == IntMatrix(
-            [x % modulus for x in row] for row in exact.rows
-        )
+        for k in [*range(9), 3 * 10**50]:
+            oracle = _pow_mod_oracle(m, k, modulus)
+            if k <= 12:
+                assert oracle == IntMatrix([y % modulus for y in row] for row in (m ** k).rows)
+                assert _apply_power(m.rows, k, x) == list((m ** k) * IntVector(x))
+            expected = [y % modulus for y in oracle * IntVector(x)]
+            assert _apply_power(m.rows, k, x, modulus) == expected, (m, k, modulus)
     # Cayley-Hamilton: M_CUBE^3 = -36 I, so every power of 3 is 0 mod 36
-    assert M_CUBE.pow_mod(3 * 10**50, 36) == IntMatrix.identity(3).scaled(0)
-    with pytest.raises(ValueError):
-        IntMatrix([[1, 2]]).pow_mod(2, 5)
+    assert _pow_mod_oracle(M_CUBE, 3 * 10**50, 36) == IntMatrix.identity(3).scaled(0)
+    assert _apply_power(M_CUBE.rows, 3 * 10**50, [5, -7, 11], 36) == [0, 0, 0]
 
 
 def test_from_columns_round_trip():
@@ -131,6 +151,59 @@ def test_from_columns_round_trip():
     m = IntMatrix.from_columns(cols)
     assert m == IntMatrix([[1, 3], [2, 4]])
     assert [IntVector(c) for c in m.transpose().rows] == cols
+
+
+def test_unchecked_results_equal_validated_ones():
+    # products, sums, transposes and submatrices skip re-validating their
+    # integer entries; they must still be the matrices validation builds
+    rng = random.Random(606)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        a, b = _random_matrix(rng, n), _random_matrix(rng, n)
+        v = IntVector([rng.randint(-9, 9) for _ in range(n)])
+        built = {
+            a * b: [[sum(a.rows[i][k] * b.rows[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)],
+            a + b: [[a.rows[i][j] + b.rows[i][j] for j in range(n)] for i in range(n)],
+            a.transpose(): [[a.rows[j][i] for j in range(n)] for i in range(n)],
+            a.submatrix(range(n - 1, n), range(n)): [list(a.rows[n - 1])],
+        }
+        for result, rows in built.items():
+            validated = IntMatrix(rows)
+            assert type(result) is IntMatrix and result == validated
+            assert hash(result) == hash(validated)
+            assert all(type(row) is tuple and all(type(x) is int for x in row)
+                       for row in result.rows)
+        product = a * v
+        expected = IntVector(sum(x * y for x, y in zip(row, v)) for row in a.rows)
+        assert product == expected and hash(product) == hash(expected)
+        assert type(product.entries) is tuple
+        x, d = _solve_parts(a + IntMatrix.identity(n).scaled(40), v)
+        assert x == IntVector(x.entries) and hash(x) == hash(IntVector(x.entries))
+    b, b_inv, h = _hnf_unimodular(IntMatrix([[2], [3], [4]]))
+    for result in (b, b_inv, h):
+        validated = IntMatrix(result.rows)
+        assert result == validated and hash(result) == hash(validated)
+    with pytest.raises(ValueError):
+        M_CUBE.submatrix(range(0), range(3))
+    with pytest.raises(TypeError):
+        M_CUBE + M_CUBE.to_rat()
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), "1"], ids=["bool", "float", "Fraction", "str"])
+def test_outside_entries_and_scalars_stay_validated(bad):
+    with pytest.raises(TypeError):
+        IntMatrix([[1, bad], [0, 1]])
+    with pytest.raises(TypeError):
+        IntVector([1, bad])
+    with pytest.raises(TypeError):
+        M_CUBE.scaled(bad)
+    with pytest.raises(TypeError):
+        V_CUBE.scaled(bad)
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([[1, bad]])
+    with pytest.raises(TypeError):
+        IntPolynomial([1, bad])
 
 
 def test_shape_validation():
@@ -284,6 +357,38 @@ def test_hnf_properties():
             assert all(x == 0 for x in h.rows[i])
 
 
+def _hnf_by_whole_rows(a):
+    """(b, h) of the same pivoting rule with every row operation applied
+    to whole rows, dead columns included."""
+    nr, nc = a.nrows, a.ncols
+    aug = [list(row) + [int(i == j) for j in range(nr)] for i, row in enumerate(a.rows)]
+    for col in range(nc):
+        while True:
+            _, piv = min((abs(aug[i][col]), i) for i in range(col, nr) if aug[i][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            for i in range(col + 1, nr):
+                t = aug[i][col] // aug[col][col]
+                aug[i] = [x - t * y for x, y in zip(aug[i], aug[col])]
+            if not any(aug[i][col] for i in range(col + 1, nr)):
+                break
+    return IntMatrix(row[nc:] for row in aug), IntMatrix(row[:nc] for row in aug)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda nr: st.tuples(
+    st.integers(1, nr), st.lists(st.integers(-9, 9), min_size=nr * nr, max_size=nr * nr))))
+def test_hnf_matches_whole_row_reduction(drawn):
+    nc, entries = drawn
+    nr = int(len(entries) ** 0.5)
+    a = IntMatrix([entries[i * nr:i * nr + nc] for i in range(nr)])
+    if rank(a) < nc:
+        with pytest.raises(RankDeficient):
+            _hnf_unimodular(a)
+        return
+    b, h = _hnf_by_whole_rows(a)
+    assert _hnf_unimodular(a) == (b, inverse_unimodular(b), h)
+
+
 def test_hnf_rejects_rank_deficient():
     with pytest.raises(RankDeficient):
         hnf_unimodular(IntMatrix([[1, 2], [2, 4], [0, 0]]))
@@ -426,6 +531,29 @@ def test_inverse_matches_fraction_gauss_jordan(m, dens):
         assert inv == RatMatrix(expected)
         assert RatMatrix(a.rows) * inv == RatMatrix.identity(n)
         assert inv * a == RatMatrix.identity(n)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_int_matrices(max_n=9), st.lists(st.integers(-9, 9), min_size=9, max_size=9))
+def test_solve_parts_matches_adjugate_times_w(m, entries):
+    w = IntVector(entries[:m.nrows])
+    if det(m) == 0:
+        with pytest.raises(Singular, match="matrix is singular"):
+            _solve_parts(m, w)
+        return
+    adj, d = _inverse_parts(m)
+    x, d_solve = _solve_parts(m, w)
+    assert (x, d_solve) == (adj * w, d) == (adj * w, abs(det(m)))
+    assert m * x == w.scaled(d)
+
+
+def test_solve_parts_errors():
+    with pytest.raises(Singular, match="matrix is singular"):
+        _solve_parts(IntMatrix([[0, 0], [0, 5]]), IntVector([1, 1]))
+    with pytest.raises(ValueError):
+        _solve_parts(IntMatrix([[1, 2]]), IntVector([1]))
+    with pytest.raises(ValueError):
+        _solve_parts(M_CUBE, IntVector([1, 2]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
