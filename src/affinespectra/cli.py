@@ -7,13 +7,15 @@ trailing newline, with big integers as decimal strings so nothing is
 clipped to a native number range.
 
 Exit codes: 0 success, 1 malformed input, 2 violated precondition
-(including a certificate that fails re-verification), 3 internal error.
+(including a certificate that fails re-verification, and an option value
+outside its domain), 3 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -546,9 +548,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the domain of each numeric option, checked wherever a subcommand has it
+_OPTION_DOMAINS = {
+    "lattice_den": (lambda x: x >= 1, "--lattice-den must be at least 1"),
+    "box": (lambda x: x >= 0, "--box must be at least 0"),
+    "jmax": (lambda x: x >= 1, "--jmax must be at least 1"),
+    "depth": (lambda x: x >= 1, "--depth must be at least 1"),
+    "tail_eps": (lambda x: 0 < x < math.inf, "--tail-eps must be finite and positive"),
+    "iters": (lambda x: x >= 0, "--iters must be at least 0"),
+}
+
+
+def _check_options(args):
+    """A well-formed option value outside its domain is a violated
+    precondition (exit 2), reported before any work starts."""
+    for name, (ok, message) in _OPTION_DOMAINS.items():
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            raise PreconditionError(f"{message}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_options(args)
         return args.func(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

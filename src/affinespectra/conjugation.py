@@ -77,8 +77,8 @@ class BlockDecomposition:
     @property
     def block(self) -> IntMatrix:
         """b*M*b_inv, assembled from its blocks."""
-        top = [a + c for a, c in zip(self.m1.rows, self.c.rows)]
-        return IntMatrix(top + [(0,) * self.r + row for row in self.m2.rows])
+        top = tuple(a + c for a, c in zip(self.m1.rows, self.c.rows))
+        return IntMatrix._make(top + tuple((0,) * self.r + row for row in self.m2.rows))
 
     def __repr__(self):
         return f"BlockDecomposition(r={self.r}, m1={self.m1!r}, m2={self.m2!r})"
@@ -116,8 +116,8 @@ def companion_matrix(f) -> IntMatrix:
         row[0] = -f.coeffs[n - 1 - i]
         if i + 1 < n:
             row[i + 1] = 1
-        rows.append(row)
-    return IntMatrix(rows)
+        rows.append(tuple(row))
+    return IntMatrix._make(tuple(rows))  # IntPolynomial coefficients are ints
 
 
 def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
@@ -137,7 +137,7 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
 
 def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConjugation:
     n = m.n  # vecs = [v, Mv, ..., M^{n-1}v] of full rank, f = char_poly(m)
-    b = IntMatrix.from_columns(list(reversed(vecs)))
+    b = IntMatrix._from_columns(reversed(vecs))
     m_tilde = companion_matrix(f)
     v_tilde = IntVector([0] * (n - 1) + [1])
     # with b invertible these are b_inv M b = m_tilde and b_inv v = v_tilde
@@ -167,7 +167,7 @@ def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial)
     n = m.n
     if r == n:
         raise FullRank(f"iterates of v already span dimension {n}")
-    a = IntMatrix.from_columns(list(reversed(vecs[:r])))
+    a = IntMatrix._from_columns(reversed(vecs[:r]))
     b, b_inv, _ = _hnf_unimodular(a)
     block = b * m * b_inv
     if any(block.rows[i][j] for i in range(r, n) for j in range(r)):

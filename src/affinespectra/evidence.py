@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .errors import TooLarge
-from .fourier import _contraction_data, _vanishing_factor, mu_hat
+from .fourier import _check_tail_eps, _contraction_data, _vanishing_factor, mu_hat
 from .linalg import RatVector
 
 _CANDIDATE_CAP = 5000
@@ -128,6 +128,17 @@ def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
     return [v for v in range(n_vertices) if best_bits >> v & 1]
 
 
+def _lattice_key(g, half: int) -> int:
+    """sum_k g_k B^k, B = 2 half + 1, for coordinates g_k in [-half, half]."""
+    return sum(x * (2 * half + 1) ** k for k, x in enumerate(g))
+
+
+def _lattice_point(key: int, n: int, half: int) -> list[int]:
+    """The n coordinates of a key: its balanced base-B digits, lowest first."""
+    base, key = 2 * half + 1, key + _lattice_key((half,) * n, half)  # digits + half
+    return [key // base ** k % base - half for k in range(n)]
+
+
 def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max=None) -> CliqueReport:
     """Largest certified-orthogonal set through 0 in (1/L) Z^n cap [-N, N]^n.
 
@@ -137,9 +148,10 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     the box has more than 5000 lattice points.
 
     Exact maximum clique is exponential in the worst case.  One- and
-    two-dimensional boxes stay fast at any permitted radius; dense
-    three-dimensional instances (hundreds of mutually orthogonal lattice
-    points) are only practical up to radius about 3.
+    two-dimensional boxes stay fast at any permitted radius.  In three
+    dimensions each difference is certified once, so a box of mutually
+    orthogonal points takes seconds up to radius 6, but a dense instance on
+    which the search branches is only practical up to radius about 3.
     """
     ell = lattice_denominator
     n = inst.m.n
@@ -150,38 +162,36 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
         raise TooLarge(
             f"{per_axis ** n} lattice points exceed the cap of {_CANDIDATE_CAP}"
         )
-    # points are integer coordinates g of g / L, and itertools.product over
-    # an ascending span lists them in lexicographic order, the order of
-    # the rational points since L > 0.  Orthogonality depends only on the
-    # difference, and negating it flips every phase mod 1 without changing
-    # the verdict, so one certification per sign class covers all pairs
+    # key(a) - key(b) = key(a - b), whose coordinates lie in [-2 N L, 2 N L].
+    # Negating a difference maps each phase r to -r mod the modulus, keeping
+    # every verdict, so abs() certifies each sign class once.  product over
+    # an ascending span lists the points in lexicographic order, as L > 0
+    half = 2 * box_radius * ell
     span = range(-box_radius * ell, box_radius * ell + 1)
-    zero = (0,) * n
-    cache: dict[tuple, bool] = {}
+    keys = [_lattice_key(p, half) for p in itertools.product(span, repeat=n)]
+    cache: dict[int, bool] = {}
 
-    def certified_pair(a, b) -> bool:
-        return _vanishing_factor(inst, [x - y for x, y in zip(a, b)], ell, j_max) is not None
+    def certified_difference(key) -> bool:
+        return _vanishing_factor(inst, _lattice_point(key, n, half), ell, j_max) is not None
 
-    def connected(a, b) -> bool:
-        key = tuple(x - y for x, y in zip(a, b))
-        if next(c for c in key if c) < 0:
-            key = tuple(-c for c in key)
+    def connected(key) -> bool:
+        key = abs(key)
         if key not in cache:
-            cache[key] = certified_pair(key, zero)
+            cache[key] = certified_difference(key)
         return cache[key]
 
-    neighbors_of_zero = [p for p in itertools.product(span, repeat=n) if any(p) and connected(p, zero)]
+    neighbors_of_zero = [k for k in keys if k and connected(k)]
     count = len(neighbors_of_zero)
     adj_bits = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if connected(neighbors_of_zero[i], neighbors_of_zero[j]):
-                adj_bits[i] |= 1 << j
-                adj_bits[j] |= 1 << i
+    for i, j in itertools.combinations(range(count), 2):
+        if connected(neighbors_of_zero[i] - neighbors_of_zero[j]):
+            adj_bits[i] |= 1 << j
+            adj_bits[j] |= 1 << i
     clique = _max_clique(count, adj_bits)
-    witness = [zero] + [neighbors_of_zero[i] for i in sorted(clique)]
-    certified = all(certified_pair(a, b) for a, b in itertools.combinations(witness, 2))
-    witness = [RatVector([Fraction(g, ell) for g in p]) for p in witness]
+    witness = [0] + [neighbors_of_zero[i] for i in sorted(clique)]
+    # every witness pair re-checked by its raw difference, not via the cache
+    certified = all(map(certified_difference, {a - b for a, b in itertools.combinations(witness, 2)}))
+    witness = [RatVector([Fraction(g, ell) for g in _lattice_point(k, n, half)]) for k in witness]
     return CliqueReport(
         lattice_denominator=ell,
         box_radius=box_radius,
@@ -203,8 +213,10 @@ def completeness_defect(inst, spectrum, probes, tail_eps: float = 1e-9) -> Compl
     depth grows; values far from 0 (or clearly negative) witness that the
     frequency set is not behaving like an orthonormal system.  Accepts a
     CandidateSpectrum or any list of frequencies, since comparing good
-    and bad frequency sets is the point of the diagnostic.
+    and bad frequency sets is the point of the diagnostic.  Raises
+    ValueError unless tail_eps is finite and positive.
     """
+    _check_tail_eps(tail_eps)
     freqs = getattr(spectrum, "frequencies", spectrum)
     depth = getattr(spectrum, "depth", None)
     defects = []

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -31,6 +32,7 @@ from .linalg import is_expanding, xgcd
 
 _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
 class Witness:
@@ -107,6 +109,10 @@ def _mask_from_phase(q: int, num: int, den: int) -> complex:
     if 2 * num > den:
         num -= den
     tf = num / den
+    if abs(tf) < _FLOAT_MIN:
+        # below the normal floats sin(pi t) keeps too few digits, and the
+        # Dirichlet ratio is 1 to double precision there
+        return cmath.exp(1j * math.pi * (q - 1) * tf)
     # (1/q) sum_k e^{2 pi i k t} in closed Dirichlet-kernel form
     return (
         cmath.exp(1j * math.pi * (q - 1) * tf)
@@ -161,6 +167,12 @@ def _over_common_denominator(x: RatVector) -> tuple[list[int], int]:
     return [e.numerator * (den // e.denominator) for e in x], den
 
 
+def _check_tail_eps(tail_eps):
+    # no tail falls below a bound <= 0 or NaN, and an infinite one bounds nothing
+    if not 0 < tail_eps < math.inf:
+        raise ValueError(f"tail_eps must be finite and positive, got {tail_eps!r}")
+
+
 def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     """Fourier transform of the invariant measure, numerically.
 
@@ -170,7 +182,9 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     exact rational zero the product short-circuits to exactly 0.  The
     returned error field bounds |true - value| absolutely.  The iterate
     (M*)^{-j} xi is kept exactly as (adj^T)^j a over L d^j, gcd removed.
+    Raises ValueError unless tail_eps is finite and positive.
     """
+    _check_tail_eps(tail_eps)
     xi = _as_rat_vector(xi)
     if len(xi) != len(inst.v):
         raise ValueError("frequency dimension does not match the instance")

@@ -208,6 +208,11 @@ class IntMatrix:
         cols = [list(c) for c in cols]
         return cls([[c[i] for c in cols] for i in range(len(cols[0]))])
 
+    @classmethod
+    def _from_columns(cls, cols) -> "IntMatrix":
+        """Unchecked from_columns, for equal-length validated int columns."""
+        return cls._make(tuple(zip(*cols)))
+
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -436,6 +436,36 @@ def test_clique_too_large_exits_2(write, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clique", "--box", "-1"],
+        ["clique", "--lattice-den", "0"],
+        ["classify", "--evidence", "clique", "--lattice-den", "-2"],
+        ["spectrum", "--depth", "0"],
+        ["classify", "--evidence", "completeness", "--depth", "0"],
+        ["sample", "--iters", "-5"],
+        ["classify", "--evidence", "completeness", "--tail-eps", "-1"],
+        ["classify", "--evidence", "completeness", "--tail-eps", "nan"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_option_outside_its_domain_exits_2_with_one_line(write, capsys, argv):
+    code, out, err = _run(capsys, argv[0], "--input", write(M4), *argv[1:])
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["clique", "spectrum"])
+def test_search_depth_below_one_exits_2(write, capsys, command):
+    # no factor is searched at --jmax 0, so every pair would be reported
+    # uncertified: a vacuous result, refused rather than printed
+    code, out, err = _run(capsys, command, "--input", write(M4), "--jmax", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --jmax must be at least 1")
+
+
 # -- sample CSV ---------------------------------------------------------------
 
 

@@ -88,6 +88,27 @@ def test_companion_matrix_shape():
         companion_matrix(IntPolynomial([1, 2]))  # not monic
 
 
+def _validated(m):
+    # the same rows through the checking constructor
+    return IntMatrix([list(row) for row in m.rows])
+
+
+def test_unchecked_constructions_equal_validated_ones():
+    vecs, _ = krylov(M_CUBE, V_CUBE)
+    built = [
+        IntMatrix._from_columns(reversed(vecs)),
+        companion_matrix(IntPolynomial([36, 0, 0, 1])),
+        companion_matrix(IntPolynomial([-2, 1])),
+        companion_conjugate(M_CUBE, V_CUBE).b,
+        block_decompose(M_DIAG, V_DIAG).block,
+    ]
+    assert built[0] == IntMatrix.from_columns(list(reversed(vecs)))
+    for m in built:
+        assert type(m.rows) is tuple and all(type(row) is tuple for row in m.rows)
+        assert all(type(x) is int for row in m.rows for x in row)
+        assert m == _validated(m) and hash(m) == hash(_validated(m))
+
+
 def test_companion_conjugate_fixture():
     conj = companion_conjugate(M_CUBE, V_CUBE)
     assert conj.m_tilde == IntMatrix([[0, 1, 0], [0, 0, 1], [-36, 0, 0]])

@@ -158,6 +158,13 @@ def test_defect_exposes_bad_dual_set():
     assert report.depth is None
 
 
+@pytest.mark.parametrize("tail_eps", [0.0, -1.0, float("nan")])
+def test_defect_rejects_a_tail_bound_it_cannot_reach(tail_eps):
+    inst = _inst([[4]], [1], 2)
+    with pytest.raises(ValueError):
+        completeness_defect(inst, [], [RatVector([0])], tail_eps)
+
+
 def test_defect_3d_spectrum():
     inst = ProblemInstance(M_CUBE, V_CUBE, 6)
     spec = _spectrum(inst, depth=2)

@@ -24,13 +24,14 @@ from hypothesis import strategies as st
 
 from affinespectra import evidence, fourier, hadamard, linalg
 from affinespectra.classify import ProblemInstance
-from affinespectra.conjugation import companion_conjugate
+from affinespectra.conjugation import companion_conjugate, companion_matrix
 from affinespectra.errors import NonConvergent
 from affinespectra.evidence import attractor_radius, chaos_game, max_orthogonal_clique
 from affinespectra.fourier import certify_orthogonal, mu_hat
 from affinespectra.hadamard import construct_dual_digits, verify_hadamard
 from affinespectra.linalg import (
     IntMatrix,
+    IntPolynomial,
     IntVector,
     RatMatrix,
     RatVector,
@@ -172,6 +173,38 @@ def _oracle_clique(inst, ell, box_radius):
     return len(witness), [p.entries for p in witness], certified
 
 
+def _pairwise_clique(inst, ell, box_radius, j_max):
+    """(size, witness entries, certified) of the tuple-keyed clique search
+    that the integer difference keys replaced: coordinate tuples normalized
+    to a positive first nonzero entry, and every witness pair re-checked."""
+    n = inst.m.n
+    span = range(-box_radius * ell, box_radius * ell + 1)
+    zero = (0,) * n
+    cache = {}
+
+    def certified_pair(a, b):
+        delta = [x - y for x, y in zip(a, b)]
+        return fourier._vanishing_factor(inst, delta, ell, j_max) is not None
+
+    def connected(a, b):
+        key = tuple(x - y for x, y in zip(a, b))
+        if next(c for c in key if c) < 0:
+            key = tuple(-c for c in key)
+        if key not in cache:
+            cache[key] = certified_pair(key, zero)
+        return cache[key]
+
+    nbrs = [p for p in itertools.product(span, repeat=n) if any(p) and connected(p, zero)]
+    adj_bits = [0] * len(nbrs)
+    for i, j in itertools.combinations(range(len(nbrs)), 2):
+        if connected(nbrs[i], nbrs[j]):
+            adj_bits[i] |= 1 << j
+            adj_bits[j] |= 1 << i
+    witness = [zero] + [nbrs[i] for i in sorted(evidence._max_clique(len(nbrs), adj_bits))]
+    certified = all(certified_pair(a, b) for a, b in itertools.combinations(witness, 2))
+    return len(witness), [tuple(Fraction(g, ell) for g in p) for p in witness], certified
+
+
 def _float_chaos_game(inst, iterations, seed):
     """x <- M^{-1}(x + k v) in floats, 100 iterates burnt in."""
     rng = random.Random(seed)
@@ -264,6 +297,49 @@ def test_clique_matches_fraction_oracle(inst, ell, box):
     got = (report.max_clique_size, [p.entries for p in report.witness_set], report.certified)
     assert got == _oracle_clique(inst, ell, box)
     assert all(type(p) is RatVector for p in report.witness_set)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_instances(), st.integers(1, 3), st.integers(0, 5), st.sampled_from([None, 1, 3]))
+def test_clique_matches_pairwise_search(inst, ell, box, j_max):
+    n = inst.m.n
+    box = min(box, {1: 5, 2: 2}.get(n, 1))
+    while (2 * box * ell + 1) ** n > 200:
+        ell -= 1
+    report = max_orthogonal_clique(inst, ell, box, j_max)
+    got = (report.max_clique_size, [p.entries for p in report.witness_set], report.certified)
+    assert got == _pairwise_clique(inst, ell, box, j_max)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3))
+def test_key_differences_decode_to_coordinate_differences(n, box, ell):
+    while (2 * box * ell + 1) ** n > 125:
+        box -= 1
+    half = 2 * box * ell
+    points = list(itertools.product(range(-box * ell, box * ell + 1), repeat=n))
+    keys = [evidence._lattice_key(p, half) for p in points]
+    for a, key_a in zip(points, keys):
+        assert evidence._lattice_point(key_a, n, half) == list(a)
+        for b, key_b in zip(points, keys):
+            assert evidence._lattice_point(key_a - key_b, n, half) == [x - y for x, y in zip(a, b)]
+
+
+def test_clique_certifies_each_difference_once(monkeypatch):
+    # x^4 + 6 at q = 6, box 1: an 81-point witness, 3240 pairs of it, but
+    # far fewer distinct differences
+    inst = ProblemInstance(companion_matrix(IntPolynomial([6, 0, 0, 0, 1])), IntVector([0, 0, 0, 1]), 6)
+    calls = []
+    vanishing_factor = fourier._vanishing_factor
+
+    def spy(*args):
+        calls.append(args)
+        return vanishing_factor(*args)
+
+    monkeypatch.setattr(evidence, "_vanishing_factor", spy)
+    report = max_orthogonal_clique(inst, 1, 1)
+    assert (report.max_clique_size, report.certified) == (81, True)
+    assert len(calls) <= 700
 
 
 def test_default_search_depth_is_unchanged():

@@ -146,6 +146,24 @@ def test_mu_hat_tightens_with_eps():
     assert abs(loose.value - tight.value) <= loose.error + tight.error
 
 
+@pytest.mark.parametrize("tail_eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_mu_hat_rejects_a_tail_bound_it_cannot_reach(tail_eps):
+    inst = _inst([[4]], [1], 2)
+    with pytest.raises(ValueError):
+        mu_hat(inst, RatVector([Fraction(1, 3)]), tail_eps)
+    with pytest.raises(ValueError):
+        mu_hat(inst, RatVector([0]), tail_eps)
+
+
+def test_mu_hat_with_subnormal_phases():
+    # phases below the smallest normal float take the limit form of the
+    # mask; the Dirichlet ratio there lost its digits in sin(pi t)
+    inst = _inst([[4]], [1], 2)
+    res = mu_hat(inst, RatVector([Fraction(1, 3)]), tail_eps=1e-320)
+    assert abs(res.value - (0.9056006479768612 + 0.3296116799957629j)) < 1e-12
+    assert res.error < 1e-319
+
+
 def test_mu_hat_rejects_non_contracting():
     shear = _RawInstance(IntMatrix([[1, 1], [0, 1]]), IntVector([1, 0]), 2)
     with pytest.raises(NonConvergent):
