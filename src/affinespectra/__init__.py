@@ -16,12 +16,10 @@ from .conjugation import (
     BlockDecomposition,
     CompanionConjugation,
     LeadingBlock,
-    ReducedInstance,
     block_decompose,
     companion_conjugate,
     leading_block,
     map_spectrum,
-    reduce_dimension,
 )
 from .evidence import (
     AttractorSample,

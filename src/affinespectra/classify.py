@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from math import gcd
 
-from .conjugation import _leading_block
+from .conjugation import leading_block
 from .errors import BadQ, InternalError, NotExpanding, ZeroVector
 from .fourier import Witness, construct_witness
 from .hadamard import HadamardTriple, construct_dual_digits
@@ -48,7 +48,7 @@ class ProblemInstance:
             raise ZeroVector("digit direction v must be nonzero")
         if not isinstance(q, int) or isinstance(q, bool) or q < 2:
             raise BadQ(f"q must be an integer >= 2, got {q!r}")
-        lead = _leading_block(m, v)
+        lead = leading_block(m, v)
         expanding = _no_root_in_closed_unit_disk(lead.char_poly.coeffs) and (
             lead.decomp is None or _no_root_in_closed_unit_disk(lead.decomp.m2_char_poly.coeffs)
         )

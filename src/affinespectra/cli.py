@@ -278,8 +278,7 @@ def _spectrum_in_original_coords(inst: ProblemInstance, triple, depth: int):
     if decomp is None:
         return small
     padded = [RatVector(list(f) + [Fraction(0)] * (n - r)) for f in small.frequencies]
-    mapped = map_spectrum(decomp.b, padded, "forward")
-    small.frequencies = mapped
+    small.frequencies = map_spectrum(decomp.b, padded, "forward")
     return small
 
 

@@ -10,12 +10,13 @@ dimension.  ``leading_block`` is the one place that chooses between the
 two.
 
 Frequency sets transport through a conjugation by the transpose of the
-basis matrix, never the matrix itself; ``map_spectrum`` is the single
-place that convention lives.
+basis matrix, never the matrix itself, on integer numerators over one
+denominator; ``map_spectrum`` is the single place that convention lives.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import FullRank, InternalError, InternalRankError, NotFullRank, Singular
@@ -23,24 +24,23 @@ from .linalg import (
     IntMatrix,
     IntPolynomial,
     IntVector,
-    RatMatrix,
     RatVector,
+    _adjugate,
     _annihilates,
     _hnf_unimodular,
     _krylov_relation,
+    _over_common_denominator,
     char_poly,
     det,
-    inverse,
-    krylov,
 )
 
 
 class CompanionConjugation:
-    """Exact conjugation b_inv * M * b = m_tilde with m_tilde in companion
-    form and b_inv * v the last standard basis vector.
+    """Exact conjugation M b = b m_tilde with m_tilde in companion form and
+    b v_tilde = v, v_tilde the last standard basis vector.
 
-    b is the integer matrix [M^{n-1}v, ..., Mv, v]; its rational inverse
-    is computed on access.
+    b is the integer matrix [M^{n-1}v, ..., Mv, v]; it is invertible over
+    the rationals only, and no inverse of it is kept.
     """
 
     __slots__ = ("b", "m_tilde", "v_tilde")
@@ -49,10 +49,6 @@ class CompanionConjugation:
         self.b = b
         self.m_tilde = m_tilde
         self.v_tilde = v_tilde
-
-    @property
-    def b_inv(self) -> RatMatrix:
-        return inverse(self.b)
 
     def __repr__(self):
         return f"CompanionConjugation(m_tilde={self.m_tilde!r})"
@@ -84,23 +80,6 @@ class BlockDecomposition:
         return f"BlockDecomposition(r={self.r}, m1={self.m1!r}, m2={self.m2!r})"
 
 
-class ReducedInstance:
-    """Lower-dimensional instance (m1, v_prime, q) produced by a block
-    decomposition.  Its defining property, checked at construction time by
-    reduce_dimension, is that v_prime generates a full iterate basis for
-    m1, so the companion branch applies to it directly."""
-
-    __slots__ = ("m1", "v_prime", "q")
-
-    def __init__(self, m1: IntMatrix, v_prime: IntVector, q: int):
-        self.m1 = m1
-        self.v_prime = v_prime
-        self.q = q
-
-    def __repr__(self):
-        return f"ReducedInstance(m1={self.m1!r}, v_prime={self.v_prime!r}, q={self.q})"
-
-
 def companion_matrix(f) -> IntMatrix:
     """Companion matrix of a monic integer polynomial: negated non-leading
     coefficients down the first column (highest degree first), ones on the
@@ -124,7 +103,7 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
     """Conjugate (m, v) to companion form via b = [M^{n-1}v, ..., Mv, v].
 
     Requires the iterates of v to span the whole space; raises NotFullRank
-    otherwise.  The returned m_tilde is integer even though b_inv is not.
+    otherwise.  The returned m_tilde is integer even though b^{-1} is not.
     """
     n = m.n
     vecs, r, f = _krylov_relation(m, v)
@@ -140,7 +119,7 @@ def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConju
     b = IntMatrix._from_columns(reversed(vecs))
     m_tilde = companion_matrix(f)
     v_tilde = IntVector([0] * (n - 1) + [1])
-    # with b invertible these are b_inv M b = m_tilde and b_inv v = v_tilde
+    # with b invertible these are b^{-1} M b = m_tilde and b^{-1} v = v_tilde
     if m * b != b * m_tilde:
         raise InternalError("iterate basis does not conjugate to the companion matrix")
     if b * v_tilde != vecs[0]:
@@ -185,23 +164,6 @@ def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial)
     return BlockDecomposition(b, b_inv, r, m1, c, m2, x, f2)
 
 
-def reduce_dimension(d: BlockDecomposition, q: int) -> ReducedInstance:
-    """Project a block decomposition onto its leading block.
-
-    The instance (m1, x, q) carries all spectral information of the
-    original pair because the measure is supported on the subspace the
-    leading block acts on.  The projected vector must generate a full
-    iterate basis for m1; a failure would mean the decomposition upstream
-    is wrong, hence InternalRankError rather than a precondition error.
-    """
-    _, r = krylov(d.m1, d.x)  # must span all r dimensions
-    if r != d.r:
-        raise InternalRankError(
-            f"reduced vector generates rank {r}, expected {d.r}"
-        )
-    return ReducedInstance(d.m1, d.x, q)
-
-
 class LeadingBlock(NamedTuple):
     """Leading block (m1, v1) with the Krylov rank r, the decomposition
     (None when r = n and m1, v1 are M, v), char poly and det of m1, and
@@ -220,15 +182,11 @@ class LeadingBlock(NamedTuple):
         return _companion_conjugate(self.m1, self.krylov, self.char_poly)
 
 
-def leading_block(m: IntMatrix, v: IntVector, q: int) -> LeadingBlock:
+def leading_block(m: IntMatrix, v: IntVector) -> LeadingBlock:
     """The one place that decides between the full pair (r = n) and the
-    reduced pair from block_decompose and reduce_dimension (r < n)."""
-    return _leading_block(m, v)
-
-
-def _leading_block(m: IntMatrix, v: IntVector) -> LeadingBlock:
-    """One Krylov elimination gives r and the minimal polynomial f of v,
-    which is the char poly of m1; r < n adds the block decomposition."""
+    reduced pair of the block decomposition (r < n).  One Krylov
+    elimination gives r and the minimal polynomial f of v, which is the
+    char poly of m1; r < n adds the block decomposition."""
     vecs, r, f = _krylov_relation(m, v)
     if r == m.n:
         decomp, m1, v1 = None, m, v
@@ -252,28 +210,32 @@ def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:
     transpose.  Exponentials pair with points through the inner product,
     so a change of basis on points acts on frequencies by the adjoint;
     callers choose the direction that matches which side of the
-    conjugation their frequencies live on.
+    conjugation their frequencies live on.  Both act on the integer
+    numerators of each frequency, the inverse through one adjugate.
     """
-    if det(b) == 0:
+    if direction == "inverse":
+        b._require_square()
+        op, d = _adjugate(b.rows)
+    else:
+        op, d = b.rows, det(b)
+    if d == 0:
         raise Singular("spectrum transport needs an invertible basis matrix")
     if direction == "forward":
-        op = b.transpose().to_rat()
-    elif direction == "inverse":
-        op = inverse(b).transpose()
-    else:
+        d = 1
+    elif direction != "inverse":
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return [op * lam for lam in lambda_set]
+    op = IntMatrix._make(tuple(zip(*op)))  # b^T, or adj(b)^T over d = det b
+    parts = map(_over_common_denominator, lambda_set)
+    return [RatVector(Fraction(x, den * d) for x in op * IntVector._make(a)) for a, den in parts]
 
 
 __all__ = [
     "BlockDecomposition",
     "CompanionConjugation",
     "LeadingBlock",
-    "ReducedInstance",
     "block_decompose",
     "companion_conjugate",
     "companion_matrix",
     "leading_block",
     "map_spectrum",
-    "reduce_dimension",
 ]

@@ -86,4 +86,4 @@ class NonConvergent(PreconditionError):
 # --- internal invariants (exit 3) ---
 
 class InternalRankError(InternalError):
-    """A reduced instance unexpectedly lost full Krylov rank."""
+    """A block decomposition failed one of its rank checks."""

@@ -27,8 +27,8 @@ from math import gcd
 from operator import mul
 
 from .errors import GcdOne, InternalError, NonConvergent
-from .linalg import IntMatrix, IntVector, RatVector, _apply_power, _inverse_parts, _solve_parts
-from .linalg import is_expanding, xgcd
+from .linalg import IntMatrix, IntVector, RatVector, _apply_power, _inverse_parts
+from .linalg import _over_common_denominator, _solve_parts, is_expanding, xgcd
 
 _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
@@ -160,11 +160,6 @@ def _contraction_data(m: IntMatrix):
         if k == 10 * m.n and not is_expanding(m):
             raise NonConvergent("matrix is not expanding: no power of its inverse contracts")
         power, scale, k = power * adj, scale * d, k + 1
-
-
-def _over_common_denominator(x: RatVector) -> tuple[list[int], int]:
-    den = x.denominator_lcm()
-    return [e.numerator * (den // e.denominator) for e in x], den
 
 
 def _check_tail_eps(tail_eps):
@@ -383,18 +378,19 @@ def witness_orthogonal_family(inst, w: Witness, count: int) -> list[RatVector]:
     for k = 0, ..., count-1.  Any two of them differ by (M*)^{j} applied
     to (alpha + integer vector), so the mask kills factor j and every
     pair is certifiable; the family realizes, at finite scale, the
-    infinite orthogonal set the witness promises.
+    infinite orthogonal set the witness promises.  Works on the integers
+    of alpha = a / den: each sum of (M^T)^{i ell} a must be 0 mod den.
     """
-    step = inst.m.transpose().to_rat() ** w.ell
-    out = [RatVector([0] * inst.m.n)]
-    term = w.alpha
-    acc = RatVector([0] * inst.m.n)
+    mt = inst.m.transpose().rows
+    term, den = _over_common_denominator(w.alpha)
+    acc = [0] * inst.m.n
+    out = [RatVector(acc)]
     for _ in range(count - 1):
-        term = step * term
-        acc = acc + term
-        if not acc.is_integral():
+        term = _apply_power(mt, w.ell, term)
+        acc = [x + y for x, y in zip(acc, term)]
+        if any(x % den for x in acc):
             raise InternalError("orthogonal family member is not integral")
-        out.append(acc)
+        out.append(RatVector(x // den for x in acc))
     return out
 
 

@@ -21,7 +21,7 @@ from math import lcm
 
 from .conjugation import CompanionConjugation, map_spectrum
 from .errors import DuplicateFrequency, InternalError, NotDivisible, UnverifiedTriple
-from .linalg import IntMatrix, IntVector, _solve_parts, inverse
+from .linalg import IntMatrix, IntVector, _inverse_parts, _solve_parts
 
 
 class HadamardTriple:
@@ -72,12 +72,11 @@ class CandidateSpectrum:
     """Finite truncation of the canonical spectrum attached to a verified
     triple, expressed in the coordinates the instance was given in."""
 
-    __slots__ = ("depth", "frequencies", "frame")
+    __slots__ = ("depth", "frequencies")
 
-    def __init__(self, depth: int, frequencies, frame):
+    def __init__(self, depth: int, frequencies):
         self.depth = depth
         self.frequencies = list(frequencies)
-        self.frame = frame
 
     def __repr__(self):
         return f"CandidateSpectrum(depth={self.depth}, size={len(self.frequencies)})"
@@ -102,10 +101,10 @@ def construct_dual_digits(conj: CompanionConjugation, q: int) -> HadamardTriple:
 
 
 def phase_matrix(m: IntMatrix, digits, duals) -> PhaseMatrix:
-    """theta_kl = <m^{-1} d_k, s_l> mod 1, exact."""
-    m_inv = inverse(m)
-    pre = [m_inv * d for d in digits]
-    return PhaseMatrix([[x.dot(s) for s in duals] for x in pre])
+    """theta_kl = <m^{-1} d_k, s_l> mod 1 = <adj d_k, s_l> / d mod 1, m^{-1} = adj / d."""
+    adj, d = _inverse_parts(m)
+    pre = [adj * x for x in digits]
+    return PhaseMatrix([[Fraction(x.dot(s), d) for s in duals] for x in pre])
 
 
 # -- exact vanishing of root-of-unity sums ----------------------------------
@@ -231,7 +230,7 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
         freqs = [s.to_rat() for s in sums]
     if not freqs[0].is_zero():
         raise InternalError("candidate spectrum must start at 0")
-    return CandidateSpectrum(depth, freqs, triple.coordinate_frame)
+    return CandidateSpectrum(depth, freqs)
 
 
 __all__ = [

@@ -177,6 +177,17 @@ class RatVector(_Vector):
         return IntVector(int(e) for e in self.entries)
 
 
+def _over_common_denominator(x) -> tuple[tuple[int, ...], int]:
+    """(a, den) with x = a / den for an integer or rational vector, a
+    integral and den the lcm of the entry denominators."""
+    if isinstance(x, IntVector):
+        return x.entries, 1
+    if not isinstance(x, RatVector):
+        raise TypeError(f"vector expected, got {type(x).__name__}")
+    den = x.denominator_lcm()
+    return tuple(e.numerator * (den // e.denominator) for e in x), den
+
+
 class IntMatrix:
     """Immutable integer matrix.  Rectangular shapes are allowed; the
     operations that require squareness check for it themselves."""

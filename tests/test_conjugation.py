@@ -3,15 +3,19 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from affinespectra import conjugation
+from affinespectra.classify import ProblemInstance
 from affinespectra.conjugation import (
     BlockDecomposition,
     _companion_conjugate,
     block_decompose,
     companion_conjugate,
     companion_matrix,
+    leading_block,
     map_spectrum,
-    reduce_dimension,
 )
 from affinespectra.errors import FullRank, InternalError, InternalRankError, NotFullRank, Singular
 from affinespectra.linalg import (
@@ -21,6 +25,7 @@ from affinespectra.linalg import (
     RatVector,
     char_poly,
     det,
+    inverse,
     inverse_unimodular,
     krylov,
     rank,
@@ -114,7 +119,7 @@ def test_companion_conjugate_fixture():
     assert conj.m_tilde == IntMatrix([[0, 1, 0], [0, 0, 1], [-36, 0, 0]])
     assert conj.b == IntMatrix([[4, 4, 0], [-8, 2, 0], [10, -4, 1]])
     assert conj.v_tilde == IntVector([0, 0, 1])
-    assert (conj.b_inv * V_CUBE).to_int() == conj.v_tilde
+    assert (inverse(conj.b) * V_CUBE).to_int() == conj.v_tilde
     assert det(conj.b) == 40
 
 
@@ -212,30 +217,33 @@ def test_block_decompose_random_properties():
         assert det(m) == det(d.m1) * det(d.m2)
 
 
-def test_reduce_dimension_fixture():
-    red = reduce_dimension(block_decompose(M_DIAG, V_DIAG), 6)
-    assert red.m1 == IntMatrix([[4]])
-    assert red.v_prime == IntVector([1])
-    assert red.q == 6
-    red2 = reduce_dimension(block_decompose(M_DIAG, V_DIAG), 2)
-    assert red2.q == 2
-    # reduced instance always feeds the companion branch
-    assert krylov(red.m1, red.v_prime)[1] == red.m1.n
+def test_leading_block_of_the_reduced_fixture():
+    lead = ProblemInstance(M_DIAG, V_DIAG, 6).leading
+    assert (lead.r, lead.m1, lead.v1) == (1, IntMatrix([[4]]), IntVector([1]))
+    # the reduced pair always feeds the companion branch
+    assert krylov(lead.m1, lead.v1)[1] == lead.r
 
 
-def test_reduce_dimension_guards_rank():
+def test_leading_block_guards_the_reduced_vector(monkeypatch):
+    # v = (1, 1, 0) under diag(2, 3, 5) has Krylov rank 2 and minimal
+    # polynomial (x - 2)(x - 3), which fails on m1 = diag(2, 7) and x = (0, 1)
+    # since (7 - 2)(7 - 3) != 0.  x = (1, 0) would not do: (x - 2)(x - 3)
+    # annihilates it although it generates only rank 1, as the guard checks
+    # annihilation, not rank.  The rank of (m1, v1) rests on b being
+    # unimodular, which _hnf_unimodular checks as b b^-1 = I.
     bad = BlockDecomposition(
         b=IntMatrix.identity(3),
         b_inv=IntMatrix.identity(3),
         r=2,
-        m1=IntMatrix([[2, 0], [0, 3]]),
+        m1=IntMatrix([[2, 0], [0, 7]]),
         c=IntMatrix([[0], [0]]),
         m2=IntMatrix([[5]]),
-        x=IntVector([1, 0]),  # generates rank 1, not 2
+        x=IntVector([0, 1]),
         m2_char_poly=IntPolynomial([-5, 1]),
     )
-    with pytest.raises(InternalRankError):
-        reduce_dimension(bad, 2)
+    monkeypatch.setattr(conjugation, "_block_decompose", lambda *args: bad)
+    with pytest.raises(InternalRankError, match="annihilate"):
+        leading_block(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]), IntVector([1, 1, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +290,47 @@ def test_map_spectrum_errors():
         map_spectrum(IntMatrix([[1, 2], [2, 4]]), [RatVector([1, 0])], "forward")
     with pytest.raises(ValueError):
         map_spectrum(IntMatrix.identity(2), [RatVector([1, 0])], "sideways")
+
+
+@st.composite
+def _transport_cases(draw, singular=False):
+    """(b, frequencies): b of size 1-5, either sign of det (or singular,
+    its last row a combination of the others), with IntVector and
+    RatVector frequencies."""
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    if singular:
+        c = draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+        rows[-1] = [sum(k * row[j] for k, row in zip(c, rows)) for j in range(n)]
+    elif draw(st.booleans()):
+        rows[0] = [-x for x in rows[0]]  # flips the sign of det b
+    b = IntMatrix(rows)
+    rat = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    lams = draw(st.lists(st.one_of(
+        st.lists(entry, min_size=n, max_size=n).map(IntVector),
+        st.lists(rat, min_size=n, max_size=n).map(RatVector),
+    ), max_size=4))
+    return b, lams
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_transport_cases())
+def test_map_spectrum_matches_the_rational_transport(case):
+    # oracle: the rational matrix products the integer transport replaced
+    b, lams = case
+    assume(det(b) != 0)
+    assert map_spectrum(b, lams, "forward") == [b.transpose().to_rat() * lam for lam in lams]
+    assert map_spectrum(b, lams, "inverse") == [inverse(b).transpose() * lam for lam in lams]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_transport_cases(singular=True))
+def test_map_spectrum_rejects_a_singular_basis_both_ways(case):
+    b, lams = case
+    for direction in ("forward", "inverse"):
+        with pytest.raises(Singular, match="invertible basis matrix"):
+            map_spectrum(b, lams, direction)
 
 
 def test_block_rank_matches_krylov():

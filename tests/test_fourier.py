@@ -8,7 +8,7 @@ import pytest
 
 from affinespectra.classify import ProblemInstance
 from affinespectra.conjugation import map_spectrum
-from affinespectra.errors import GcdOne, NonConvergent
+from affinespectra.errors import GcdOne, InternalError, NonConvergent
 from affinespectra import fourier, linalg
 from affinespectra.fourier import (
     certify_orthogonal,
@@ -507,6 +507,38 @@ def test_witness_family_reduced_case():
     for i in range(8):
         for j in range(i + 1, 8):
             assert certify_orthogonal(inst, family[i], family[j], j_max=10) is not None
+
+
+def test_witness_family_matches_rational_powers():
+    # oracle: partial sums of the rational matrix power (M^T)^ell applied
+    # to alpha, for witnesses of depth 1-3 in full and reduced frames
+    insts = [
+        ProblemInstance(M_DIAG, V_DIAG, 6),
+        _inst([[0, 2], [3, 0]], [2, 0], 2),
+        *(inst for inst, constructible in _random_witness_instances() if constructible),
+        *_random_block_witness_instances(60),
+    ]
+    seen = set()
+    for inst in insts:
+        w = construct_witness(inst)
+        if w.ell > 3:
+            continue
+        seen.add((inst.leading.decomp is None, w.ell))
+        step = inst.m.transpose().to_rat() ** w.ell
+        term, acc, expected = w.alpha, RatVector([0] * inst.m.n), [RatVector([0] * inst.m.n)]
+        for _ in range(5):
+            term = step * term
+            acc = acc + term
+            expected.append(acc)
+        assert witness_orthogonal_family(inst, w, 6) == expected, inst.m
+    assert seen == {(full, ell) for full in (True, False) for ell in (1, 2, 3)}
+
+
+def test_witness_family_rejects_a_non_integral_member():
+    inst = _inst([[4]], [1], 2)
+    w = Witness(RatVector([Fraction(1, 8)]), 1, Fraction(1, 8), IntVector([0]))
+    with pytest.raises(InternalError, match="not integral"):
+        witness_orthogonal_family(inst, w, 3)
 
 
 def test_mu_hat_vanishes_on_certified_pairs():

@@ -97,6 +97,28 @@ def test_phase_matrix_lebesgue():
     assert theta == PhaseMatrix([[0, 0], [0, Fraction(1, 2)]])
 
 
+@st.composite
+def _phase_cases(draw):
+    """Nonsingular m of size 1-4 with det of either sign, and digit and
+    dual vectors with small integer entries."""
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-5, 5)
+    vec = st.lists(entry, min_size=n, max_size=n).map(IntVector)
+    m = IntMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(det(m) != 0)
+    return m, draw(st.lists(vec, min_size=1, max_size=5)), draw(st.lists(vec, min_size=1, max_size=5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_phase_cases())
+def test_phase_matrix_matches_the_rational_inverse(case):
+    # oracle: theta_kl = <m^-1 d_k, s_l> mod 1 through the rational inverse
+    m, digits, duals = case
+    m_inv = inverse(m)
+    expected = [[(m_inv * d).dot(s) % 1 for s in duals] for d in digits]
+    assert phase_matrix(m, digits, duals).rows == tuple(map(tuple, expected))
+
+
 def test_phase_matrix_singular():
     with pytest.raises(Singular):
         phase_matrix(IntMatrix([[1, 2], [2, 4]]), [IntVector([0, 0])], [IntVector([0, 0])])

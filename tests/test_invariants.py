@@ -10,11 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from affinespectra import conjugation, hadamard, linalg
+from affinespectra import conjugation, fourier, hadamard, linalg
 from affinespectra.classify import ProblemInstance, classify, leading_triple
 from affinespectra.cli import main
 from affinespectra.errors import InternalError, InternalRankError
-from affinespectra.linalg import IntMatrix, IntVector, char_poly, det
+from affinespectra.fourier import construct_witness, witness_orthogonal_family
+from affinespectra.hadamard import candidate_spectrum, verify_hadamard
+from affinespectra.linalg import IntMatrix, IntVector, RatMatrix, char_poly, det
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "affinespectra"
@@ -240,3 +242,35 @@ def test_completeness_evidence_verifies_the_triple_once(monkeypatch, tmp_path, c
     assert report["evidence"]["kind"] == "completeness"
     assert report["certificate"]["reverified"] is True
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# spectra and phases travel as integers over one denominator
+# ---------------------------------------------------------------------------
+
+
+def test_spectra_and_phases_make_no_rational_matrix(monkeypatch, tmp_path, capsys):
+    cube = ProblemInstance(IntMatrix(CUBE["matrix"]), IntVector(CUBE["v"]), CUBE["q"])
+    diag = ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), 6)
+    path = tmp_path / "rank-one.json"
+    path.write_text(json.dumps(RANK_ONE))
+
+    def refuse(*args):
+        raise AssertionError("rational matrix built on a spectrum or phase path")
+
+    monkeypatch.setattr(RatMatrix, "__mul__", refuse)
+    monkeypatch.setattr(RatMatrix, "__pow__", refuse)
+    for module in (linalg, conjugation, hadamard, fourier):
+        monkeypatch.setattr(module, "inverse", refuse, raising=False)
+    # the companion frame maps the cube's spectrum back by b^{-T}
+    spectrum = candidate_spectrum(leading_triple(cube), 3)
+    assert len(spectrum.frequencies) == 216 and spectrum.frequencies[0].is_zero()
+    # rank 1 at q = 4: b^{-T} out of the companion frame, then b^T out of the block
+    assert main(["spectrum", "--input", str(path), "--depth", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 16
+    # not collinear, so the cyclotomic path reads phase_matrix
+    square = [IntVector([0, 0]), IntVector([1, 0]), IntVector([0, 1]), IntVector([1, 1])]
+    assert verify_hadamard(IntMatrix([[2, 0], [0, 2]]), square, square)
+    w = construct_witness(diag)
+    family = witness_orthogonal_family(diag, w, 4)
+    assert all(lam.is_integral() for lam in family)
