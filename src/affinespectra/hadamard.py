@@ -3,13 +3,14 @@
 For a companion-form pair whose determinant is divisible by q, the dual
 set {0, ..., q-1} u with u = (-a_n/q, 0, ..., 0) makes the digit/dual
 phase matrix a scaled discrete Fourier matrix, hence unitary.  Unitarity
-is decided exactly, so a True from verify_hadamard is a proof, not a
-numerical observation.  Consecutive collinear digits {0, w, ..., (q-1)w},
-the only kind the classifier builds, make every off-diagonal entry of
-H*H a geometric sum with a closed-form zero set (Laba-Wang), in any
-order, which one pass over the duals decides; any other digit set falls
-back to reducing each column-pair sum of roots of unity, written as an
-integer polynomial, modulo the appropriate cyclotomic polynomial.
+is decided exactly: a True is a proof, not a numerical observation.  A
+HadamardTriple keeps its digits {0, w, ..., (q-1)w} and duals
+{0, u, ..., (q-1)u} as (w, u, q) and decides itself by one linear solve
+and one gcd (Laba-Wang), so the classifier builds no list of q vectors.
+The list path, verify_hadamard, serves reports: consecutive collinear
+digits in any order take that closed form in one pass over the duals,
+and any other digit set reduces each column-pair sum of roots of unity
+modulo a cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -17,37 +18,52 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .conjugation import CompanionConjugation, map_spectrum
-from .errors import DuplicateFrequency, InternalError, NotDivisible, UnverifiedTriple
+from .errors import DuplicateFrequency, InternalError, NotDivisible, TooLarge, UnverifiedTriple
 from .linalg import IntMatrix, IntVector, _inverse_parts, _solve_parts
+
+_SPECTRUM_CAP = 2**16  # frequencies a candidate spectrum may hold
 
 
 class HadamardTriple:
-    """Matrix, digit set, and dual set, with a verification flag that only
-    verify_hadamard sets."""
+    """Matrix m, digits {0, w, ..., (q-1)w} and duals {0, u, ..., (q-1)u}, listed
+    on first read.  verify() alone sets ``verified``: with m^{-1} w = x / d and
+    T = <x, u>, H is unitary iff q T = 0 mod d and gcd(q T / d, q) = 1."""
 
-    __slots__ = ("m", "digits", "duals", "coordinate_frame", "verified")
+    __slots__ = ("m", "w", "u", "q", "coordinate_frame", "verified", "_digits", "_duals")
 
-    def __init__(self, m: IntMatrix, digits, duals, coordinate_frame=None):
-        self.m = m
-        self.digits = list(digits)
-        self.duals = list(duals)
-        self.coordinate_frame = coordinate_frame
-        self.verified = False
+    def __init__(self, m: IntMatrix, w: IntVector, u: IntVector, q: int, coordinate_frame=None):
+        self.m, self.w, self.u, self.q = m, w, u, q
+        self.coordinate_frame, self.verified = coordinate_frame, False
+        self._digits = self._duals = None
 
     @property
-    def q(self) -> int:
-        return len(self.digits)
+    def digits(self) -> list:
+        if self._digits is None:
+            self._digits = list(map(IntVector._make, _progression(self.w, self.q)))
+        return self._digits
+
+    @property
+    def duals(self) -> list:
+        if self._duals is None:
+            self._duals = list(map(IntVector._make, _progression(self.u, self.q)))
+        return self._duals
 
     def verify(self) -> bool:
-        ok = verify_hadamard(self.m, self.digits, self.duals)
-        self.verified = ok
-        return ok
+        x, d = _solve_parts(self.m, self.w)
+        qt = self.q * x.dot(self.u)
+        self.verified = self.q == 1 or (qt % d == 0 and gcd(qt // d, self.q) == 1)
+        return self.verified
 
     def __repr__(self):
         return f"HadamardTriple(q={self.q}, verified={self.verified})"
+
+
+def _progression(w: IntVector, q: int):
+    """The entries of 0, w, ..., (q-1) w, zipped from one range per coordinate."""
+    return zip(*(range(0, q * e, e) if e else itertools.repeat(0, q) for e in w.entries))
 
 
 class PhaseMatrix:
@@ -94,10 +110,8 @@ def construct_dual_digits(conj: CompanionConjugation, q: int) -> HadamardTriple:
     a_n = -conj.m_tilde.rows[n - 1][0]
     if a_n % q != 0:
         raise NotDivisible(f"q={q} does not divide |det| = {abs(a_n)}")
-    u = IntVector([-a_n // q] + [0] * (n - 1))
-    digits = [conj.v_tilde.scaled(k) for k in range(q)]
-    duals = [u.scaled(k) for k in range(q)]
-    return HadamardTriple(conj.m_tilde, digits, duals, coordinate_frame=conj)
+    u = IntVector._make((-a_n // q,) + (0,) * (n - 1))
+    return HadamardTriple(conj.m_tilde, conj.v_tilde, u, q, coordinate_frame=conj)
 
 
 def phase_matrix(m: IntMatrix, digits, duals) -> PhaseMatrix:
@@ -189,10 +203,9 @@ def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
     """
     if len(digits) != len(duals):
         raise ValueError("digit and dual sets must have equal size")
-    keys = [tuple(d) for d in digits]
-    w = min((d for d, key in zip(digits, keys) if any(key)),
-            key=lambda d: sum(abs(e) for e in d), default=None)
-    if w is not None and set(keys) == {tuple(k * e for e in w) for k in range(len(keys))}:
+    w = min((d for d in digits if any(d.entries)),
+            key=lambda d: sum(map(abs, d.entries)), default=None)
+    if w is not None and {d.entries for d in digits} == set(_progression(w, len(digits))):
         return _verify_collinear(m, w, duals)
     return _verify_cyclotomic(m, digits, duals)
 
@@ -200,17 +213,19 @@ def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
 def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
     """All depth-length dual expansions sum_{j<k} (M*)^j s_j.
 
-    Requires a verified triple; the q^depth sums must be pairwise distinct
-    (a collision would contradict unitarity and raises
-    DuplicateFrequency).  Frequencies are returned mapped out of the
-    companion frame when one is recorded, so they live in the same
-    coordinates as the instance the triple came from; 0 is always first.
+    Requires a verified triple and at most _SPECTRUM_CAP sums (TooLarge,
+    before any is built); the q^depth sums must be pairwise distinct (a
+    collision would contradict unitarity and raises DuplicateFrequency).
+    Frequencies are returned mapped out of the companion frame when one is
+    recorded, so they live in the instance's coordinates; 0 is always first.
     """
     if not triple.verified:
         raise UnverifiedTriple("run verify() before expanding a spectrum")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    q, mt, layers = triple.q, triple.m.transpose(), [list(triple.duals)]
+    if triple.q ** min(depth, _SPECTRUM_CAP.bit_length()) > _SPECTRUM_CAP:  # q >= 2 passes it by then
+        raise TooLarge(f"{triple.q}^{depth} frequencies exceed the cap of {_SPECTRUM_CAP}")
+    q, mt, layers = triple.q, triple.m.transpose(), [triple.duals]
     while len(layers) < depth:  # layer j holds (M*)^j s for each dual s
         layers.append([mt * s for s in layers[-1]])
     sums = []

@@ -137,7 +137,7 @@ class IntVector(_Vector):
     def dot(self, other):
         if len(other) != len(self):
             raise ValueError("dimension mismatch")
-        return sum(a * b for a, b in zip(self.entries, other))
+        return sum(map(mul, self.entries, other))
 
     def to_rat(self) -> "RatVector":
         return RatVector(Fraction(e) for e in self.entries)
@@ -622,22 +622,23 @@ def _solve(rows, rhs) -> tuple[list[list[int]] | None, int]:
 
     The last pivot D of the elimination of [A | W] is +-det A, and
     back-substitution solves U x = D c column by column: x = D A^{-1} w is
-    integral by Cramer's rule, so each division is exact (checked)."""
+    integral by Cramer's rule, so each division is exact (checked).  Scaling
+    by det A = sign D gives adj(A) w, and x's unsolved entries are 0."""
     n, width = len(rows), len(rows) + len(rhs)
     a = [list(row) + [w[i] for w in rhs] for i, row in enumerate(rows)]
     r, sign, prev = _eliminate(a, n)
     if r < n:
         return None, 0
-    cols = []
+    d, cols = sign * prev, []
     for c in range(n, width):
         x = [0] * n
         for i in reversed(range(n)):
             row = a[i]
-            x[i], rem = divmod(prev * row[c] - sum(map(mul, row[i + 1:n], x[i + 1:])), row[i])
+            x[i], rem = divmod(d * row[c] - sum(map(mul, row, x)), row[i])
             if rem:
                 raise InternalError("back-substitution must be exact")
-        cols.append([sign * e for e in x])
-    return cols, sign * prev
+        cols.append(x)
+    return cols, d
 
 
 def _adjugate(rows) -> tuple[list[list[int]] | None, int]:
@@ -645,7 +646,7 @@ def _adjugate(rows) -> tuple[list[list[int]] | None, int]:
     ``_solve`` against the columns of the identity."""
     n = len(rows)
     cols, d = _solve(rows, [[int(i == j) for i in range(n)] for j in range(n)])
-    return (None if cols is None else [list(row) for row in zip(*cols)]), d
+    return (None if cols is None else list(map(list, zip(*cols)))), d
 
 
 def _solve_parts(m: IntMatrix, w) -> tuple[IntVector, int]:
@@ -657,8 +658,7 @@ def _solve_parts(m: IntMatrix, w) -> tuple[IntVector, int]:
     cols, d = _solve(m.rows, [w])
     if d == 0:
         raise Singular("matrix is singular")
-    s = 1 if d > 0 else -1
-    return IntVector._make(tuple(s * e for e in cols[0])), s * d
+    return IntVector._make(tuple(cols[0]) if d > 0 else tuple(-e for e in cols[0])), abs(d)
 
 
 def _inverse_parts(m: IntMatrix) -> tuple[IntMatrix, int]:
@@ -668,8 +668,8 @@ def _inverse_parts(m: IntMatrix) -> tuple[IntMatrix, int]:
     adj, d = _adjugate(m.rows)
     if d == 0:
         raise Singular("matrix is singular")
-    s = 1 if d > 0 else -1
-    return IntMatrix._make(tuple(tuple(s * x for x in row) for row in adj)), s * d
+    rows = map(tuple, adj) if d > 0 else (tuple(-x for x in row) for row in adj)
+    return IntMatrix._make(tuple(rows)), abs(d)
 
 
 def inverse(m) -> RatMatrix:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -434,6 +435,18 @@ def test_clique_too_large_exits_2(write, capsys):
         capsys, "clique", "--input", write(CUBE), "--box", "10", "--lattice-den", "10"
     )
     assert code == 2
+
+
+def test_spectrum_beyond_the_cap_exits_2_quickly(write, capsys):
+    # classify is cheap at any q, so the 10^18 sums are refused up front
+    inst = {"matrix": [[10**6]], "v": [1], "q": 10**6}
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "spectrum", "--input", write(inst), "--depth", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "1000000^3" in lines[0] and "65536" in lines[0]
 
 
 @pytest.mark.parametrize(

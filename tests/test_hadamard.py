@@ -2,6 +2,8 @@
 
 import cmath
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from unittest import mock
@@ -18,6 +20,7 @@ from affinespectra.errors import (
     DuplicateFrequency,
     NotDivisible,
     Singular,
+    TooLarge,
     UnverifiedTriple,
 )
 from affinespectra.fourier import certify_orthogonal
@@ -62,6 +65,21 @@ def test_construct_dual_digits_fixture():
     assert triple.duals[5] == IntVector([-30, 0, 0])
     assert triple.digits == [IntVector([0, 0, k]) for k in range(6)]
     assert _cube_triple(36).duals[1] == IntVector([-1, 0, 0])
+
+
+def test_progressions_are_the_scaled_lists():
+    # the lazy lists are the k v~ and l u of the companion pair, built once
+    conj = companion_conjugate(COMPANION_CUBE, IntVector([0, 0, 1]))
+    for q in (2, 3, 6, 12, 36):
+        triple = construct_dual_digits(conj, q)
+        u = IntVector([-36 // q, 0, 0])
+        assert (triple.w, triple.u, triple.q) == (conj.v_tilde, u, q)
+        assert triple.digits == [conj.v_tilde.scaled(k) for k in range(q)]
+        assert triple.duals == [u.scaled(k) for k in range(q)]
+        assert triple.digits is triple.digits and triple.duals is triple.duals
+    mixed = HadamardTriple(IntMatrix([[2, 0], [0, 3]]), IntVector([-2, 0]), IntVector([0, 5]), 4)
+    assert mixed.digits == [IntVector([-2 * k, 0]) for k in range(4)]
+    assert mixed.duals == [IntVector([0, 5 * k]) for k in range(4)]
 
 
 def test_construct_dual_digits_one_dimensional():
@@ -402,6 +420,52 @@ def test_closed_form_and_cyclotomic_unitarity_agree(case):
         assert spy.call_count == 1
 
 
+@st.composite
+def _progression_triples(draw):
+    """The triple of a random expanding companion pair with q | p(0), with
+    its constructed dual step u or a random one (mostly not unitary), and a
+    random source for shuffling its digits."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(2, 16))
+    c = q * draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    comp = companion_matrix(
+        IntPolynomial([c] + [draw(st.integers(-2, 2)) for _ in range(n - 1)] + [1])
+    )
+    assume(is_expanding(comp))
+    built = construct_dual_digits(companion_conjugate(comp, IntVector([0] * (n - 1) + [1])), q)
+    entries = st.lists(st.integers(-2 * abs(c), 2 * abs(c)), min_size=n, max_size=n)
+    u = draw(st.one_of(st.just(built.u), entries.map(IntVector)))
+    return HadamardTriple(built.m, built.w, u, q), draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_progression_triples())
+def test_progression_verify_matches_the_list_paths(case):
+    triple, rng = case
+    exact = verify_hadamard(triple.m, triple.digits, triple.duals)
+    assert triple.verify() is exact and triple.verified is exact
+    shuffled = rng.sample(triple.digits, triple.q)
+    assert verify_hadamard(triple.m, shuffled, triple.duals) is exact
+    if triple.q <= 12:
+        assert hadamard._verify_cyclotomic(triple.m, triple.digits, triple.duals) == exact
+
+
+def test_classify_cost_does_not_grow_with_q():
+    # the classifier's triple is decided on (m, w, u, q); no digit or dual
+    # list is built, so q = 10^6 costs what q = 2 does
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        c = classify(ProblemInstance(IntMatrix([[10**6]]), IntVector([1]), 10**6))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.verdict is Verdict.SPECTRAL and c.certificate.triple.verified
+    assert elapsed < 1.0, elapsed
+    assert peak < 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # candidate spectra
 # ---------------------------------------------------------------------------
@@ -428,10 +492,22 @@ def test_candidate_spectrum_requires_verification():
         candidate_spectrum(triple, 0)
 
 
+def test_candidate_spectrum_refuses_oversize_before_building():
+    # 6^7 = 279936 sums exceed the cap; a depth of 10^9 is refused as fast,
+    # without q^depth being computed
+    triple = _cube_triple(6)
+    assert triple.verify()
+    with pytest.raises(TooLarge, match=r"6\^7 frequencies exceed the cap of 65536"):
+        candidate_spectrum(triple, 7)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        candidate_spectrum(triple, 10**9)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_candidate_spectrum_detects_collisions():
-    triple = HadamardTriple(
-        IntMatrix([[4]]), [IntVector([0]), IntVector([1])], [IntVector([0]), IntVector([0])]
-    )
+    # the dual progression of u = 0 repeats the frequency 0
+    triple = HadamardTriple(IntMatrix([[4]]), IntVector([1]), IntVector([0]), 2)
     triple.verified = True  # forced: collisions only occur on non-unitary input
     with pytest.raises(DuplicateFrequency):
         candidate_spectrum(triple, 1)

@@ -234,7 +234,12 @@ def test_reduced_pair_must_satisfy_the_minimal_polynomial(monkeypatch):
 def test_completeness_evidence_verifies_the_triple_once(monkeypatch, tmp_path, capsys):
     path = tmp_path / "cube.json"
     path.write_text(json.dumps(CUBE))
-    calls = _count_calls(monkeypatch, hadamard, "verify_hadamard")
+    # the classifier decides its own triple by HadamardTriple.verify, the
+    # closed form on the two progressions, and never by the list path
+    calls = []
+    original = hadamard.HadamardTriple.verify
+    monkeypatch.setattr(hadamard.HadamardTriple, "verify", lambda t: calls.append(t) or original(t))
+    list_calls = _count_calls(monkeypatch, hadamard, "verify_hadamard")
     code = main(["classify", "--input", str(path), "--evidence", "completeness",
                  "--depth", "1", "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -242,6 +247,7 @@ def test_completeness_evidence_verifies_the_triple_once(monkeypatch, tmp_path, c
     assert report["evidence"]["kind"] == "completeness"
     assert report["certificate"]["reverified"] is True
     assert len(calls) == 1
+    assert list_calls == []
 
 
 # ---------------------------------------------------------------------------
