@@ -12,12 +12,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 from .errors import TooLarge
-from .fourier import _check_tail_eps, _contraction_data, _vanishing_factor, mu_hat
-from .linalg import RatVector
+from .fourier import _check_tail_eps, _contraction_data, _factor_bound, _transform_many, _vanishing_factor
+from .linalg import RatVector, _over_common_denominator
 
 _CANDIDATE_CAP = 5000
+# completeness work: frequencies x probes x factors x (n^2 + 24), a factor
+# being n^2 multiply-adds plus a mask and tail bound costing about 24 more
+_COMPLETENESS_CAP = 2**25
 
 
 class CliqueReport:
@@ -206,6 +210,22 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
 # ---------------------------------------------------------------------------
 
 
+def _differences(xi, lam_nums, lam_den: int, n: int):
+    """(points, den): xi - lam = point / den for each frequency numerator
+    lam = b / lam_den, in order.  A frequency whose length differs from
+    xi's, then a difference of the wrong dimension, raises the ValueError
+    that subtracting the vectors and mu_hat raised, at the same pair."""
+    a, xi_den = _over_common_denominator(xi)
+    den = lcm(xi_den, lam_den)
+    sa, sb = den // xi_den, den // lam_den
+    points = []
+    for b in lam_nums:
+        points.append(tuple(x * sa - y * sb for x, y in zip(a, b, strict=True)))
+        if len(a) != n:
+            raise ValueError("frequency dimension does not match the instance")
+    return points, den
+
+
 def completeness_defect(inst, spectrum, probes, tail_eps: float = 1e-9) -> CompletenessReport:
     """1 - sum over the spectrum of |mu_hat(xi - lambda)|^2 at each probe.
 
@@ -213,21 +233,35 @@ def completeness_defect(inst, spectrum, probes, tail_eps: float = 1e-9) -> Compl
     depth grows; values far from 0 (or clearly negative) witness that the
     frequency set is not behaving like an orthonormal system.  Accepts a
     CandidateSpectrum or any list of frequencies, since comparing good
-    and bad frequency sets is the point of the diagnostic.  Raises
-    ValueError unless tail_eps is finite and positive.
+    and bad frequency sets is the point of the diagnostic.  Each probe
+    runs one lockstep transform over all its differences, summed in
+    frequency order.  Raises ValueError unless tail_eps is finite and
+    positive, and TooLarge, before any transform, when frequencies x probes
+    x factors (bounded by fourier._factor_bound) x (n^2 + 24) exceeds
+    2^25, a few seconds of work at any dimension.
     """
     _check_tail_eps(tail_eps)
     freqs = getattr(spectrum, "frequencies", spectrum)
     depth = getattr(spectrum, "depth", None)
+    n, probes = inst.m.n, list(probes)
+    vectors = [xi if isinstance(xi, RatVector) else RatVector(xi) for xi in probes]
+    parts = [_over_common_denominator(lam) for lam in freqs]
+    lam_den = lcm(*(den for _, den in parts))
+    lam_nums = [tuple(x * (lam_den // den) for x in b) for b, den in parts]
+    if lam_nums and vectors:
+        radius = (max(max(map(abs, xi)) for xi in vectors)
+                  + Fraction(max(max(map(abs, b)) for b in lam_nums), lam_den))
+        cost = len(lam_nums) * len(vectors) * _factor_bound(inst, radius, tail_eps) * (n * n + 24)
+        if cost > _COMPLETENESS_CAP:
+            raise TooLarge(f"completeness evidence needs about {cost} steps, "
+                           f"over the cap of {_COMPLETENESS_CAP}")
     defects = []
-    for xi in probes:
-        xi = xi if isinstance(xi, RatVector) else RatVector(xi)
+    for xi in vectors:
         q_sum = 0.0
-        for lam in freqs:
-            val = mu_hat(inst, xi - lam, tail_eps)
-            q_sum += abs(val.value) ** 2
+        for value, _, _ in _transform_many(inst, *_differences(xi, lam_nums, lam_den, n), tail_eps):
+            q_sum += abs(value) ** 2
         defects.append(1.0 - q_sum)
-    return CompletenessReport(depth=depth, tail_eps=tail_eps, probes=list(probes), defects=defects)
+    return CompletenessReport(depth=depth, tail_eps=tail_eps, probes=probes, defects=defects)
 
 
 # ---------------------------------------------------------------------------

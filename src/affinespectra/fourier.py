@@ -19,6 +19,7 @@ nothing, and no function here claims otherwise.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -168,6 +169,100 @@ def _check_tail_eps(tail_eps):
         raise ValueError(f"tail_eps must be finite and positive, got {tail_eps!r}")
 
 
+def _tail_coefficient(inst) -> Fraction:
+    """c with |tail after factor j| <= pi c ||(M*)^{-j} xi||_inf: the
+    geometric bound s / (1 - rho) on the later power norms times |v|_1 (q - 1)."""
+    _, _, _, (_, rho, norm_sum), _ = _contraction_data(inst.m)
+    return norm_sum / (1 - rho) * sum(map(abs, inst.v.entries)) * (inst.q - 1)
+
+
+def _log(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+@lru_cache(maxsize=None)
+def _power_norms(m: IntMatrix):
+    """([], more): more yields ||P^i||_inf for i = 0, 1, ... in floats,
+    where P = (M*)^{-k} for the first contracting power k of
+    _contraction_data has each entry of (adj^T)^k / d^k rounded once; the
+    list keeps what _factor_bound has drawn, so each matrix pays once."""
+    def more():
+        _, adj_t, d, (k, _, _), _ = _contraction_data(m)
+        scale = d ** k
+        cols = list(zip(*([x / scale for x in row] for row in (adj_t ** k).rows)))
+        power = [[float(i == j) for j in range(m.n)] for i in range(m.n)]
+        while True:
+            yield max(sum(map(abs, row)) for row in power)
+            power = [[sum(map(mul, row, col)) for col in cols] for row in power]
+
+    return [], more()
+
+
+def _factor_bound(inst, radius: Fraction, tail_eps: float) -> int:
+    """The factors mu_hat takes, at most, at a frequency of sup norm at
+    most radius, up to float rounding.  With (k, rho, s) of (M*)^{-1} and
+    P = (M*)^{-k}, ||(M*)^{-j}||_inf <= max(1, s) ||P^i||_inf for j >= i k,
+    so the tail bound pi c ||(M*)^{-j} xi|| is below tail_eps from the
+    first i with max(1, s) ||P^i|| radius < tail_eps / (pi c).  The norms
+    ||P^i|| <= rho^i come from floats, in which the products only shrink;
+    past _MU_HAT_FACTOR_CAP factors the bound stops at the cap plus one."""
+    if radius == 0:
+        return 0
+    _, _, _, (k, _, norm_sum), _ = _contraction_data(inst.m)
+    log_target = (math.log(tail_eps / math.pi) - _log(_tail_coefficient(inst))
+                  - _log(max(Fraction(1), norm_sum)) - _log(radius))
+    norms, more = _power_norms(inst.m)
+    for i in itertools.count():
+        if i == len(norms):
+            norms.append(next(more))
+        if norms[i] == 0 or math.log(norms[i]) < log_target:
+            return max(1, i * k)
+        if i * k > _MU_HAT_FACTOR_CAP:
+            return _MU_HAT_FACTOR_CAP + 1
+
+
+def _transform_many(inst, numerators, den: int, tail_eps: float) -> list:
+    """(value, error, factors) of mu_hat at each point a / den, in order.
+
+    The points share one denominator, so they step through (adj^T)^j in
+    lockstep over den d^j, with no gcd taken: the zero test, the mask
+    phase and the tail bound read only the rational values t / den and
+    max|a| / den, and int / int rounds each once, as the float of the
+    reduced Fraction would.  A point leaves at its first exact mask zero,
+    with value 0, or once its tail bound is below tail_eps; the zero point
+    takes no factor.  Each product is multiplied in factor order."""
+    out = [(complex(1.0), 0.0, 0)] * len(numerators)
+    live = [(i, a, complex(1.0)) for i, a in enumerate(numerators) if any(a)]
+    if not live:
+        return out
+    _, adj_t, d, _, _ = _contraction_data(inst.m)
+    coeff = _tail_coefficient(inst)
+    c_num, c_den = coeff.numerator, coeff.denominator
+    q, v, rows = inst.q, inst.v.entries, adj_t.rows
+    j = 0
+    while live:
+        if j > _MU_HAT_FACTOR_CAP:
+            raise InternalError("transform truncation failed to converge")
+        den *= d
+        j += 1
+        scale = c_den * den
+        stepped = []
+        for i, a, product in live:
+            a = [sum(map(mul, row, a)) for row in rows]
+            t = sum(map(mul, a, v)) % den
+            if t and q * t % den == 0:
+                out[i] = (complex(0.0), 0.0, j)
+                continue
+            product *= _mask_from_phase(q, t, den)
+            tail = math.pi * (c_num * max(map(abs, a)) / scale)
+            if tail < tail_eps:
+                out[i] = (product, math.expm1(tail), j)
+            else:
+                stepped.append((i, a, product))
+        live = stepped
+    return out
+
+
 def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     """Fourier transform of the invariant measure, numerically.
 
@@ -176,37 +271,16 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     and geometric decay of the exact power norms.  If any factor is an
     exact rational zero the product short-circuits to exactly 0.  The
     returned error field bounds |true - value| absolutely.  The iterate
-    (M*)^{-j} xi is kept exactly as (adj^T)^j a over L d^j, gcd removed.
+    (M*)^{-j} xi is kept exactly as (adj^T)^j a over L d^j, by the kernel
+    that evidence.completeness_defect runs on many points at once.
     Raises ValueError unless tail_eps is finite and positive.
     """
     _check_tail_eps(tail_eps)
     xi = _as_rat_vector(xi)
     if len(xi) != len(inst.v):
         raise ValueError("frequency dimension does not match the instance")
-    if xi.is_zero():
-        return MuHatValue(complex(1.0), 0.0, 0)
-    _, adj_t, d, (_, rho, norm_sum), _ = _contraction_data(inst.m)
-    q, v = inst.q, inst.v.entries
-    coeff = Fraction(norm_sum, 1) / (1 - rho) * sum(abs(e) for e in v) * (q - 1)
     a, den = _over_common_denominator(xi)
-    product = complex(1.0)
-    j = 0
-    while True:
-        a = [sum(map(mul, row, a)) for row in adj_t.rows]
-        den *= d
-        g = gcd(den, *a)
-        a, den = [x // g for x in a], den // g
-        j += 1
-        t = sum(map(mul, a, v)) % den
-        if t and q * t % den == 0:
-            return MuHatValue(complex(0.0), 0.0, j)
-        product *= _mask_from_phase(q, t, den)
-        # int / int rounds once, as the float of the exact Fraction would
-        tail = math.pi * (coeff.numerator * max(map(abs, a)) / (coeff.denominator * den))
-        if tail < tail_eps:
-            return MuHatValue(product, math.expm1(tail), j)
-        if j > _MU_HAT_FACTOR_CAP:
-            raise InternalError("transform truncation failed to converge")
+    return MuHatValue(*_transform_many(inst, [a], den, tail_eps)[0])
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 from .conjugation import CompanionConjugation, map_spectrum
 from .errors import DuplicateFrequency, InternalError, NotDivisible, TooLarge, UnverifiedTriple
@@ -225,20 +226,22 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
         raise ValueError("depth must be at least 1")
     if triple.q ** min(depth, _SPECTRUM_CAP.bit_length()) > _SPECTRUM_CAP:  # q >= 2 passes it by then
         raise TooLarge(f"{triple.q}^{depth} frequencies exceed the cap of {_SPECTRUM_CAP}")
-    q, mt, layers = triple.q, triple.m.transpose(), [triple.duals]
-    while len(layers) < depth:  # layer j holds (M*)^j s for each dual s
-        layers.append([mt * s for s in layers[-1]])
-    sums = []
+    # level holds the sums over the first i digits in itertools.product
+    # order (first digit slowest), layer is (M*)^i applied to each dual;
+    # their entries are ints the package built, so no sum is re-validated
+    q, mt = triple.q, triple.m.transpose()
+    layer = triple.duals
+    level = [s.entries for s in layer]
+    for _ in range(depth - 1):
+        layer = [mt * s for s in layer]
+        level = [tuple(map(add, acc, s.entries)) for acc in level for s in layer]
     seen = set()
-    for choice in itertools.product(range(q), repeat=depth):
-        acc = layers[0][choice[0]]
-        for j in range(1, depth):
-            acc = acc + layers[j][choice[j]]
-        key = acc.entries
+    for index, key in enumerate(level):
         if key in seen:
+            choice = tuple(index // q ** (depth - 1 - j) % q for j in range(depth))
             raise DuplicateFrequency(f"expansion collision at digits {choice}")
         seen.add(key)
-        sums.append(acc)
+    sums = list(map(IntVector._make, level))
     if triple.coordinate_frame is not None:
         freqs = map_spectrum(triple.coordinate_frame.b, sums, "inverse")
     else:

@@ -449,6 +449,47 @@ def test_spectrum_beyond_the_cap_exits_2_quickly(write, capsys):
     assert "1000000^3" in lines[0] and "65536" in lines[0]
 
 
+# the 14-dimensional q = 8 instance of the dim-sweep benchmark (seed 42),
+# about 400 mu_hat factors at each of its 5120 (probe, frequency) pairs
+DIM14 = {
+    "matrix": [
+        [-286498, 357531, -307364, -523156, 348924, -286905, -599302, -481164, -110947, -711100, -417038, -173776, -1988278, 686327],
+        [43390, -11202, 4530, 34261, -46945, 38477, 59892, 44283, 13004, 46644, 27068, -1297, 175559, -40353],
+        [-279835, 289829, -242551, -446868, 334007, -274882, -543460, -424452, -101053, -609616, -357204, -136171, -1773952, 577814],
+        [273321, -401313, 352583, 548340, -349479, 288018, 614616, 492917, 119284, 760601, 450568, 206485, 2069622, -712378],
+        [272496, -281310, 235179, 434147, -325306, 267521, 528450, 413895, 99104, 592389, 347315, 131090, 1723663, -561107],
+        [507534, -650375, 561083, 953299, -614948, 505739, 1074347, 865339, 191511, 1285933, 751329, 319285, 3576126, -1261085],
+        [265833, -288627, 243243, 432813, -322939, 265407, 525260, 413510, 103007, 596881, 352115, 135549, 1718956, -555514],
+        [-6722, 27472, -26024, -23400, 16235, -13532, -27356, -21497, -10403, -41669, -27393, -16452, -98872, 24080],
+        [-102858, 123247, -105030, -199012, 114778, -93905, -212391, -174242, -28151, -252171, -142738, -58828, -705809, 276475],
+        [205919, -140214, 106952, 260418, -231164, 189842, 348134, 264536, 61473, 346820, 200079, 54425, 1097158, -335265],
+        [81040, -115855, 101239, 165702, -99327, 81603, 180139, 147320, 31544, 222625, 130022, 58019, 605635, -221195],
+        [35867, -11994, 6553, 31304, -38916, 32140, 51595, 37024, 10002, 42381, 24359, 1790, 154444, -37802],
+        [-134709, 158225, -134902, -236518, 162250, -133401, -274882, -218998, -50138, -320546, -187572, -76102, -907442, 310031],
+        [106662, -123065, 104812, 182006, -130120, 107083, 216229, 169416, 40500, 249964, 147066, 60321, 712936, -235324],
+    ],
+    "v": [282, -26, 215, -240, -218, -522, -217, -9, 147, -145, -97, -12, 126, -82],
+    "q": 8,
+}
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [{"matrix": [[-36]], "v": [1], "q": 36}, DIM14],
+    ids=["[[-36]] q=36", "14-D q=8"],
+)
+def test_completeness_beyond_its_budget_exits_2_quickly(write, capsys, inst):
+    # each of these ran for over half a minute before the budget existed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "classify", "--input", write(inst),
+                          "--evidence", "completeness", "--depth", "3")
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: completeness evidence needs about")
+    assert "over the cap of 33554432" in lines[0]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
