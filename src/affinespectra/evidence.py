@@ -13,9 +13,11 @@ import itertools
 import random
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
 from .errors import TooLarge
-from .fourier import _check_tail_eps, _contraction_data, _factor_bound, _transform_many, _vanishing_factor
+from .fourier import _check_j_max, _check_tail_eps, _contraction_data, _factor_bound, _transform_many
+from .fourier import _vanishing_factor
 from .linalg import RatVector, _over_common_denominator
 
 _CANDIDATE_CAP = 5000
@@ -83,8 +85,18 @@ class AttractorSample:
 def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
     """Exact maximum clique, branch and bound with a greedy coloring bound.
 
-    Vertex sets are bitmasks over the caller's fixed vertex order, which
-    keeps the search deterministic and the set operations cheap."""
+    A complete graph returns every vertex; otherwise the search runs on the
+    vertices relabelled by non-increasing degree, ties by index (the initial
+    order of Tomita and Seki's MCQ), and maps its clique back.  Vertex sets
+    are bitmasks, which keeps the search deterministic and cheap."""
+    full = (1 << n_vertices) - 1
+    if all(bits | 1 << v == full for v, bits in enumerate(adj_bits)):
+        return list(range(n_vertices))
+    by_degree = sorted(range(n_vertices), key=lambda v: -adj_bits[v].bit_count())
+    # each row relabelled in C: its bits as a string, vertex u at index u,
+    # picked in the new order, highest new index first
+    pick = itemgetter(*reversed(by_degree))
+    adj_bits = [int("".join(pick(f"{adj_bits[v]:0{n_vertices}b}"[::-1])), 2) for v in by_degree]
     # greedy warm start: a decent lower bound prunes most of the tree
     best_size = 0
     best_bits = 0
@@ -128,8 +140,8 @@ def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
             expand(rsize + 1, rbits | bit, cand & adj_bits[v])
             cand ^= bit
 
-    expand(0, 0, (1 << n_vertices) - 1)
-    return [v for v in range(n_vertices) if best_bits >> v & 1]
+    expand(0, 0, full)
+    return sorted(by_degree[i] for i in range(n_vertices) if best_bits >> i & 1)
 
 
 def _lattice_key(g, half: int) -> int:
@@ -137,10 +149,11 @@ def _lattice_key(g, half: int) -> int:
     return sum(x * (2 * half + 1) ** k for k, x in enumerate(g))
 
 
-def _lattice_point(key: int, n: int, half: int) -> list[int]:
-    """The n coordinates of a key: its balanced base-B digits, lowest first."""
-    base, key = 2 * half + 1, key + _lattice_key((half,) * n, half)  # digits + half
-    return [key // base ** k % base - half for k in range(n)]
+def _lattice_decoder(n: int, half: int):
+    """key -> its n coordinates, the balanced base-B digits lowest first."""
+    base = 2 * half + 1
+    powers, offset = [base ** k for k in range(n)], _lattice_key((half,) * n, half)
+    return lambda key: [(key + offset) // p % base - half for p in powers]
 
 
 def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max=None) -> CliqueReport:
@@ -149,13 +162,14 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     Exhaustive and exact for the stated lattice box; frequencies outside
     the lattice are invisible to it, so the result is evidence about the
     box, not a bound on orthogonal sets in general.  Raises TooLarge when
-    the box has more than 5000 lattice points.
+    the box has more than 5000 lattice points, or when an explicit j_max
+    needs more probe vectors than fourier._check_j_max allows.
 
-    Exact maximum clique is exponential in the worst case.  One- and
-    two-dimensional boxes stay fast at any permitted radius.  In three
-    dimensions each difference is certified once, so a box of mutually
-    orthogonal points takes seconds up to radius 6, but a dense instance on
-    which the search branches is only practical up to radius about 3.
+    Exact maximum clique is exponential in the worst case.  Each difference
+    is certified once and the search takes the vertices in degree order, which
+    also picks the clique returned among several of maximum size: dense 3-
+    and 4-D boxes of up to 2401 points took about a second or less, but one
+    of 3375 branched for over a minute.
     """
     ell = lattice_denominator
     n = inst.m.n
@@ -166,6 +180,7 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
         raise TooLarge(
             f"{per_axis ** n} lattice points exceed the cap of {_CANDIDATE_CAP}"
         )
+    _check_j_max(inst, j_max)
     # key(a) - key(b) = key(a - b), whose coordinates lie in [-2 N L, 2 N L].
     # Negating a difference maps each phase r to -r mod the modulus, keeping
     # every verdict, so abs() certifies each sign class once.  product over
@@ -173,29 +188,32 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     half = 2 * box_radius * ell
     span = range(-box_radius * ell, box_radius * ell + 1)
     keys = [_lattice_key(p, half) for p in itertools.product(span, repeat=n)]
-    cache: dict[int, bool] = {}
+    point = _lattice_decoder(n, half)
 
-    def certified_difference(key) -> bool:
-        return _vanishing_factor(inst, _lattice_point(key, n, half), ell, j_max) is not None
+    def certifies(key) -> bool:
+        return _vanishing_factor(inst, point(key), ell, j_max) is not None
 
-    def connected(key) -> bool:
-        key = abs(key)
-        if key not in cache:
-            cache[key] = certified_difference(key)
-        return cache[key]
-
-    neighbors_of_zero = [k for k in keys if k and connected(k)]
+    # the box is symmetric, so the positive keys hold every sign class
+    cache = {key: certifies(key) for key in keys if key > 0}
+    neighbors_of_zero = [k for k in keys if k and cache[abs(k)]]
     count = len(neighbors_of_zero)
     adj_bits = [0] * count
-    for i, j in itertools.combinations(range(count), 2):
-        if connected(neighbors_of_zero[i] - neighbors_of_zero[j]):
-            adj_bits[i] |= 1 << j
-            adj_bits[j] |= 1 << i
+    for i, a in enumerate(neighbors_of_zero):
+        row, bit = 0, 1 << i
+        for j in range(i + 1, count):
+            key = abs(a - neighbors_of_zero[j])
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = certifies(key)
+            if hit:
+                row |= 1 << j
+                adj_bits[j] |= bit
+        adj_bits[i] |= row
     clique = _max_clique(count, adj_bits)
-    witness = [0] + [neighbors_of_zero[i] for i in sorted(clique)]
+    witness = [0] + [neighbors_of_zero[i] for i in clique]
     # every witness pair re-checked by its raw difference, not via the cache
-    certified = all(map(certified_difference, {a - b for a, b in itertools.combinations(witness, 2)}))
-    witness = [RatVector([Fraction(g, ell) for g in _lattice_point(k, n, half)]) for k in witness]
+    certified = all(map(certifies, {a - b for a, b in itertools.combinations(witness, 2)}))
+    witness = [RatVector([Fraction(g, ell) for g in point(k)]) for k in witness]
     return CliqueReport(
         lattice_denominator=ell,
         box_radius=box_radius,

@@ -27,12 +27,13 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .errors import GcdOne, InternalError, NonConvergent
+from .errors import GcdOne, InternalError, NonConvergent, TooLarge
 from .linalg import IntMatrix, IntVector, RatVector, _apply_power, _inverse_parts
 from .linalg import _over_common_denominator, _solve_parts, is_expanding, xgcd
 
 _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
+_PROBE_BITS_CAP = 2**28
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 
 
@@ -291,27 +292,41 @@ def _probe_sequence(m: IntMatrix, v: IntVector) -> list:
     return [(v.entries, 1)]
 
 
+def _check_j_max(inst, j_max: int | None):
+    """Raise TooLarge, before any probe is built, if the n_j for j <= an
+    explicit j_max, which _probe_sequence keeps, need over 2^28 bits: each
+    has n entries of about j log2(d) bits, n j_max^2 log2(d) / 2 in all."""
+    if j_max is not None:
+        bits = inst.m.n * j_max * j_max * _contraction_data(inst.m)[2].bit_length() // 2
+        if bits > _PROBE_BITS_CAP:
+            raise TooLarge(f"certificates up to j_max = {j_max} need about {bits} bits "
+                           f"of probe vectors, over the cap of {_PROBE_BITS_CAP}")
+
+
 def _vanishing_factor(inst, a, den: int, j_max: int | None):
     """(j, r, modulus) for the first j <= j_max whose mask vanishes at
     (M*)^{-j} (a / den), with phase r / modulus = <a, n_j> / (den d^j) mod 1,
-    or None.  The default j_max grows with the reduced entries of a / den."""
-    if j_max is None:
+    or None.  The default j_max, 3n + bitlen(max reduced den * max reduced
+    num) of a / den, exceeds 3n, so it is computed only if j <= 3n fail."""
+    seq = _probe_sequence(inst.m, inst.v)
+    q, least = inst.q, 3 * inst.m.n
+    lo, hi = 1, least if j_max is None else j_max
+    while True:
+        for j in range(lo, hi + 1):
+            if j == len(seq):
+                adj, _, d, _, _ = _contraction_data(inst.m)
+                prev, scale = seq[-1]
+                seq.append((tuple(sum(map(mul, row, prev)) for row in adj.rows), scale * d))
+            n_j, d_j = seq[j]
+            modulus = den * d_j
+            r = sum(map(mul, a, n_j)) % modulus
+            if r and q * r % modulus == 0:
+                return j, r, modulus
+        if j_max is not None or lo > least:
+            return None
         max_den = max(den // gcd(x, den) for x in a)
         max_num = max(abs(x) // gcd(x, den) for x in a)
-        j_max = 3 * inst.m.n + (max_den * max_num).bit_length()
-    seq = _probe_sequence(inst.m, inst.v)
-    q = inst.q
-    for j in range(1, j_max + 1):
-        if j == len(seq):
-            adj, _, d, _, _ = _contraction_data(inst.m)
-            prev, scale = seq[-1]
-            seq.append((tuple(sum(map(mul, row, prev)) for row in adj.rows), scale * d))
-        n_j, d_j = seq[j]
-        modulus = den * d_j
-        r = sum(map(mul, a, n_j)) % modulus
-        if r and q * r % modulus == 0:
-            return j, r, modulus
-    return None
+        lo, hi = least + 1, least + (max_den * max_num).bit_length()
 
 
 def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
@@ -320,6 +335,7 @@ def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
     Returns an OrthogonalityCertificate for the first j <= j_max with
     mask((M*)^{-j}(lambda1 - lambda2)) = 0, or None when the search is
     exhausted.  None means NOT CERTIFIED; it never means "not orthogonal".
+    Raises TooLarge when an explicit j_max is over its budget (_check_j_max).
     """
     lambda1 = _as_rat_vector(lambda1)
     lambda2 = _as_rat_vector(lambda2)
@@ -328,6 +344,7 @@ def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
         raise ValueError("frequency dimension does not match the instance")
     if delta.is_zero():
         raise ValueError("frequencies must differ")
+    _check_j_max(inst, j_max)
     hit = _vanishing_factor(inst, *_over_common_denominator(delta), j_max)
     return None if hit is None else OrthogonalityCertificate(lambda1, lambda2, hit[0], Fraction(*hit[1:]))
 

@@ -520,6 +520,27 @@ def test_search_depth_below_one_exits_2(write, capsys, command):
     assert err.startswith("error: --jmax must be at least 1")
 
 
+@pytest.mark.parametrize(
+    "inst, argv",
+    [
+        ({"matrix": [[45]], "v": [1], "q": 2}, ["clique", "--lattice-den", "2", "--box", "3"]),
+        ({"matrix": [[45]], "v": [1], "q": 2}, ["classify", "--evidence", "clique"]),
+        (M4, ["spectrum"]),
+    ],
+    ids=["clique", "classify --evidence clique", "spectrum"],
+)
+def test_search_depth_beyond_its_budget_exits_2_quickly(write, capsys, inst, argv):
+    # the probe vectors up to --jmax are cached, about j_max^2 log2(d) / 2
+    # bits at n = 1: --jmax 32000 peaked at 393 MB before the budget existed
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv[0], "--input", write(inst), *argv[1:], "--jmax", "1000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: certificates up to j_max = 1000000 need about")
+    assert "over the cap of 268435456" in lines[0]
+
+
 # -- sample CSV ---------------------------------------------------------------
 
 

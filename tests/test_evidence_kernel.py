@@ -14,12 +14,13 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affinespectra import evidence, fourier, hadamard, linalg
@@ -40,6 +41,9 @@ from affinespectra.linalg import (
 )
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
+# a unimodular conjugate of the companion of x^4 + 6, with q = 6
+M_X4 = IntMatrix([[-6, 0, 0, -6], [7, 0, 0, 6], [-3, 1, -2, -4], [8, 0, 1, 8]])
+V_X4 = IntVector([1, -1, 0, -1])
 V_CUBE = IntVector([0, 0, 1])
 M_DIAG = IntMatrix([[1, -3, 3], [3, -5, 3], [6, -6, 4]])
 V_DIAG = IntVector([1, 1, 2])
@@ -53,6 +57,11 @@ BASES = [
     (M_CUBE, V_CUBE, 6),
     (M_CUBE, V_CUBE, 5),
     (M_DIAG, V_DIAG, 4),
+]
+BASES_4D = [
+    (companion_matrix(IntPolynomial([6, 0, 0, 0, 1])), IntVector([0, 0, 0, 1]), 6),
+    (M_X4, V_X4, 6),
+    (companion_matrix(IntPolynomial([10, 0, 0, 0, 1])), IntVector([0, 0, 0, 1]), 5),
 ]
 
 # seed 42 of the dim-sweep benchmark, "n=4 r=2 general p(0)=-10 q=4
@@ -205,6 +214,75 @@ def _pairwise_clique(inst, ell, box_radius, j_max):
     return len(witness), [tuple(Fraction(g, ell) for g in p) for p in witness], certified
 
 
+def _oracle_vanishing_factor(inst, a, den, j_max):
+    """fourier._vanishing_factor as it was when it computed the default
+    j_max up front, before the search."""
+    if j_max is None:
+        max_den = max(den // math.gcd(x, den) for x in a)
+        max_num = max(abs(x) // math.gcd(x, den) for x in a)
+        j_max = 3 * inst.m.n + (max_den * max_num).bit_length()
+    seq = fourier._probe_sequence(inst.m, inst.v)
+    q = inst.q
+    for j in range(1, j_max + 1):
+        if j == len(seq):
+            adj, _, d, _, _ = fourier._contraction_data(inst.m)
+            prev, scale = seq[-1]
+            seq.append((tuple(sum(x * y for x, y in zip(row, prev)) for row in adj.rows), scale * d))
+        n_j, d_j = seq[j]
+        modulus = den * d_j
+        r = sum(x * y for x, y in zip(a, n_j)) % modulus
+        if r and q * r % modulus == 0:
+            return j, r, modulus
+    return None
+
+
+def _oracle_max_clique(n_vertices, adj_bits):
+    """evidence._max_clique as it was before the degree order: the same
+    branch and bound over the caller's vertex order."""
+    best_size = 0
+    best_bits = 0
+    for seed in range(n_vertices):
+        size, bits, cand = 1, 1 << seed, adj_bits[seed]
+        while cand:
+            bit = cand & -cand
+            size += 1
+            bits |= bit
+            cand &= adj_bits[bit.bit_length() - 1]
+        if size > best_size:
+            best_size, best_bits = size, bits
+
+    def expand(rsize, rbits, cand):
+        nonlocal best_size, best_bits
+        if cand == 0:
+            if rsize > best_size:
+                best_size, best_bits = rsize, rbits
+            return
+        order = []
+        colors = []
+        uncolored = cand
+        color = 0
+        while uncolored:
+            color += 1
+            avail = uncolored
+            while avail:
+                bit = avail & -avail
+                v = bit.bit_length() - 1
+                order.append(v)
+                colors.append(color)
+                uncolored ^= bit
+                avail &= ~adj_bits[v] & ~bit
+        for idx in range(len(order) - 1, -1, -1):
+            if rsize + colors[idx] <= best_size:
+                return
+            v = order[idx]
+            bit = 1 << v
+            expand(rsize + 1, rbits | bit, cand & adj_bits[v])
+            cand ^= bit
+
+    expand(0, 0, (1 << n_vertices) - 1)
+    return [v for v in range(n_vertices) if best_bits >> v & 1]
+
+
 def _float_chaos_game(inst, iterations, seed):
     """x <- M^{-1}(x + k v) in floats, 100 iterates burnt in."""
     rng = random.Random(seed)
@@ -226,9 +304,9 @@ def _float_chaos_game(inst, iterations, seed):
 
 
 @st.composite
-def _instances(draw):
+def _instances(draw, bases=BASES):
     """A base instance conjugated by a random unimodular u: (u M u^-1, u v)."""
-    m, v, q = draw(st.sampled_from(BASES))
+    m, v, q = draw(st.sampled_from(bases))
     n = m.n
     u = IntMatrix.identity(n)
     for i, j, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -319,10 +397,11 @@ def test_key_differences_decode_to_coordinate_differences(n, box, ell):
     half = 2 * box * ell
     points = list(itertools.product(range(-box * ell, box * ell + 1), repeat=n))
     keys = [evidence._lattice_key(p, half) for p in points]
+    point = evidence._lattice_decoder(n, half)
     for a, key_a in zip(points, keys):
-        assert evidence._lattice_point(key_a, n, half) == list(a)
+        assert point(key_a) == list(a)
         for b, key_b in zip(points, keys):
-            assert evidence._lattice_point(key_a - key_b, n, half) == [x - y for x, y in zip(a, b)]
+            assert point(key_a - key_b) == [x - y for x, y in zip(a, b)]
 
 
 def test_clique_certifies_each_difference_once(monkeypatch):
@@ -358,6 +437,71 @@ def test_default_search_depth_is_unchanged():
         assert _oracle_certify(inst, RatVector([0] * len(v)), lam) is None
         bits = (max(e.denominator for e in lam) * max(abs(e.numerator) for e in lam)).bit_length()
         assert len(fourier._probe_sequence(inst.m, inst.v)) == 3 * len(v) + bits + 1
+
+
+# entries x b^k, b | 6, so that some differences first certify past j = 3n
+_DEEP_ENTRIES = st.builds(lambda x, b, k: x * b ** k, st.integers(-40, 40),
+                          st.sampled_from([1, 2, 3, 6]), st.integers(0, 20))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_instances(BASES + BASES_4D), st.lists(_DEEP_ENTRIES, min_size=4, max_size=4),
+       st.integers(1, 12), st.sampled_from(["default", "explicit", "below"]), st.integers(1, 40))
+@example(ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2), [2 ** 9] * 4, 1, "default", 1)
+@example(ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2), [0] * 4, 1, "default", 1)
+def test_lazy_default_depth_matches_eager_oracle(inst, entries, den, mode, depth):
+    n = inst.m.n
+    a = entries[:n]
+    j_max = {"default": None, "explicit": depth, "below": depth % (3 * n + 1)}[mode]
+    assert fourier._vanishing_factor(inst, a, den, j_max) == _oracle_vanishing_factor(inst, a, den, j_max)
+
+
+def test_a_certificate_past_the_lazy_point_is_found():
+    # [[2]], q = 2: 2^9 / 2^j is 1/2 mod 1 first at j = 10, past 3n = 3
+    # and within the default depth 3 + bitlen(2^9) = 13
+    inst = ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2)
+    assert fourier._vanishing_factor(inst, [2 ** 9], 1, None) == (10, 512, 1024)
+    assert fourier._vanishing_factor(inst, [2 ** 9], 1, 9) is None
+
+
+def _random_graph(n, density, seed):
+    rnd = random.Random(seed)
+    adj_bits = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rnd.random() < density:
+            adj_bits[i] |= 1 << j
+            adj_bits[j] |= 1 << i
+    return adj_bits
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 60), st.floats(0.1, 0.95), st.integers(0, 2**32))
+def test_degree_ordered_search_finds_a_maximum_clique(n, density, seed):
+    adj_bits = _random_graph(n, density, seed)
+    clique = evidence._max_clique(n, adj_bits)
+    assert clique == sorted(set(clique))
+    assert all(adj_bits[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+    assert len(clique) == len(_oracle_max_clique(n, adj_bits))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 80])
+def test_complete_graph_returns_every_vertex(n):
+    adj_bits = [((1 << n) - 1) ^ (1 << v) for v in range(n)]
+    assert evidence._max_clique(n, adj_bits) == list(range(n)) == _oracle_max_clique(n, adj_bits)
+
+
+@pytest.mark.parametrize("m, v, lattice_den, box, size", [
+    (M_CUBE, V_CUBE, 1, 4, 45),
+    (M_X4, V_X4, 2, 1, 95),
+])
+def test_dense_boxes_finish_in_seconds(m, v, lattice_den, box, size):
+    # a branch and bound that colours the vertices in lattice order takes
+    # about 29 s and 399 s on these boxes
+    inst = ProblemInstance(m, v, 6)
+    start = time.perf_counter()
+    report = max_orthogonal_clique(inst, lattice_den, box)
+    assert time.perf_counter() - start < 10
+    assert (report.max_clique_size, report.certified) == (size, True)
 
 
 def test_certificate_phase_is_reduced_fraction():
