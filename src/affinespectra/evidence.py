@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .errors import TooLarge
 from .fourier import _check_j_max, _check_tail_eps, _contraction_data, _factor_bound, _transform_many
-from .fourier import _vanishing_factor
+from .fourier import _vanishing_factors
 from .linalg import RatVector, _over_common_denominator
 
 _CANDIDATE_CAP = 5000
@@ -165,11 +165,13 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     the box has more than 5000 lattice points, or when an explicit j_max
     needs more probe vectors than fourier._check_j_max allows.
 
-    Exact maximum clique is exponential in the worst case.  Each difference
-    is certified once and the search takes the vertices in degree order, which
-    also picks the clique returned among several of maximum size: dense 3-
-    and 4-D boxes of up to 2401 points took about a second or less, but one
-    of 3375 branched for over a minute.
+    Key sets are int bitmasks, bit k + top for key k, [-top, top] holding
+    every difference of two box points: under 2^n * 5000 bits by the cap.
+    One lockstep certification gives N0, the neighbours of 0, and one more
+    the differences of N0 outside the box; the row of a is the certified
+    set shifted by a, met with N0.  Exact maximum clique is exponential in
+    the worst case; the degree order of the search also picks the clique
+    returned among several of maximum size.
     """
     ell = lattice_denominator
     n = inst.m.n
@@ -183,36 +185,47 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     _check_j_max(inst, j_max)
     # key(a) - key(b) = key(a - b), whose coordinates lie in [-2 N L, 2 N L].
     # Negating a difference maps each phase r to -r mod the modulus, keeping
-    # every verdict, so abs() certifies each sign class once.  product over
-    # an ascending span lists the points in lexicographic order, as L > 0
+    # every verdict, so the positive keys stand for both signs.  product
+    # over an ascending span lists the points in lexicographic order, as L > 0
     half = 2 * box_radius * ell
+    top = _lattice_key((half,) * n, half)
     span = range(-box_radius * ell, box_radius * ell + 1)
     keys = [_lattice_key(p, half) for p in itertools.product(span, repeat=n)]
     point = _lattice_decoder(n, half)
 
-    def certifies(key) -> bool:
-        return _vanishing_factor(inst, point(key), ell, j_max) is not None
+    def certified_keys(ks) -> list[int]:
+        found = _vanishing_factors(inst, [point(k) for k in ks], ell, j_max)
+        return [k for k, hit in zip(ks, found) if hit is not None]
 
-    # the box is symmetric, so the positive keys hold every sign class
-    cache = {key: certifies(key) for key in keys if key > 0}
-    neighbors_of_zero = [k for k in keys if k and cache[abs(k)]]
+    def members(mask) -> list[int]:  # the keys k of bit k + 2 top, descending
+        s = f"{mask:b}"
+        return [len(s) - 1 - 2 * top - i for i, c in enumerate(s) if c == "1"]
+
+    # the box is symmetric, so its positive keys hold every sign class
+    hits = set(certified_keys([k for k in keys if k > 0]))
+    neighbors_of_zero = [k for k in keys if abs(k) in hits]
     count = len(neighbors_of_zero)
-    adj_bits = [0] * count
-    for i, a in enumerate(neighbors_of_zero):
-        row, bit = 0, 1 << i
-        for j in range(i + 1, count):
-            key = abs(a - neighbors_of_zero[j])
-            hit = cache.get(key)
-            if hit is None:
-                hit = cache[key] = certifies(key)
-            if hit:
-                row |= 1 << j
-                adj_bits[j] |= bit
-        adj_bits[i] |= row
+    n0 = sum(1 << k + top for k in neighbors_of_zero)
+    # N0 = -N0, so its differences are its sums: bit k + 2 top for key k
+    diffs, box = 0, set(keys)
+    for a in neighbors_of_zero:
+        diffs |= n0 << a + top
+    fresh = certified_keys([k for k in members(diffs) if k > 0 and k not in box])
+    # index top - k of the string holds key k: the certified set shifted by
+    # a, on the box keys [-top / 2, top / 2], is the slice from top / 2 + a
+    certified_set = f"{n0 | sum(1 << top + k | 1 << top - k for k in fresh):0{2 * top + 1}b}"
+    pick = itemgetter(*(top // 2 - k for k in reversed(neighbors_of_zero))) if count else None
+    adj_bits = [int("".join(pick(certified_set[top // 2 + a:top * 3 // 2 + a + 1])), 2)
+                for a in neighbors_of_zero]
     clique = _max_clique(count, adj_bits)
     witness = [0] + [neighbors_of_zero[i] for i in clique]
-    # every witness pair re-checked by its raw difference, not via the cache
-    certified = all(map(certifies, {a - b for a, b in itertools.combinations(witness, 2)}))
+    # each raw difference a - b, b after a in the witness, re-checked afresh
+    raw, after = 0, 0
+    for a in reversed(witness):
+        raw |= after << a + top
+        after |= 1 << top - a
+    check = members(raw)
+    certified = len(certified_keys(check)) == len(check)
     witness = [RatVector([Fraction(g, ell) for g in point(k)]) for k in witness]
     return CliqueReport(
         lattice_denominator=ell,

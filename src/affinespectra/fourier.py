@@ -303,30 +303,46 @@ def _check_j_max(inst, j_max: int | None):
                            f"of probe vectors, over the cap of {_PROBE_BITS_CAP}")
 
 
-def _vanishing_factor(inst, a, den: int, j_max: int | None):
-    """(j, r, modulus) for the first j <= j_max whose mask vanishes at
-    (M*)^{-j} (a / den), with phase r / modulus = <a, n_j> / (den d^j) mod 1,
-    or None.  The default j_max, 3n + bitlen(max reduced den * max reduced
+def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
+    """For each point a / den, (j, r, modulus) for the first j <= j_max whose
+    mask vanishes at (M*)^{-j} (a / den), with phase r / modulus = <a, n_j> /
+    (den d^j) mod 1, or None.  The points step through j = 1, 2, ... in
+    lockstep.  The default j_max, 3n + bitlen(max reduced den * max reduced
     num) of a / den, exceeds 3n, so it is computed only if j <= 3n fail."""
     seq = _probe_sequence(inst.m, inst.v)
     q, least = inst.q, 3 * inst.m.n
-    lo, hi = 1, least if j_max is None else j_max
-    while True:
-        for j in range(lo, hi + 1):
-            if j == len(seq):
-                adj, _, d, _, _ = _contraction_data(inst.m)
-                prev, scale = seq[-1]
-                seq.append((tuple(sum(map(mul, row, prev)) for row in adj.rows), scale * d))
-            n_j, d_j = seq[j]
-            modulus = den * d_j
-            r = sum(map(mul, a, n_j)) % modulus
+    ends = [least if j_max is None else j_max] * len(points)
+    out, live, j = [None] * len(points), [i for i, end in enumerate(ends) if end > 0], 0
+    while live:
+        j += 1
+        if j == len(seq):
+            adj, _, d, _, _ = _contraction_data(inst.m)
+            prev, scale = seq[-1]
+            seq.append((tuple(sum(map(mul, row, prev)) for row in adj.rows), scale * d))
+        n_j, d_j = seq[j]
+        modulus = den * d_j
+        stepped = []
+        for i in live:
+            r = sum(map(mul, points[i], n_j)) % modulus
             if r and q * r % modulus == 0:
-                return j, r, modulus
-        if j_max is not None or lo > least:
-            return None
-        max_den = max(den // gcd(x, den) for x in a)
-        max_num = max(abs(x) // gcd(x, den) for x in a)
-        lo, hi = least + 1, least + (max_den * max_num).bit_length()
+                out[i] = (j, r, modulus)
+            else:
+                stepped.append(i)
+        live = stepped
+        if j == least and j_max is None:
+            for i in live:
+                ends[i] = least + (max(den // gcd(x, den) for x in points[i])
+                                   * max(abs(x) // gcd(x, den) for x in points[i])).bit_length()
+            live.sort(key=ends.__getitem__, reverse=True)
+        # live runs latest bound first, so points leave from its end
+        while live and ends[live[-1]] <= j:
+            live.pop()
+    return out
+
+
+def _vanishing_factor(inst, a, den: int, j_max: int | None):
+    """_vanishing_factors at the one point a / den."""
+    return _vanishing_factors(inst, [a], den, j_max)[0]
 
 
 def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):

@@ -406,19 +406,20 @@ def test_key_differences_decode_to_coordinate_differences(n, box, ell):
 
 def test_clique_certifies_each_difference_once(monkeypatch):
     # x^4 + 6 at q = 6, box 1: an 81-point witness, 3240 pairs of it, but
-    # far fewer distinct differences
+    # far fewer distinct differences; the points passed to the certifying
+    # kernel are counted, whatever the number of calls
     inst = ProblemInstance(companion_matrix(IntPolynomial([6, 0, 0, 0, 1])), IntVector([0, 0, 0, 1]), 6)
-    calls = []
-    vanishing_factor = fourier._vanishing_factor
+    points = []
+    vanishing_factors = fourier._vanishing_factors
 
-    def spy(*args):
-        calls.append(args)
-        return vanishing_factor(*args)
+    def spy(inst, batch, den, j_max):
+        points.extend(batch)
+        return vanishing_factors(inst, batch, den, j_max)
 
-    monkeypatch.setattr(evidence, "_vanishing_factor", spy)
+    monkeypatch.setattr(evidence, "_vanishing_factors", spy)
     report = max_orthogonal_clique(inst, 1, 1)
     assert (report.max_clique_size, report.certified) == (81, True)
-    assert len(calls) <= 700
+    assert len(points) <= 700
 
 
 def test_default_search_depth_is_unchanged():
@@ -454,6 +455,31 @@ def test_lazy_default_depth_matches_eager_oracle(inst, entries, den, mode, depth
     a = entries[:n]
     j_max = {"default": None, "explicit": depth, "below": depth % (3 * n + 1)}[mode]
     assert fourier._vanishing_factor(inst, a, den, j_max) == _oracle_vanishing_factor(inst, a, den, j_max)
+
+
+_POINT_ROWS = st.lists(st.lists(_DEEP_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=6)
+# over den = 3 at [[2]], q = 2: 2^9 first certifies at j = 10, past 3n,
+# 1 at j = 1, 1/3 never, and 0 is the zero point
+_MIXED = ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2), [[3 * 2 ** 9] * 4, [3] * 4, [1] * 4], 3
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_instances(BASES + BASES_4D), _POINT_ROWS, st.integers(1, 12),
+       st.sampled_from(["default", "explicit", "below"]), st.integers(1, 40))
+@example(*_MIXED, "default", 1)
+@example(*_MIXED, "explicit", 12)
+@example(*_MIXED, "below", 2)
+def test_lockstep_certification_matches_one_point_oracle(inst, rows, den, mode, depth):
+    n = inst.m.n
+    points = [row[:n] for row in rows] + [[0] * n]
+    j_max = {"default": None, "explicit": depth, "below": depth % (3 * n + 1)}[mode]
+    fourier._probe_sequence.cache_clear()
+    got = fourier._vanishing_factors(inst, points, den, j_max)
+    reached = len(fourier._probe_sequence(inst.m, inst.v))
+    fourier._probe_sequence.cache_clear()
+    assert got == [_oracle_vanishing_factor(inst, a, den, j_max) for a in points]
+    # the one-point calls grow the shared probe sequence to the same length
+    assert reached == len(fourier._probe_sequence(inst.m, inst.v))
 
 
 def test_a_certificate_past_the_lazy_point_is_found():
@@ -493,10 +519,12 @@ def test_complete_graph_returns_every_vertex(n):
 @pytest.mark.parametrize("m, v, lattice_den, box, size", [
     (M_CUBE, V_CUBE, 1, 4, 45),
     (M_X4, V_X4, 2, 1, 95),
+    (companion_matrix(IntPolynomial([6, 0, 0, 1])), IntVector([0, 0, 1]), 1, 8, 4913),
 ])
 def test_dense_boxes_finish_in_seconds(m, v, lattice_den, box, size):
     # a branch and bound that colours the vertices in lattice order takes
-    # about 29 s and 399 s on these boxes
+    # about 29 s and 399 s on the first two boxes; on the all-orthogonal
+    # third, 12 million pairs, a dict lookup per pair took 5 to 7 s
     inst = ProblemInstance(m, v, 6)
     start = time.perf_counter()
     report = max_orthogonal_clique(inst, lattice_den, box)
