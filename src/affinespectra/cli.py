@@ -21,11 +21,11 @@ import time
 from fractions import Fraction
 
 from .classify import ProblemInstance, classify, leading_triple
-from .conjugation import map_spectrum
+from .conjugation import _transport
 from .errors import InternalError, ParseError, PreconditionError
 from .evidence import chaos_game, completeness_defect, max_orthogonal_clique
-from .fourier import Witness, certify_orthogonal, construct_witness, verify_witness
-from .hadamard import candidate_spectrum, verify_hadamard
+from .fourier import Witness, _check_j_max, _vanishing_factors, construct_witness, verify_witness
+from .hadamard import CandidateSpectrum, candidate_spectrum, verify_hadamard
 from .linalg import IntMatrix, IntVector, RatVector
 
 
@@ -268,18 +268,19 @@ def _spectrum_in_original_coords(inst: ProblemInstance, triple, depth: int):
     in the instance's own coordinates.
 
     Full Krylov rank: the companion frame's mapping is built into
-    candidate_spectrum.  Reduced rank: frequencies of the leading block
-    are padded with zeros and pushed through the block change of basis,
-    which preserves every pairwise orthogonality certificate exactly.
+    candidate_spectrum.  Reduced rank: the integer numerators of the
+    leading block are padded with zeros and carried through the block
+    change of basis by b^T over the same denominator, which preserves
+    every pairwise orthogonality certificate exactly.
     """
-    n = inst.m.n
-    r, decomp = inst.leading.r, inst.leading.decomp
     small = candidate_spectrum(triple, depth)
+    decomp = inst.leading.decomp
     if decomp is None:
         return small
-    padded = [RatVector(list(f) + [Fraction(0)] * (n - r)) for f in small.frequencies]
-    small.frequencies = map_spectrum(decomp.b, padded, "forward")
-    return small
+    pad = (0,) * (inst.m.n - inst.leading.r)
+    bt, _ = _transport(decomp.b, "forward")
+    return CandidateSpectrum(depth, [(bt * IntVector._make(a + pad)).entries for a in small.numerators],
+                             small.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -415,28 +416,31 @@ def cmd_hadamard(args) -> int:
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.input)
     spectrum = _spectrum_in_original_coords(inst, leading_triple(inst), args.depth)
-    zero = RatVector([0] * inst.m.n)
-    certificates = []
-    for idx, lam in enumerate(spectrum.frequencies):
-        if lam.is_zero():
-            continue
-        cert = certify_orthogonal(inst, zero, lam, args.jmax)
-        certificates.append(
-            {
-                "frequency_index": idx,
-                "j": None if cert is None else cert.j,
-                "phase": None if cert is None else _ser_frac(cert.phase),
-            }
-        )
+    nonzero = [idx for idx, a in enumerate(spectrum.numerators) if any(a)]
+    if nonzero:
+        _check_j_max(inst, args.jmax)
+    # one lockstep pass certifies every 0 - lambda = -a / den; j and the
+    # reduced phase read only its rational value, not the denominator
+    hits = _vanishing_factors(inst, [tuple(-x for x in spectrum.numerators[idx]) for idx in nonzero],
+                              spectrum.denominator, args.jmax)
+    certificates = [
+        {
+            "frequency_index": idx,
+            "j": None if hit is None else hit[0],
+            "phase": None if hit is None else _ser_frac(Fraction(*hit[1:])),
+        }
+        for idx, hit in zip(nonzero, hits)
+    ]
+    frequencies = [_ser_rvec(f) for f in spectrum.frequencies]
     obj = {
         "depth": spectrum.depth,
-        "count": len(spectrum.frequencies),
-        "frequencies": [_ser_rvec(f) for f in spectrum.frequencies],
+        "count": len(frequencies),
+        "frequencies": frequencies,
         "certificates_against_zero": certificates,
     }
-    human = [f"depth: {spectrum.depth}", f"count: {len(spectrum.frequencies)}"]
-    for idx, f in enumerate(spectrum.frequencies):
-        human.append(f"  lambda[{idx}] = ({', '.join(_ser_rvec(f))})")
+    human = [f"depth: {spectrum.depth}", f"count: {len(frequencies)}"]
+    for idx, f in enumerate(frequencies):
+        human.append(f"  lambda[{idx}] = ({', '.join(f)})")
     certified = sum(1 for c in certificates if c["j"] is not None)
     human.append(f"certified against 0: {certified}/{len(certificates)}")
     return _emit(args, obj, human)

@@ -11,7 +11,8 @@ two.
 
 Frequency sets transport through a conjugation by the transpose of the
 basis matrix, never the matrix itself, on integer numerators over one
-denominator; ``map_spectrum`` is the single place that convention lives.
+denominator; ``_transport`` is the single place that convention lives,
+and ``map_spectrum`` is its public form on rational vectors.
 """
 
 from __future__ import annotations
@@ -203,16 +204,11 @@ def leading_block(m: IntMatrix, v: IntVector) -> LeadingBlock:
     return LeadingBlock(r, decomp, m1, v1, f, (-1) ** r * f.constant_term(), tuple(vecs[:r]))
 
 
-def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:
-    """Transport frequencies through the conjugation with basis matrix b.
-
-    direction "forward" applies the transpose of b, "inverse" its inverse
-    transpose.  Exponentials pair with points through the inner product,
-    so a change of basis on points acts on frequencies by the adjoint;
-    callers choose the direction that matches which side of the
-    conjugation their frequencies live on.  Both act on the integer
-    numerators of each frequency, the inverse through one adjugate.
-    """
+def _transport(b: IntMatrix, direction: str) -> tuple[IntMatrix, int]:
+    """(op, d), d > 0, carrying each frequency a / den to op a / (den d):
+    op = b^T and d = 1 "forward", op = sign(det b) adj(b)^T and d = |det b|
+    "inverse".  A singular b raises Singular, then another direction
+    ValueError."""
     if direction == "inverse":
         b._require_square()
         op, d = _adjugate(b.rows)
@@ -221,10 +217,25 @@ def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:
     if d == 0:
         raise Singular("spectrum transport needs an invertible basis matrix")
     if direction == "forward":
-        d = 1
-    elif direction != "inverse":
+        return IntMatrix._make(tuple(zip(*op))), 1
+    if direction != "inverse":
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    op = IntMatrix._make(tuple(zip(*op)))  # b^T, or adj(b)^T over d = det b
+    sign = 1 if d > 0 else -1
+    return IntMatrix._make(tuple(tuple(sign * x for x in col) for col in zip(*op))), abs(d)
+
+
+def map_spectrum(b: IntMatrix, lambda_set, direction: str) -> list[RatVector]:
+    """Transport frequencies through the conjugation with basis matrix b.
+
+    direction "forward" applies the transpose of b, "inverse" its inverse
+    transpose.  Exponentials pair with points through the inner product,
+    so a change of basis on points acts on frequencies by the adjoint;
+    callers choose the direction that matches which side of the
+    conjugation their frequencies live on.  Both act on the integer
+    numerators of each frequency, the inverse through one adjugate
+    (``_transport``, which candidate spectra share).
+    """
+    op, d = _transport(b, direction)
     parts = map(_over_common_denominator, lambda_set)
     return [RatVector(Fraction(x, den * d) for x in op * IntVector._make(a)) for a, den in parts]
 

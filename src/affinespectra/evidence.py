@@ -18,6 +18,7 @@ from operator import itemgetter
 from .errors import TooLarge
 from .fourier import _check_j_max, _check_tail_eps, _contraction_data, _factor_bound, _transform_many
 from .fourier import _vanishing_factors
+from .hadamard import CandidateSpectrum
 from .linalg import RatVector, _over_common_denominator
 
 _CANDIDATE_CAP = 5000
@@ -263,22 +264,24 @@ def completeness_defect(inst, spectrum, probes, tail_eps: float = 1e-9) -> Compl
     A spectrum makes the defect tend to 0 from above as the truncation
     depth grows; values far from 0 (or clearly negative) witness that the
     frequency set is not behaving like an orthonormal system.  Accepts a
-    CandidateSpectrum or any list of frequencies, since comparing good
-    and bad frequency sets is the point of the diagnostic.  Each probe
-    runs one lockstep transform over all its differences, summed in
-    frequency order.  Raises ValueError unless tail_eps is finite and
+    CandidateSpectrum, read on its integer numerators with no Fraction
+    made, or any list of frequencies, put over one denominator (an lcm),
+    since comparing good and bad frequency sets is the point of the
+    diagnostic.  Each probe runs one lockstep transform over all its
+    differences, summed in frequency order.  Raises ValueError unless tail_eps is finite and
     positive, and TooLarge, before any transform, when frequencies x probes
     x factors (bounded by fourier._factor_bound) x (n^2 + 24) exceeds
     2^25, a few seconds of work at any dimension.
     """
     _check_tail_eps(tail_eps)
-    freqs = getattr(spectrum, "frequencies", spectrum)
-    depth = getattr(spectrum, "depth", None)
     n, probes = inst.m.n, list(probes)
     vectors = [xi if isinstance(xi, RatVector) else RatVector(xi) for xi in probes]
-    parts = [_over_common_denominator(lam) for lam in freqs]
-    lam_den = lcm(*(den for _, den in parts))
-    lam_nums = [tuple(x * (lam_den // den) for x in b) for b, den in parts]
+    if isinstance(spectrum, CandidateSpectrum):
+        depth, lam_nums, lam_den = spectrum.depth, spectrum.numerators, spectrum.denominator
+    else:
+        parts = [_over_common_denominator(lam) for lam in spectrum]
+        depth, lam_den = None, lcm(*(den for _, den in parts))
+        lam_nums = [tuple(x * (lam_den // den) for x in b) for b, den in parts]
     if lam_nums and vectors:
         radius = (max(max(map(abs, xi)) for xi in vectors)
                   + Fraction(max(max(map(abs, b)) for b in lam_nums), lam_den))

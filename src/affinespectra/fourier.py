@@ -24,6 +24,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from operator import mul
 
@@ -99,34 +100,35 @@ def _phase(inst, xi: RatVector) -> Fraction:
     return xi.dot(inst.v)
 
 
-def _mask_from_phase(q: int, num: int, den: int) -> complex:
-    # the mask at phase t = num / den
-    num %= den
-    if num == 0:
+def _mask_constants(q: int) -> tuple:
+    """(w, p) = (i pi (q - 1), pi q), the leading products of the mask's
+    closed form, rounded as its left-to-right expression rounds them; a
+    caller computes them once per q, not once per phase."""
+    return 1j * math.pi * (q - 1), math.pi * q
+
+
+def _mask_from_phase(q: int, t: int, den: int, w: complex, p: float) -> complex:
+    """The mask at phase t / den, 0 <= t < den, with (w, p) = _mask_constants(q)."""
+    if t == 0:
         return complex(1.0)
-    if q * num % den == 0:
+    if q * t % den == 0:
         return complex(0.0)  # exact zero of the geometric sum
     # period 1: reduce into (-1/2, 1/2] while exact, or a phase just below
     # an integer loses every digit of sin(pi t) in the float conversion
-    if 2 * num > den:
-        num -= den
-    tf = num / den
+    tf = (t - den if 2 * t > den else t) / den
+    rot = cmath.exp(w * tf)
     if abs(tf) < _FLOAT_MIN:
         # below the normal floats sin(pi t) keeps too few digits, and the
         # Dirichlet ratio is 1 to double precision there
-        return cmath.exp(1j * math.pi * (q - 1) * tf)
+        return rot
     # (1/q) sum_k e^{2 pi i k t} in closed Dirichlet-kernel form
-    return (
-        cmath.exp(1j * math.pi * (q - 1) * tf)
-        * math.sin(math.pi * q * tf)
-        / (q * math.sin(math.pi * tf))
-    )
+    return rot * math.sin(p * tf) / (q * math.sin(math.pi * tf))
 
 
 def mask(inst, xi) -> complex:
     """Normalized digit exponential sum (1/q) sum_k e^{2 pi i k <v, xi>}."""
-    t = _phase(inst, _as_rat_vector(xi))
-    return _mask_from_phase(inst.q, t.numerator, t.denominator)
+    t = _phase(inst, _as_rat_vector(xi)) % 1
+    return _mask_from_phase(inst.q, t.numerator, t.denominator, *_mask_constants(inst.q))
 
 
 def mask_is_zero_exact(inst, xi) -> bool:
@@ -170,11 +172,12 @@ def _check_tail_eps(tail_eps):
         raise ValueError(f"tail_eps must be finite and positive, got {tail_eps!r}")
 
 
-def _tail_coefficient(inst) -> Fraction:
+@lru_cache(maxsize=None)
+def _tail_coefficient(m: IntMatrix, v: IntVector, q: int) -> Fraction:
     """c with |tail after factor j| <= pi c ||(M*)^{-j} xi||_inf: the
     geometric bound s / (1 - rho) on the later power norms times |v|_1 (q - 1)."""
-    _, _, _, (_, rho, norm_sum), _ = _contraction_data(inst.m)
-    return norm_sum / (1 - rho) * sum(map(abs, inst.v.entries)) * (inst.q - 1)
+    _, _, _, (_, rho, norm_sum), _ = _contraction_data(m)
+    return norm_sum / (1 - rho) * sum(map(abs, v.entries)) * (q - 1)
 
 
 def _log(x: Fraction) -> float:
@@ -210,7 +213,7 @@ def _factor_bound(inst, radius: Fraction, tail_eps: float) -> int:
     if radius == 0:
         return 0
     _, _, _, (k, _, norm_sum), _ = _contraction_data(inst.m)
-    log_target = (math.log(tail_eps / math.pi) - _log(_tail_coefficient(inst))
+    log_target = (math.log(tail_eps / math.pi) - _log(_tail_coefficient(inst.m, inst.v, inst.q))
                   - _log(max(Fraction(1), norm_sum)) - _log(radius))
     norms, more = _power_norms(inst.m)
     for i in itertools.count():
@@ -231,15 +234,27 @@ def _transform_many(inst, numerators, den: int, tail_eps: float) -> list:
     max|a| / den, and int / int rounds each once, as the float of the
     reduced Fraction would.  A point leaves at its first exact mask zero,
     with value 0, or once its tail bound is below tail_eps; the zero point
-    takes no factor.  Each product is multiplied in factor order."""
+    takes no factor.  Each product is multiplied in factor order.  Fewer
+    live points than twice the most nonzero entries of a row of adj^T
+    step row-major, a dot product per point (mu_hat's one point, or a few
+    against a dense adj^T); more step column-major, where a pass per
+    entry over all points costs less."""
     out = [(complex(1.0), 0.0, 0)] * len(numerators)
-    live = [(i, a, complex(1.0)) for i, a in enumerate(numerators) if any(a)]
-    if not live:
-        return out
+    live = [(i, a) for i, a in enumerate(numerators) if any(a)]
+    if live:
+        rows = _contraction_data(inst.m)[1].rows
+        few = len(live) < 2 * max(len(row) - row.count(0) for row in rows)
+        (_rows_lockstep if few else _columns_lockstep)(inst, live, den, tail_eps, out)
+    return out
+
+
+def _rows_lockstep(inst, live, den: int, tail_eps: float, out: list):
+    """_transform_many on the points (i, a), each a list of coordinates."""
     _, adj_t, d, _, _ = _contraction_data(inst.m)
-    coeff = _tail_coefficient(inst)
-    c_num, c_den = coeff.numerator, coeff.denominator
-    q, v, rows = inst.q, inst.v.entries, adj_t.rows
+    coeff = _tail_coefficient(inst.m, inst.v, inst.q)
+    c_num, c_den, q = coeff.numerator, coeff.denominator, inst.q
+    v, rows, (w, p) = inst.v.entries, adj_t.rows, _mask_constants(q)
+    live = [(i, a, complex(1.0)) for i, a in live]
     j = 0
     while live:
         if j > _MU_HAT_FACTOR_CAP:
@@ -254,14 +269,62 @@ def _transform_many(inst, numerators, den: int, tail_eps: float) -> list:
             if t and q * t % den == 0:
                 out[i] = (complex(0.0), 0.0, j)
                 continue
-            product *= _mask_from_phase(q, t, den)
+            product *= _mask_from_phase(q, t, den, w, p)
             tail = math.pi * (c_num * max(map(abs, a)) / scale)
             if tail < tail_eps:
                 out[i] = (product, math.expm1(tail), j)
             else:
                 stepped.append((i, a, product))
         live = stepped
+
+
+def _combine(terms, cols) -> list:
+    """The sum of c * cols[k] over the (c, k) of terms, entry by entry."""
+    (c, k), *rest = terms
+    out = [c * x for x in cols[k]]
+    for c, k in rest:
+        out = [y + c * x for y, x in zip(out, cols[k])]
     return out
+
+
+def _columns_lockstep(inst, live, den: int, tail_eps: float, out: list):
+    """_transform_many on the points (i, a) held column-major, one list per
+    coordinate: a step is one comprehension per nonzero entry of adj^T and
+    a few over all points, each distinct phase takes one mask, and the
+    points that leave are dropped in one pass."""
+    _, adj_t, d, _, _ = _contraction_data(inst.m)
+    coeff = _tail_coefficient(inst.m, inst.v, inst.q)
+    c_num, c_den, q = coeff.numerator, coeff.denominator, inst.q
+    rows = [[(c, k) for k, c in enumerate(row) if c] for row in adj_t.rows]
+    phase = [(c, k) for k, c in enumerate(inst.v.entries) if c]
+    w, p = _mask_constants(q)
+    index = [i for i, _ in live]
+    cols = [list(col) for col in zip(*(a for _, a in live))]
+    products = [complex(1.0)] * len(index)
+    j = 0
+    while index:
+        if j > _MU_HAT_FACTOR_CAP:
+            raise InternalError("transform truncation failed to converge")
+        den *= d
+        j += 1
+        scale = c_den * den
+        cols = [_combine(terms, cols) for terms in rows]
+        phases = [t % den for t in _combine(phase, cols)]
+        masks = {t: _mask_from_phase(q, t, den, w, p) for t in set(phases)}
+        zeros = {t for t in masks if t and q * t % den == 0}
+        products = [product * masks[t] for product, t in zip(products, phases)]
+        sup = map(abs, cols[0])
+        for col in cols[1:]:
+            sup = map(max, sup, map(abs, col))
+        tails = [math.pi * (c_num * s / scale) for s in sup]
+        keep = [tail >= tail_eps and t not in zeros for t, tail in zip(phases, tails)]
+        if all(keep):
+            continue
+        for i, t, product, tail, kept in zip(index, phases, products, tails, keep):
+            if not kept:
+                out[i] = (complex(0.0), 0.0, j) if t in zeros else (product, math.expm1(tail), j)
+        index, products = list(compress(index, keep)), list(compress(products, keep))
+        cols = [list(compress(col, keep)) for col in cols]
 
 
 def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:

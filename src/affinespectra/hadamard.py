@@ -21,9 +21,9 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
-from .conjugation import CompanionConjugation, map_spectrum
+from .conjugation import CompanionConjugation, _transport
 from .errors import DuplicateFrequency, InternalError, NotDivisible, TooLarge, UnverifiedTriple
-from .linalg import IntMatrix, IntVector, _inverse_parts, _solve_parts
+from .linalg import IntMatrix, IntVector, RatVector, _inverse_parts, _solve_parts
 
 _SPECTRUM_CAP = 2**16  # frequencies a candidate spectrum may hold
 
@@ -87,16 +87,28 @@ class PhaseMatrix:
 
 class CandidateSpectrum:
     """Finite truncation of the canonical spectrum attached to a verified
-    triple, expressed in the coordinates the instance was given in."""
+    triple, expressed in the coordinates the instance was given in: the
+    frequencies a / denominator held as their integer numerators a over one
+    positive denominator.  ``frequencies`` lists them as RatVectors on
+    first read."""
 
-    __slots__ = ("depth", "frequencies")
+    __slots__ = ("depth", "numerators", "denominator", "_frequencies")
 
-    def __init__(self, depth: int, frequencies):
+    def __init__(self, depth: int, numerators, denominator: int):
         self.depth = depth
-        self.frequencies = list(frequencies)
+        self.numerators = list(numerators)
+        self.denominator = denominator
+        self._frequencies = None
+
+    @property
+    def frequencies(self) -> list:
+        if self._frequencies is None:
+            den = self.denominator
+            self._frequencies = [RatVector(Fraction(x, den) for x in a) for a in self.numerators]
+        return self._frequencies
 
     def __repr__(self):
-        return f"CandidateSpectrum(depth={self.depth}, size={len(self.frequencies)})"
+        return f"CandidateSpectrum(depth={self.depth}, size={len(self.numerators)})"
 
 
 def construct_dual_digits(conj: CompanionConjugation, q: int) -> HadamardTriple:
@@ -218,7 +230,9 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
     before any is built); the q^depth sums must be pairwise distinct (a
     collision would contradict unitarity and raises DuplicateFrequency).
     Frequencies are returned mapped out of the companion frame when one is
-    recorded, so they live in the instance's coordinates; 0 is always first.
+    recorded, so they live in the instance's coordinates, as integer
+    numerators over |det b| with b the frame's basis (over 1 without a
+    frame); no Fraction is made.  0 is always first.
     """
     if not triple.verified:
         raise UnverifiedTriple("run verify() before expanding a spectrum")
@@ -226,14 +240,21 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
         raise ValueError("depth must be at least 1")
     if triple.q ** min(depth, _SPECTRUM_CAP.bit_length()) > _SPECTRUM_CAP:  # q >= 2 passes it by then
         raise TooLarge(f"{triple.q}^{depth} frequencies exceed the cap of {_SPECTRUM_CAP}")
-    # level holds the sums over the first i digits in itertools.product
-    # order (first digit slowest), layer is (M*)^i applied to each dual;
-    # their entries are ints the package built, so no sum is re-validated
+    # layers[i] is (M*)^i applied to each dual, carried out of the companion
+    # frame as op s over den; op is injective, so the sums collide where the
+    # companion sums do.  level holds the sums over the first i digits in
+    # itertools.product order (first digit slowest); their entries are ints
+    # the package built, so no sum is re-validated
     q, mt = triple.q, triple.m.transpose()
-    layer = triple.duals
-    level = [s.entries for s in layer]
-    for _ in range(depth - 1):
-        layer = [mt * s for s in layer]
+    layers = [triple.duals]
+    while len(layers) < depth:
+        layers.append([mt * s for s in layers[-1]])
+    den = 1
+    if triple.coordinate_frame is not None:
+        op, den = _transport(triple.coordinate_frame.b, "inverse")
+        layers = [[op * s for s in layer] for layer in layers]
+    level = [s.entries for s in layers[0]]
+    for layer in layers[1:]:
         level = [tuple(map(add, acc, s.entries)) for acc in level for s in layer]
     seen = set()
     for index, key in enumerate(level):
@@ -241,14 +262,9 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
             choice = tuple(index // q ** (depth - 1 - j) % q for j in range(depth))
             raise DuplicateFrequency(f"expansion collision at digits {choice}")
         seen.add(key)
-    sums = list(map(IntVector._make, level))
-    if triple.coordinate_frame is not None:
-        freqs = map_spectrum(triple.coordinate_frame.b, sums, "inverse")
-    else:
-        freqs = [s.to_rat() for s in sums]
-    if not freqs[0].is_zero():
+    if any(level[0]):
         raise InternalError("candidate spectrum must start at 0")
-    return CandidateSpectrum(depth, freqs)
+    return CandidateSpectrum(depth, level, den)
 
 
 __all__ = [

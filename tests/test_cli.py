@@ -8,9 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from affinespectra.classify import WitnessCertificate
-from affinespectra.cli import _certificate_json, main
-from affinespectra.fourier import Witness
+from affinespectra import cli
+from affinespectra.classify import WitnessCertificate, leading_triple
+from affinespectra.cli import _certificate_json, load_instance, main
+from affinespectra.conjugation import map_spectrum
+from affinespectra.fourier import Witness, certify_orthogonal
+from affinespectra.hadamard import candidate_spectrum
 from affinespectra.linalg import IntVector, RatVector
 
 CUBE = {"matrix": [[2, 6, 4], [-1, 2, 2], [-1, -1, -4]], "v": [0, 0, 1], "q": 6}
@@ -413,6 +416,56 @@ def test_spectrum_reduced_instance_certifies(write, capsys):
     obj = json.loads(out)
     assert obj["count"] == 16
     assert all(c["j"] is not None for c in obj["certificates_against_zero"])
+
+
+def _oracle_spectrum_json(inst, depth, jmax):
+    """spectrum --json as the per-frequency loop made it: the spectrum as
+    RatVectors, a reduced one padded and carried by map_spectrum, and one
+    certify_orthogonal of 0 against each nonzero frequency."""
+    freqs = candidate_spectrum(leading_triple(inst), depth).frequencies
+    r, decomp = inst.leading.r, inst.leading.decomp
+    if decomp is not None:
+        padded = [RatVector(list(f) + [Fraction(0)] * (inst.m.n - r)) for f in freqs]
+        freqs = map_spectrum(decomp.b, padded, "forward")
+    zero = RatVector([0] * inst.m.n)
+    certificates = []
+    for idx, lam in enumerate(freqs):
+        if lam.is_zero():
+            continue
+        cert = certify_orthogonal(inst, zero, lam, jmax)
+        certificates.append({"frequency_index": idx, "j": None if cert is None else cert.j,
+                             "phase": None if cert is None else str(cert.phase)})
+    obj = {"depth": depth, "count": len(freqs), "frequencies": [[str(x) for x in f] for f in freqs],
+           "certificates_against_zero": certificates}
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("jmax", [None, 1, 4])
+@pytest.mark.parametrize(
+    "inst, depth",
+    [(CUBE, 2), ({**DIAG, "q": 4}, 2), ({"matrix": [[6, 1], [0, 5]], "v": [2, 0], "q": 3}, 3)],
+    ids=["cube, full rank", "reduced rank 1", "reduced rank 1, over 2"],
+)
+def test_spectrum_json_matches_the_per_frequency_loop(write, capsys, inst, depth, jmax):
+    path = write(inst)
+    argv = ["spectrum", "--input", path, "--depth", str(depth), "--json"]
+    code, out, _ = _run(capsys, *argv, *([] if jmax is None else ["--jmax", str(jmax)]))
+    assert code == 0
+    assert out == _oracle_spectrum_json(load_instance(path), depth, jmax)
+
+
+def test_spectrum_certifies_in_one_lockstep_call(write, capsys, monkeypatch):
+    calls = []
+
+    def spy(inst, points, den, j_max):
+        calls.append(len(points))
+        return real(inst, points, den, j_max)
+
+    real = cli._vanishing_factors
+    monkeypatch.setattr(cli, "_vanishing_factors", spy)
+    code, out, _ = _run(capsys, "spectrum", "--input", write(CUBE), "--depth", "2", "--json")
+    assert code == 0 and calls == [35]
+    assert len(json.loads(out)["certificates_against_zero"]) == 35
 
 
 def test_spectrum_without_divisibility_exits_2(write, capsys):

@@ -3,15 +3,21 @@
 fourier.mu_hat and evidence.completeness_defect share one transform
 kernel, fourier._transform_many, which steps all the differences
 xi - lambda of a probe through (adj^T)^j over one denominator with no gcd
-taken.  The oracles below are the earlier code: mu_hat reducing each
-iterate by its gcd, a defect that calls it once per (probe, frequency)
-pair on the vector difference, and candidate_spectrum adding the layers
-of each itertools.product choice.  Values, error bounds, factor counts,
-defects, frequencies and errors must match them bit for bit.
+taken: row-major for mu_hat's one point and for a few points against a
+dense adj^T, column-major for more.  The oracles below are the earlier code:
+mu_hat reducing each iterate by its gcd, with a verbatim copy of the
+one-phase mask function it called, a defect that calls it once per
+(probe, frequency) pair on the vector difference, candidate_spectrum
+adding the layers of each itertools.product choice, and the rational
+transport of frequencies out of the companion and the block frames.
+Values, error bounds, factor counts, defects, frequencies and errors
+must match them bit for bit.
 """
 
+import cmath
 import itertools
 import math
+import sys
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -32,6 +38,7 @@ from affinespectra.linalg import (
     IntVector,
     RatVector,
     _over_common_denominator,
+    inverse,
     inverse_unimodular,
 )
 
@@ -54,11 +61,41 @@ BASES = [
     (IntMatrix([[0, 0, 0, -6], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), IntVector([1, 0, 0, 0]), 6),
     (M_X4, IntVector([19, 12, -42, -10]), 6),
 ]
+# rank-deficient: the iterates of v span a proper subspace, whose leading
+# block, [[4]] and the companion of x^2 + 6, carries the spectrum
+RANK_DEFICIENT = [
+    (IntMatrix([[4, 1], [0, 3]]), IntVector([1, 0]), 4),
+    (IntMatrix([[0, -6, 1], [1, 0, 1], [0, 0, 3]]), IntVector([1, 0, 0]), 6),
+]
 
 
 # ---------------------------------------------------------------------------
 # oracles: the code the kernel replaced
 # ---------------------------------------------------------------------------
+
+
+def _oracle_mask_from_phase(q: int, num: int, den: int) -> complex:
+    # verbatim: fourier._mask_from_phase before it took a set of phases
+    num %= den
+    if num == 0:
+        return complex(1.0)
+    if q * num % den == 0:
+        return complex(0.0)  # exact zero of the geometric sum
+    # period 1: reduce into (-1/2, 1/2] while exact, or a phase just below
+    # an integer loses every digit of sin(pi t) in the float conversion
+    if 2 * num > den:
+        num -= den
+    tf = num / den
+    if abs(tf) < sys.float_info.min:
+        # below the normal floats sin(pi t) keeps too few digits, and the
+        # Dirichlet ratio is 1 to double precision there
+        return cmath.exp(1j * math.pi * (q - 1) * tf)
+    # (1/q) sum_k e^{2 pi i k t} in closed Dirichlet-kernel form
+    return (
+        cmath.exp(1j * math.pi * (q - 1) * tf)
+        * math.sin(math.pi * q * tf)
+        / (q * math.sin(math.pi * tf))
+    )
 
 
 def _oracle_mu_hat(inst, xi, tail_eps=1e-9):
@@ -82,7 +119,7 @@ def _oracle_mu_hat(inst, xi, tail_eps=1e-9):
         t = sum(map(mul, a, v)) % den
         if t and q * t % den == 0:
             return complex(0.0), 0.0, j
-        product *= fourier._mask_from_phase(q, t, den)
+        product *= _oracle_mask_from_phase(q, t, den)
         tail = math.pi * (coeff.numerator * max(map(abs, a)) / (coeff.denominator * den))
         if tail < tail_eps:
             return product, math.expm1(tail), j
@@ -98,6 +135,21 @@ def _oracle_defects(inst, freqs, probes, tail_eps=1e-9):
             q_sum += abs(_oracle_mu_hat(inst, xi - lam, tail_eps)[0]) ** 2
         defects.append(1.0 - q_sum)
     return defects
+
+
+def _oracle_spectrum(inst, triple, depth):
+    """The frequencies by rational matrices: the companion sums through
+    inverse(b)^T of the companion frame, then, at a reduced rank, padded
+    with zeros and through b^T of the block change of basis."""
+    freqs = [s.to_rat() for s in _oracle_sums(triple, depth)]
+    if triple.coordinate_frame is not None:
+        inv_t = inverse(triple.coordinate_frame.b).transpose()
+        freqs = [inv_t * lam for lam in freqs]
+    decomp = inst.leading.decomp
+    if decomp is not None:
+        b_t = decomp.b.transpose().to_rat()
+        freqs = [b_t * RatVector(list(lam) + [0] * (inst.m.n - len(lam))) for lam in freqs]
+    return freqs
 
 
 def _oracle_sums(triple, depth):
@@ -140,9 +192,9 @@ def _defects(inst, freqs, probes, tail_eps=1e-9):
 
 
 @st.composite
-def _instances(draw):
+def _instances(draw, bases=BASES):
     """A base instance conjugated by a random unimodular u: (u M u^-1, u v)."""
-    m, v, q = draw(st.sampled_from(BASES))
+    m, v, q = draw(st.sampled_from(bases))
     n = m.n
     u = IntMatrix.identity(n)
     for i, j, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
@@ -221,6 +273,67 @@ def test_wrong_dimension_raises_the_same_error_at_the_same_pair(problem, where, 
     assert isinstance(expected, tuple)
     assert _outcome(_defects, inst, freqs, probes) == expected
     assert _outcome(_transform, inst, stray) == _outcome(_oracle_mu_hat, inst, stray)
+
+
+@st.composite
+def _batches(draw):
+    """(inst, points, den): over 100 points a / den for one kernel call,
+    leaving at many different steps: the zero point, integer and
+    half-integer points (exact zeros at early factors) and numerators
+    spread over twelve orders of magnitude (tails of different sizes)."""
+    inst = draw(_instances())
+    n = inst.m.n
+    den = draw(st.sampled_from([1, 2, 6, 20, 63]))
+    small = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    ints = draw(st.lists(small, min_size=15, max_size=15))
+    points = [(0,) * n] + [tuple(den * x for x in p) for p in ints]
+    if den % 2 == 0:
+        points += [tuple(den // 2 * x for x in p) for p in ints]
+    for e in range(13):
+        entry = st.builds(lambda s, r, e=e: s * (10**e + r), st.sampled_from([-1, 1]), st.integers(0, 10**e))
+        points += draw(st.lists(st.tuples(*[entry] * n), min_size=7, max_size=7))
+    return inst, draw(st.permutations(points)), den
+
+
+def _bits(results):
+    """repr of each (value, error, factors): equal reprs are equal floats,
+    signed zeros included."""
+    return [repr(r) for r in results]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_batches(), st.sampled_from([1e-9, 1e-4]))
+def test_one_call_on_many_points_matches_the_loop_and_mu_hat(batch, tail_eps):
+    inst, points, den = batch
+    xis = [RatVector(Fraction(x, den) for x in a) for a in points]
+    expected = _bits(_oracle_mu_hat(inst, xi, tail_eps) for xi in xis)
+    got = fourier._transform_many(inst, points, den, tail_eps)
+    assert _bits(got) == expected
+    # the same points one at a time, through mu_hat's row-major steps
+    assert _bits(_transform(inst, xi, tail_eps) for xi in xis) == expected
+    assert len({factors for _, _, factors in got}) >= 3
+
+
+@pytest.mark.parametrize("m, q", [([[4]], 2), ([[-3]], 3)])
+def test_one_call_through_subnormal_phases_matches_the_loop(m, q):
+    # at tail_eps = 1e-320 a point steps on until its phase is far below
+    # the smallest normal float, where the mask takes its limit form;
+    # integer points meet exact zeros at different early factors, and the
+    # large numerators leave many factors after the small ones
+    inst = ProblemInstance(IntMatrix(m), IntVector([1]), q)
+    den = 3 * 7 * 11 * 4
+    points = ([(k,) for k in range(-40, 41)] + [(den * k,) for k in range(-20, 21)]
+              + [(den * 10**e + 1,) for e in range(15)])
+    xis = [RatVector([Fraction(a, den)]) for (a,) in points]
+    got = fourier._transform_many(inst, points, den, 1e-320)
+    assert _bits(got) == _bits(_oracle_mu_hat(inst, xi, 1e-320) for xi in xis)
+    assert _bits(_transform(inst, xi, 1e-320) for xi in xis) == _bits(got)
+    # every point that kept a nonzero product ended at a subnormal phase
+    d = abs(m[0][0])
+    ends = [(a, f) for (a,), (value, _, f) in zip(points, got) if value != 0 and f]
+    assert all(abs(Fraction(a, den * d ** f)) < sys.float_info.min for a, f in ends)
+    assert max(f for _, f in ends) - min(f for _, f in ends) >= 20
+    assert len({f for value, _, f in got if value == 0}) >= 2
 
 
 def test_equal_frequencies_take_no_factor_and_exact_zeros_stop_the_product():
@@ -318,3 +431,37 @@ def test_candidate_spectrum_matches_the_product_loop(triple, depth):
         assert str(got.value) == str(e)
         return
     assert candidate_spectrum(triple, depth).frequencies == expected
+
+
+# ---------------------------------------------------------------------------
+# candidate spectra as integer numerators over one denominator
+# ---------------------------------------------------------------------------
+
+
+def _spectral_instances():
+    """Conjugates of the spectral bases, in the companion frame (full
+    Krylov rank) and in the block frame (reduced rank)."""
+    return _instances(BASES + RANK_DEFICIENT)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_spectral_instances(), st.integers(1, 2))
+def test_spectrum_numerators_over_one_denominator_are_its_frequencies(inst, depth):
+    spectrum = _spectrum_in_original_coords(inst, classify(inst).certificate.triple, depth)
+    den = spectrum.denominator
+    assert den > 0 and len(spectrum.numerators) == inst.q ** depth
+    assert all(type(x) is int for a in spectrum.numerators for x in a)
+    assert spectrum.frequencies == [RatVector([Fraction(x, den) for x in a]) for a in spectrum.numerators]
+    assert spectrum.frequencies == _oracle_spectrum(inst, classify(inst).certificate.triple, depth)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_spectral_instances(), st.data())
+def test_a_spectrum_and_its_frequency_list_give_identical_defects(inst, data):
+    depth = 1 if inst.m.n > 2 else 2
+    spectrum = _spectrum_in_original_coords(inst, classify(inst).certificate.triple, depth)
+    probes = data.draw(st.lists(_frequencies(inst.m.n), min_size=1, max_size=2))
+    frequencies = list(spectrum.frequencies)
+    got = _defects(inst, spectrum, probes)
+    assert repr(got) == repr(_defects(inst, frequencies, probes))
+    assert repr(got) == repr(_oracle_defects(inst, frequencies, probes))
