@@ -431,7 +431,8 @@ def cmd_spectrum(args) -> int:
         }
         for idx, hit in zip(nonzero, hits)
     ]
-    frequencies = [_ser_rvec(f) for f in spectrum.frequencies]
+    den = spectrum.denominator
+    frequencies = [[str(Fraction(x, den)) for x in a] for a in spectrum.numerators]
     obj = {
         "depth": spectrum.depth,
         "count": len(frequencies),

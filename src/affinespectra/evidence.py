@@ -22,6 +22,10 @@ from .hadamard import CandidateSpectrum
 from .linalg import RatVector, _over_common_denominator
 
 _CANDIDATE_CAP = 5000
+# branch nodes of one maximum clique search: the cube fixture (x^3 + 36,
+# q = 6) takes 159, 6,090 and 1,075 at boxes 4, 5 and 6, every benchmark
+# task and test at most 159; box 7 would run for minutes or more
+_CLIQUE_NODES = 2**14
 # completeness work: frequencies x probes x factors x (n^2 + 24), a factor
 # being n^2 multiply-adds plus a mask and tail bound costing about 24 more
 _COMPLETENESS_CAP = 2**25
@@ -89,7 +93,10 @@ def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
     A complete graph returns every vertex; otherwise the search runs on the
     vertices relabelled by non-increasing degree, ties by index (the initial
     order of Tomita and Seki's MCQ), and maps its clique back.  Vertex sets
-    are bitmasks, which keeps the search deterministic and cheap."""
+    are bitmasks, which keeps the search deterministic and cheap.  The
+    vertices are the neighbours of 0 of an orthogonal clique search: past
+    _CLIQUE_NODES branch nodes it raises TooLarge with the best clique so
+    far, counting 0."""
     full = (1 << n_vertices) - 1
     if all(bits | 1 << v == full for v, bits in enumerate(adj_bits)):
         return list(range(n_vertices))
@@ -111,8 +118,14 @@ def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
         if size > best_size:
             best_size, best_bits = size, bits
 
+    nodes = 0
+
     def expand(rsize: int, rbits: int, cand: int):
-        nonlocal best_size, best_bits
+        nonlocal best_size, best_bits, nodes
+        nodes += 1
+        if nodes > _CLIQUE_NODES:
+            raise TooLarge(f"clique search stopped at its budget of {_CLIQUE_NODES} branch nodes; "
+                           f"the largest orthogonal set through 0 found has {best_size + 1} points")
         if cand == 0:
             if rsize > best_size:
                 best_size, best_bits = rsize, rbits
@@ -163,8 +176,9 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     Exhaustive and exact for the stated lattice box; frequencies outside
     the lattice are invisible to it, so the result is evidence about the
     box, not a bound on orthogonal sets in general.  Raises TooLarge when
-    the box has more than 5000 lattice points, or when an explicit j_max
-    needs more probe vectors than fourier._check_j_max allows.
+    the box has more than 5000 lattice points, when an explicit j_max
+    needs more probe vectors than fourier._check_j_max allows, or when the
+    clique search passes its budget of branch nodes.
 
     Key sets are int bitmasks, bit k + top for key k, [-top, top] holding
     every difference of two box points: under 2^n * 5000 bits by the cap.

@@ -5,15 +5,19 @@ of Python ints and make Fractions only at the end: fraction-free (Bareiss)
 elimination for determinants, ranks, inverses and, on the iterates
 v, Mv, ..., the minimal polynomial of v; Faddeev-LeVerrier for other
 characteristic polynomials; and an exact Schur-Cohn test for the
-expanding property that keeps each reduced polynomial content-free.
+expanding property that keeps each reduced polynomial content-free.  The
+unimodular echelon form runs its Euclid on the work rows alone and
+replays the recorded steps on packed ints, one per row of b and per
+column of b^-1, in fields the steps' magnitude bounds prove wide enough.
 Every division assumed exact is checked.  No float ever participates in
 a mathematical decision made by this module.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 
 from .errors import (
     InternalError,
@@ -538,21 +542,54 @@ def hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     broken by lowest row index) and the entries below are reduced by
     Euclidean steps until they vanish.
 
+    The Euclid runs on the n x r work rows alone and records its steps,
+    with a bound on the entries of each row of b and each column of b^{-1}
+    (|x - t y| <= |x| + |t| |y|).  The steps are then replayed on one int
+    per row of b and per column of b^{-1}, holding balanced fields of a
+    byte width those bounds prove wide enough, so each step is one big-int
+    operation.  b b^{-1} = I and b a = h are checked exactly, each row of
+    a product compared as one int.
+
     Raises RankDeficient if the columns of ``a`` are linearly dependent.
     """
     b, _, h = _hnf_unimodular(a)
     return b, h
 
 
+def _unpack(packed: list[int], n: int, size: int) -> tuple:
+    """Rows of the n balanced fields of ``size`` bytes in each int, whose
+    entries must lie in [-2^(8 size - 1), 2^(8 size - 1))."""
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    try:
+        raw = b"".join([(p + offset).to_bytes(n * size, "little") for p in packed])
+    except OverflowError:
+        raise InternalError("hnf_unimodular: an entry outgrew its packed width") from None
+    entries = [int.from_bytes(raw[k:k + size], "little") - half for k in range(0, len(raw), size)]
+    return tuple(zip(*[iter(entries)] * n))
+
+
+def _product_is(left, right, target) -> bool:
+    """left * right == target, each row compared as one int of balanced
+    fields wide enough for every entry of the product and of target, so
+    that equal ints mean equal rows."""
+    width = 1 + len(right).bit_length() + max(map(abs, chain(*left))).bit_length()
+    width += max(map(abs, chain(*right, *target))).bit_length()
+    shifts = range(0, width * len(target[0]), width)
+    packed = [sum(map(lshift, row, shifts)) for row in right]
+    return [sum(map(mul, row, packed)) for row in left] == [sum(map(lshift, t, shifts)) for t in target]
+
+
 def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """(b, b^{-1}, h): a row swap on b swaps columns of b^{-1}, and
     row_i -= t row_p makes col_p += t col_i; b b^{-1} = I implies det +-1.
     Rows from col down are zero left of col, so only columns col.. of the
-    work rows are updated."""
+    work rows are updated.  No entry of row i of b exceeds bound[i] in
+    absolute value, nor one of column i of b^{-1} bound_inv[i]."""
     nr, nc = a.nrows, a.ncols
     work = [list(row) for row in a.rows]
-    b = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    b_inv_t = [list(row) for row in b]  # columns of b^{-1}, as rows
+    steps = []  # (i, p, t): row_i -= t row_p, or with t = 0 swap rows i and p
+    bound, bound_inv = [1] * nr, [1] * nr
     for col in range(nc):  # full column rank puts the pivot of col in row col
         if col == nr:
             raise RankDeficient(f"hnf_unimodular: no pivot row left for column {col}")
@@ -563,8 +600,9 @@ def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             _, piv = min(cand)
             if piv != col:
                 work[col], work[piv] = work[piv], work[col]
-                b[col], b[piv] = b[piv], b[col]
-                b_inv_t[col], b_inv_t[piv] = b_inv_t[piv], b_inv_t[col]
+                bound[col], bound[piv] = bound[piv], bound[col]
+                bound_inv[col], bound_inv[piv] = bound_inv[piv], bound_inv[col]
+                steps.append((col, piv, 0))
             top, clean = work[col], True
             for i in range(col + 1, nr):
                 w_i = work[i]
@@ -572,17 +610,30 @@ def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if t:
                     for j in range(col, nc):
                         w_i[j] -= t * top[j]
-                    b[i] = [x - t * y for x, y in zip(b[i], b[col])]
-                    b_inv_t[col] = [x + t * y for x, y in zip(b_inv_t[col], b_inv_t[i])]
+                    bound[i] += abs(t) * bound[col]
+                    bound_inv[col] += abs(t) * bound_inv[i]
+                    steps.append((i, col, t))
                 clean = clean and w_i[col] == 0
             if clean:
                 break
-    b_inv, h = tuple(zip(*b_inv_t)), tuple(map(tuple, work))
-    if _mat_mul(b, b_inv) != tuple(tuple(int(i == j) for j in range(nr)) for i in range(nr)):
+    size = (max(bound + bound_inv).bit_length() + 8) // 8
+    rows = [1 << 8 * size * i for i in range(nr)]
+    cols = rows[:]
+    for i, p, t in steps:
+        if t:
+            rows[i] -= t * rows[p]
+            cols[p] += t * cols[i]
+        else:
+            rows[i], rows[p] = rows[p], rows[i]
+            cols[i], cols[p] = cols[p], cols[i]
+    fields = _unpack(rows + cols, nr, size)
+    b, b_inv = fields[:nr], tuple(zip(*fields[nr:]))
+    h = tuple(map(tuple, work))
+    if not _product_is(b, b_inv, [(0,) * i + (1,) + (0,) * (nr - 1 - i) for i in range(nr)]):
         raise InternalError("row operations must stay unimodular")
-    if _mat_mul(b, a.rows) != h:
+    if not _product_is(b, a.rows, h):
         raise InternalError("row operations do not reproduce the echelon form")
-    return IntMatrix._make(tuple(map(tuple, b))), IntMatrix._make(b_inv), IntMatrix._make(h)
+    return IntMatrix._make(b), IntMatrix._make(b_inv), IntMatrix._make(h)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -368,6 +369,41 @@ def test_decompose_companion_branch(write, capsys):
     assert obj["m_tilde"][2] == ["-36", "0", "0"]
 
 
+# the n=16 r=9 pure p(0)=6 q=4 instance of the dim-sweep benchmark (seed
+# 42): its b^-1 has entries of 234 bits, and its decompose and classify
+# reports, less timings_ms, are pinned in tests/data
+DIM16 = {
+    "matrix": [
+        [20777133, 583646377, -2007839560, 556476165, -1372293531, -3172286, 386473099, 222720335, 552403979, 635303003, 897147406, -290982881, 800554502, 717471275, -2616857316, -21227831],
+        [-645375984, -1489653872, 532653297, -1904460480, 814284903, -555876489, 187092642, -799071513, 625418868, 467712278, 984842742, -489932181, -466864871, -2191428641, -1119343500, 421888196],
+        [-313111354, -810327428, 578950141, -1004946786, 611553885, -267224539, 28393378, -421133978, 210780509, 122275838, 328512554, -188688097, -353731961, -1166826432, -115689856, 206277200],
+        [-332642215, -307189639, -1459086145, -547580757, -738553176, -307664687, 435111610, -233042752, 821292161, 806554802, 1332090070, -535762324, 445071638, -606193091, -2915052589, 220521210],
+        [83178624, 234884298, -233695176, 286309103, -214626721, 69033305, 8371207, 119525183, -33319029, -6457540, -47520660, 35178006, 125167683, 330505742, -79619545, -53406421],
+        [152408336, 232264342, 319426256, 337208351, 105054130, 136008341, -130481432, 141530781, -276081247, -255467417, -443815788, 187837960, -66366139, 382889431, 864418083, -100150044],
+        [241832284, 176395679, 1224579250, 355677445, 648926646, 223522436, -347666689, 151140232, -644985894, -639955798, -1042720472, 412343599, -389286441, 383931183, 2334911562, -157903746],
+        [437754645, 624546091, 1075824912, 931805671, 413579880, 392388183, -408096314, 395026047, -838144643, -786266470, -1344445316, 559722414, -251853508, 1035866896, 2685649816, -284161809],
+        [-1135921824, -818389583, -5796697602, -1669349010, -3093480139, -1053155680, 1649604972, -722960509, 3039181569, 3021548119, 4904566944, -1929782867, 1840100968, -1745538164, -10997591619, 734310341],
+        [16380229, -295579815, 1221916620, -257332610, 819088925, 26686171, -249763520, -99063171, -371055709, -416053343, -597143389, 198418638, -474897348, -357632622, 1666870520, -3039193],
+        [467728141, 359467069, 2294136398, 708622086, 1211482662, 431162771, -659858575, 304706179, -1225337705, -1213673573, -1974842528, 778701369, -722083297, 747159044, 4403324784, -301700812],
+        [996767238, 1321600815, 2829956050, 2026080007, 1194167943, 898216641, -1003079415, 859044410, -2018127960, -1914409341, -3244058923, 1338564697, -724258829, 2248902266, 6631682900, -648670448],
+        [1070020194, 1504318695, 2753316872, 2250370963, 1084288679, 966421769, -1023062239, 954575873, -2083002828, -1962503418, -3358336236, 1402543101, -662755998, 2523372325, 6752285134, -703156799],
+        [-139010812, -180940924, -414535973, -278418660, -178453998, -126595698, 144161231, -118402356, 286869140, 273522186, 463948543, -192171955, 108430747, -311896538, -954795215, 91855946],
+        [157666898, 326478663, 16701066, 429920791, -100615675, 138537817, -75299036, 181825722, -194657127, -162373427, -310912699, 144303272, 56718595, 490949926, 471656252, -103664594],
+        [20670832, 54263137, -34155868, 65916777, -39373818, 18639594, -2859561, 27505138, -14934556, -9496874, -26088368, 15751133, 21972990, 81253151, 17102784, -15087719],
+    ],
+    "v": [-2130, -13212, -5487, -7160, 2024, 3341, 6649, 10523, -29508, 2727, 12672, 24189, 23328, -2891, 2967, 75],
+    "q": 4,
+}
+
+
+@pytest.mark.parametrize("command", ["decompose", "classify"])
+def test_16_dimensional_reports_are_pinned(write, capsys, command):
+    code, out, _ = _run(capsys, command, "--input", write(DIM16), "--json")
+    assert code == 0
+    out = re.sub(r'  "timings_ms": \{\n(?:    .*\n)*  \},\n', "", out)
+    assert out == (Path(__file__).parent / "data" / f"dim16_{command}.json").read_text()
+
+
 # -- thin drivers -------------------------------------------------------------
 
 
@@ -488,6 +524,19 @@ def test_clique_too_large_exits_2(write, capsys):
         capsys, "clique", "--input", write(CUBE), "--box", "10", "--lattice-den", "10"
     )
     assert code == 2
+
+
+def test_clique_beyond_its_node_budget_exits_2(write, capsys):
+    # 3375 points, under the candidate cap; without the budget the search
+    # did not end in 90 s, and it takes about 6 s to reach the budget
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "clique", "--input", write(CUBE), "--box", "7")
+    assert time.perf_counter() - start < 30.0
+    assert (code, out) == (2, "")
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: clique search stopped at its budget of 16384 branch nodes;")
+    assert lines[0].endswith("the largest orthogonal set through 0 found has 91 points")
 
 
 def test_spectrum_beyond_the_cap_exits_2_quickly(write, capsys):

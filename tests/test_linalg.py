@@ -374,19 +374,54 @@ def _hnf_by_whole_rows(a):
     return IntMatrix(row[nc:] for row in aug), IntMatrix(row[:nc] for row in aug)
 
 
+def _drawn_matrix(entry):
+    """nr x nc matrices, nc <= nr <= 7, of entries drawn from ``entry``."""
+    return st.integers(1, 7).flatmap(lambda nr: st.integers(1, nr).flatmap(lambda nc: st.lists(
+        st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))).map(IntMatrix)
+
+
+def _krylov_basis(seed):
+    """[M^{k-1} v, ..., v], k = r or (a quarter of the time) r + 1, for
+    M = U B U^-1 with B block upper triangular, r x r block leading, and
+    v = U x, x zero past its first r entries (so k = r + 1 is dependent):
+    the construction of the dim-sweep benchmark, up to n = 16, where b^-1
+    reaches 234 bits."""
+    rng = random.Random(seed)
+    n, bits = rng.randint(2, 16), rng.randint(1, 32)
+    r = rng.randint(1, n - 1)
+    blk = IntMatrix([[rng.randint(-3, 3) if i < r or j >= r else 0 for j in range(n)]
+                     for i in range(n)])
+    u, u_inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
+    while max(abs(x) for row in u + u_inv for x in row).bit_length() < bits:
+        # U <- (I + c e_i e_j^T) U, so U^-1 <- U^-1 (I - c e_i e_j^T)
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= c * row[i]
+    m = IntMatrix(u) * blk * IntMatrix(u_inv)
+    vecs = [IntMatrix(u) * IntVector([rng.choice((-2, -1, 1, 2)) if i < r else 0 for i in range(n)])]
+    for _ in range(r - 1 + (rng.random() < 0.25)):
+        vecs.append(m * vecs[-1])
+    return IntMatrix.from_columns(reversed(vecs))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 7).flatmap(lambda nr: st.tuples(
-    st.integers(1, nr), st.lists(st.integers(-9, 9), min_size=nr * nr, max_size=nr * nr))))
-def test_hnf_matches_whole_row_reduction(drawn):
-    nc, entries = drawn
-    nr = int(len(entries) ** 0.5)
-    a = IntMatrix([entries[i * nr:i * nr + nc] for i in range(nr)])
-    if rank(a) < nc:
-        with pytest.raises(RankDeficient):
-            _hnf_unimodular(a)
-        return
-    b, h = _hnf_by_whole_rows(a)
-    assert _hnf_unimodular(a) == (b, inverse_unimodular(b), h)
+@given(
+    _drawn_matrix(st.integers(-9, 9)),
+    _drawn_matrix(st.tuples(st.sampled_from((-2**64, 2**64)), st.integers(-9, 9)).map(sum)),
+    st.integers(0, 2**32).map(_krylov_basis),
+)
+def test_hnf_matches_whole_row_reduction(small, near_2_64, krylov):
+    # the Krylov bases and the entries near +-2^64 take the packed replay
+    # of b and b^-1 well past one machine word per entry
+    for a in (small, near_2_64, krylov):
+        if rank(a) < a.ncols:
+            with pytest.raises(RankDeficient):
+                _hnf_unimodular(a)
+            continue
+        b, h = _hnf_by_whole_rows(a)
+        assert _hnf_unimodular(a) == (b, inverse_unimodular(b), h)
 
 
 def test_hnf_rejects_rank_deficient():
