@@ -44,7 +44,6 @@ from .fourier import (
 from .hadamard import (
     CandidateSpectrum,
     HadamardTriple,
-    PhaseMatrix,
     candidate_spectrum,
     construct_dual_digits,
     phase_matrix,

@@ -7,22 +7,22 @@ is decided exactly: a True is a proof, not a numerical observation.  A
 HadamardTriple keeps its digits {0, w, ..., (q-1)w} and duals
 {0, u, ..., (q-1)u} as (w, u, q) and decides itself by one linear solve
 and one gcd (Laba-Wang), so the classifier builds no list of q vectors.
-The list path, verify_hadamard, serves reports: consecutive collinear
-digits in any order take that closed form in one pass over the duals,
-and any other digit set reduces each column-pair sum of roots of unity
-modulo a cyclotomic polynomial.
+The list path, verify_hadamard, serves reports: it takes digits that are
+consecutive multiples of one vector, in any order, and decides them by the
+same closed form in one pass over the duals; it refuses any other digit
+set (PreconditionError), since the paper's digit sets are all of this kind.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from operator import add
 
 from .conjugation import CompanionConjugation, _transport
-from .errors import DuplicateFrequency, InternalError, NotDivisible, TooLarge, UnverifiedTriple
+from .errors import DuplicateFrequency, InternalError, NotDivisible, PreconditionError, TooLarge
+from .errors import UnverifiedTriple
 from .linalg import IntMatrix, IntVector, RatVector, _inverse_parts, _solve_parts
 
 _SPECTRUM_CAP = 2**16  # frequencies a candidate spectrum may hold
@@ -67,24 +67,6 @@ def _progression(w: IntVector, q: int):
     return zip(*(range(0, q * e, e) if e else itertools.repeat(0, q) for e in w.entries))
 
 
-class PhaseMatrix:
-    """Exact phases theta with H = (1/sqrt(q)) [e^{2 pi i theta_kl}]."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = tuple(tuple(Fraction(x) % 1 for x in row) for row in rows)
-
-    def __getitem__(self, k):
-        return self.rows[k]
-
-    def __eq__(self, other):
-        return isinstance(other, PhaseMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"PhaseMatrix({[[str(x) for x in row] for row in self.rows]})"
-
-
 class CandidateSpectrum:
     """Finite truncation of the canonical spectrum attached to a verified
     triple, expressed in the coordinates the instance was given in: the
@@ -127,100 +109,39 @@ def construct_dual_digits(conj: CompanionConjugation, q: int) -> HadamardTriple:
     return HadamardTriple(conj.m_tilde, conj.v_tilde, u, q, coordinate_frame=conj)
 
 
-def phase_matrix(m: IntMatrix, digits, duals) -> PhaseMatrix:
-    """theta_kl = <m^{-1} d_k, s_l> mod 1 = <adj d_k, s_l> / d mod 1, m^{-1} = adj / d."""
+def phase_matrix(m: IntMatrix, digits, duals) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact phases theta_kl in [0, 1) with H = (1/sqrt(q)) [e^{2 pi i theta_kl}]:
+    theta_kl = <m^{-1} d_k, s_l> mod 1 = <adj d_k, s_l> / d mod 1, m^{-1} = adj / d."""
     adj, d = _inverse_parts(m)
     pre = [adj * x for x in digits]
-    return PhaseMatrix([[Fraction(x.dot(s), d) for s in duals] for x in pre])
-
-
-# -- exact vanishing of root-of-unity sums ----------------------------------
-
-
-def _poly_divmod(num, den):
-    """Quotient and remainder of integer polynomials (ascending), den monic."""
-    num = list(num)
-    d = len(den) - 1
-    if den[-1] != 1:
-        raise InternalError("exact division needs a monic divisor")
-    quo = [0] * max(len(num) - d, 0)
-    for i in range(len(num) - 1, d - 1, -1):
-        c = num[i]
-        if c:
-            quo[i - d] = c
-            for j, y in enumerate(den):
-                num[i - d + j] -= c * y
-    return quo, num
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(order: int):
-    """Coefficients (ascending) of the cyclotomic polynomial, by the sieve
-    Phi_L = (x^L - 1) / prod of Phi_d over proper divisors d of L."""
-    poly = [-1] + [0] * (order - 1) + [1]
-    for d in range(1, order):
-        if order % d == 0:
-            poly, rem = _poly_divmod(poly, _cyclotomic(d))
-            if any(rem):
-                raise InternalError("division was not exact")
-    return tuple(poly)
-
-
-def _root_of_unity_sum_is_zero(exponents) -> bool:
-    """Exact test of sum_i e^{2 pi i e_i} = 0 for rational exponents: the
-    sum vanishes iff its polynomial has zero remainder mod Phi_order."""
-    exps = [Fraction(e) % 1 for e in exponents]
-    order = lcm(*(e.denominator for e in exps))
-    coeffs = [0] * order
-    for e in exps:
-        coeffs[int(e * order)] += 1
-    return not any(_poly_divmod(coeffs, _cyclotomic(order))[1])
-
-
-def _verify_collinear(m: IntMatrix, w, duals) -> bool:
-    # entry (j, l) of H*H is sum_k e^{2 pi i k (tau_l - tau_j)} with
-    # tau_l = <m^{-1} w, s_l>; it vanishes iff q (tau_l - tau_j) is an
-    # integer and tau_l - tau_j is not, so H is unitary iff the residues
-    # (tau_l - tau_0) mod 1 are q distinct multiples of 1/q.  With
-    # m^{-1} w = x / d, d tau_l = <x, s_l> and the residues live mod d
-    x, d = _solve_parts(m, w)
-    taus = [x.dot(s) for s in duals]
-    q = len(duals)
-    residues = {(t - taus[0]) % d for t in taus}
-    return len(residues) == q and all(q * r % d == 0 for r in residues)
-
-
-def _verify_cyclotomic(m: IntMatrix, digits, duals) -> bool:
-    q = len(digits)
-    theta = phase_matrix(m, digits, duals)
-    for j in range(q):
-        for k in range(j + 1, q):
-            exps = [theta[d][k] - theta[d][j] for d in range(q)]
-            if not _root_of_unity_sum_is_zero(exps):
-                return False
-    return True
+    return tuple(tuple(Fraction(x.dot(s) % d, d) for s in duals) for x in pre)
 
 
 def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
     """Exact unitarity of the phase matrix: H*H = qI.
 
-    Diagonal entries are q automatically; each off-diagonal entry is a
-    sum of q roots of unity.  When the digits, as a set of q vectors in any
-    order (H*H does not depend on it), are {0, w, ..., (q-1)w} with w the
-    nonzero digit of least l1 norm, it is a geometric sum, and H is unitary
-    iff the phases tau_l = <m^{-1} w, s_l> are q distinct residues of
-    tau_0 + (1/q)Z mod 1: one exact linear solve for m^{-1} w and one
-    pass over the duals.
-    Every other digit set is decided by reducing each sum modulo a
-    cyclotomic polynomial.  Both paths are exact, with no tolerance.
+    The digits, as a set of q vectors in any order (H*H does not depend on
+    it), must be {0, w, ..., (q-1)w} with w the nonzero digit of least l1
+    norm; any other digit set raises PreconditionError.  Entry (j, l) of
+    H*H is then the geometric sum sum_k e^{2 pi i k (tau_l - tau_j)} with
+    tau_l = <m^{-1} w, s_l>, which vanishes iff q (tau_l - tau_j) is an
+    integer and tau_l - tau_j is not; so H is unitary iff the residues
+    (tau_l - tau_0) mod 1 are q distinct multiples of 1/q (Laba-Wang).
+    One exact linear solve for m^{-1} w, made before the digit set is
+    compared, and one pass over the duals; no tolerance.
     """
-    if len(digits) != len(duals):
-        raise ValueError("digit and dual sets must have equal size")
-    w = min((d for d in digits if any(d.entries)),
-            key=lambda d: sum(map(abs, d.entries)), default=None)
-    if w is not None and {d.entries for d in digits} == set(_progression(w, len(digits))):
-        return _verify_collinear(m, w, duals)
-    return _verify_cyclotomic(m, digits, duals)
+    if not digits or len(digits) != len(duals):
+        raise ValueError("digit and dual sets must have equal, nonzero size")
+    q = len(digits)
+    w = min(digits, key=lambda d: (not any(d.entries), sum(map(abs, d.entries))))
+    # with m^{-1} w = x / d, d tau_l = <x, s_l> and the residues live mod d
+    x, d = _solve_parts(m, w)
+    digit_set = {e.entries for e in digits}
+    if len(digit_set) != q or digit_set != set(_progression(w, q)):
+        raise PreconditionError("hadamard digits are not consecutive multiples of one vector")
+    taus = [x.dot(s) for s in duals]
+    residues = {(t - taus[0]) % d for t in taus}
+    return len(residues) == q and all(q * r % d == 0 for r in residues)
 
 
 def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
@@ -270,7 +191,6 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
 __all__ = [
     "CandidateSpectrum",
     "HadamardTriple",
-    "PhaseMatrix",
     "candidate_spectrum",
     "construct_dual_digits",
     "phase_matrix",

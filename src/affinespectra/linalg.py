@@ -290,10 +290,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix._make(tuple(zip(*self.rows)))
 
-    def trace(self) -> int:
-        self._require_square()
-        return sum(self.rows[i][i] for i in range(self.nrows))
-
     def submatrix(self, row_range, col_range) -> "IntMatrix":
         if not row_range or not col_range:
             raise ValueError("empty matrix")

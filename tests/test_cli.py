@@ -8,6 +8,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_hadamard import _gram_is_scaled_identity, _is_progression
 
 from affinespectra import cli
 from affinespectra.classify import WitnessCertificate, leading_triple
@@ -15,7 +18,7 @@ from affinespectra.cli import _certificate_json, load_instance, main
 from affinespectra.conjugation import map_spectrum
 from affinespectra.fourier import Witness, certify_orthogonal
 from affinespectra.hadamard import candidate_spectrum
-from affinespectra.linalg import IntVector, RatVector
+from affinespectra.linalg import IntMatrix, IntVector, RatVector
 
 CUBE = {"matrix": [[2, 6, 4], [-1, 2, 2], [-1, -1, -4]], "v": [0, 0, 1], "q": 6}
 DIAG = {"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 6}
@@ -268,7 +271,7 @@ def _singular_matrix(collinear):
     return edit
 
 
-@pytest.mark.parametrize("collinear", [True, False], ids=["closed-form", "cyclotomic"])
+@pytest.mark.parametrize("collinear", [True, False], ids=["closed-form", "not-a-progression"])
 def test_singular_certificate_matrix_exits_2(write, capsys, tmp_path, collinear):
     code, _, err = _reverify_edited(write, capsys, tmp_path, CUBE, _singular_matrix(collinear))
     assert code == 2
@@ -303,6 +306,20 @@ def test_large_q_report_reverifies(write, capsys, tmp_path):
     assert code == 0
     assert "hadamard certificate re-verified" in out
 
+    def off_progression(report):
+        digits = report["certificate"]["digits"]
+        digits[1] = [str(int(digits[1][0]) + 1000)]
+        return report
+
+    # digits that are not consecutive multiples of one vector are refused
+    # in one pass, not decided in time that grows with q
+    start = time.perf_counter()
+    inst = {"matrix": [[10**6]], "v": [1], "q": 1000}
+    code, _, err = _reverify_edited(write, capsys, tmp_path, inst, off_progression)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
 
 def _swap_digits(report):
     digits = report["certificate"]["digits"]
@@ -324,6 +341,42 @@ def test_report_with_swapped_digits_reverifies(write, capsys, tmp_path):
     code, _, err = _reverify_edited(write, capsys, tmp_path, inst, corrupt)
     assert code == 2
     assert "hadamard certificate failed exact unitarity" in err
+
+
+@pytest.mark.parametrize("kind", ["permute", "digit", "dual", "duplicate", "swap"])
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edited_hadamard_report_exits_0_or_2_with_one_line(write, capsys, tmp_path, kind, data):
+    # one edit of a Hadamard report: exit 0 exactly when its digits are still
+    # consecutive multiples of one vector and its phase matrix is unitary
+    q = data.draw(st.integers(2, 40))
+    inst = data.draw(st.sampled_from([CUBE, {"matrix": [[q * data.draw(st.sampled_from([-2, -1, 1, 2]))]],
+                                             "v": [1], "q": q}]))
+    i, j = data.draw(st.lists(st.integers(0, inst["q"] - 1), min_size=2, max_size=2, unique=True))
+    perm = data.draw(st.permutations(range(inst["q"])))
+    vec = data.draw(st.lists(st.integers(-3, 3).map(str), min_size=len(inst["v"]), max_size=len(inst["v"])))
+
+    def edit(report):
+        cert = report["certificate"]
+        digits, duals = cert["digits"], cert["duals"]
+        if kind == "permute":
+            cert["digits"] = [digits[k] for k in perm]
+        elif kind in ("digit", "dual"):
+            (digits if kind == "digit" else duals)[i] = vec
+        elif kind == "duplicate":
+            digits[i] = digits[j]
+        else:
+            duals[i], duals[j] = duals[j], duals[i]
+        return report
+
+    code, out, err = _reverify_edited(write, capsys, tmp_path, inst, edit)
+    cert = json.loads((tmp_path / "report.json").read_text())["certificate"]
+    m = IntMatrix([[int(x) for x in row] for row in cert["matrix"]])
+    digits, duals = ([IntVector([int(x) for x in v]) for v in cert[k]] for k in ("digits", "duals"))
+    unitary = _is_progression(digits) and _gram_is_scaled_identity(m, digits, duals)
+    assert code == (0 if unitary else 2), kind
+    assert len((out + err).splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cli_import_leaves_numpy_unloaded():

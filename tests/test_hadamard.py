@@ -6,19 +6,19 @@ import time
 import tracemalloc
 from fractions import Fraction
 from math import lcm
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affinespectra import hadamard, linalg
+from affinespectra import linalg
 from affinespectra.classify import ProblemInstance, Verdict, classify, leading_triple
 from affinespectra.conjugation import companion_conjugate, companion_matrix
 from affinespectra.errors import (
     DuplicateFrequency,
     NotDivisible,
+    PreconditionError,
     Singular,
     TooLarge,
     UnverifiedTriple,
@@ -26,7 +26,6 @@ from affinespectra.errors import (
 from affinespectra.fourier import certify_orthogonal
 from affinespectra.hadamard import (
     HadamardTriple,
-    PhaseMatrix,
     candidate_spectrum,
     construct_dual_digits,
     phase_matrix,
@@ -99,10 +98,7 @@ def test_construct_dual_digits_requires_divisibility():
 def test_phase_matrix_fixture():
     triple = _cube_triple(6)
     theta = phase_matrix(triple.m, triple.digits, triple.duals)
-    expected = PhaseMatrix(
-        [[Fraction(k * l, 6) for l in range(6)] for k in range(6)]
-    )
-    assert theta == expected
+    assert theta == tuple(tuple(Fraction(k * l % 6, 6) for l in range(6)) for k in range(6))
     assert all(x == 0 for x in theta[0])
 
 
@@ -112,7 +108,7 @@ def test_phase_matrix_lebesgue():
         [IntVector([0]), IntVector([1])],
         [IntVector([0]), IntVector([1])],
     )
-    assert theta == PhaseMatrix([[0, 0], [0, Fraction(1, 2)]])
+    assert theta == ((0, 0), (0, Fraction(1, 2)))
 
 
 @st.composite
@@ -134,7 +130,7 @@ def test_phase_matrix_matches_the_rational_inverse(case):
     m, digits, duals = case
     m_inv = inverse(m)
     expected = [[(m_inv * d).dot(s) % 1 for s in duals] for d in digits]
-    assert phase_matrix(m, digits, duals).rows == tuple(map(tuple, expected))
+    assert phase_matrix(m, digits, duals) == tuple(map(tuple, expected))
 
 
 def test_phase_matrix_singular():
@@ -188,17 +184,23 @@ def test_constructed_triples_always_verify():
 
 
 def test_verify_hadamard_matches_float_check():
+    # progressions in random order against the float Gram matrix; random
+    # digit sets that are not progressions are refused
     rng = random.Random(345)
-    done = 0
+    done = refused = 0
     while done < 100:
         n = rng.randint(1, 3)
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
         if det(m) == 0:
             continue
         q = rng.randint(2, 8)
-        digits = [IntVector([rng.randint(-6, 6) for _ in range(n)]) for _ in range(q)]
+        w = IntVector([rng.randint(-3, 3) for _ in range(n)])
         duals = [IntVector([rng.randint(-6, 6) for _ in range(n)]) for _ in range(q)]
+        random_digits = [IntVector([rng.randint(-6, 6) for _ in range(n)]) for _ in range(q)]
+        if w.is_zero():
+            continue
         done += 1
+        digits = rng.sample([w.scaled(k) for k in range(q)], q)
         theta = phase_matrix(m, digits, duals)
         h = np.array(
             [[cmath.exp(2j * cmath.pi * float(theta[k][l])) for l in range(q)] for k in range(q)]
@@ -206,6 +208,11 @@ def test_verify_hadamard_matches_float_check():
         gram = h.conj().T @ h
         numeric = bool(np.max(np.abs(gram - q * np.eye(q))) < 1e-10)
         assert verify_hadamard(m, digits, duals) == numeric
+        if not _is_progression(random_digits):
+            refused += 1
+            with pytest.raises(PreconditionError, match="not consecutive multiples of one vector"):
+                verify_hadamard(m, random_digits, duals)
+    assert refused > 90
 
 
 def test_unitarity_preserved_under_conjugation():
@@ -244,15 +251,19 @@ def test_verify_hadamard_collinear_keeps_errors():
         verify_hadamard(IntMatrix([[2, 0], [0, 3]]), digits, duals[:2] + [IntVector([1])])
 
 
-def _spy_cyclotomic():
-    return mock.patch.object(hadamard, "_verify_cyclotomic", wraps=hadamard._verify_cyclotomic)
+def _is_progression(digits):
+    # the digit set, in any order and without repeats, is {0, w, ..., (q-1)w}
+    q = len(digits)
+    return len(set(digits)) == q and any(
+        set(digits) == {w.scaled(k) for k in range(q)} for w in digits
+    )
 
 
 def test_only_consecutive_multiples_take_the_closed_form():
     m = IntMatrix([[4, 0], [0, 6]])
     w = IntVector([1, -2])
     duals = [IntVector([k, 0]) for k in range(4)]
-    for ks, closed_form in [
+    for ks, progression in [
         (range(4), True),
         ((0, 2, 1, 3), True),  # the same digit set in another order
         ((3, 1, 0, 2), True),
@@ -261,27 +272,17 @@ def test_only_consecutive_multiples_take_the_closed_form():
         ((0, 1, 2, 4), False),
         ((0, 1, 1, 2), False),
     ]:
-        with _spy_cyclotomic() as spy:
-            verify_hadamard(m, [w.scaled(k) for k in ks], duals)
-        assert spy.call_count == (0 if closed_form else 1), ks
-    with _spy_cyclotomic() as spy:
-        assert verify_hadamard(m, [w.scaled(0)], [IntVector([3, 3])])
-    assert spy.call_count == 1
-
-
-def test_classify_makes_no_cyclotomic_reduction(monkeypatch):
-    # the classifier's digits are consecutive multiples of v, so the
-    # closed form decides unitarity; the cyclotomic path reduced
-    # 36 * 35 / 2 = 630 column-pair sums for this instance
-    calls = []
-    original = hadamard._root_of_unity_sum_is_zero
-    monkeypatch.setattr(
-        hadamard, "_root_of_unity_sum_is_zero", lambda e: calls.append(e) or original(e)
-    )
-    c = classify(ProblemInstance(M_CUBE, V_CUBE, 36))
-    assert c.verdict is Verdict.SPECTRAL
-    assert c.certificate.triple.verified
-    assert calls == []
+        digits = [w.scaled(k) for k in ks]
+        assert _is_progression(digits) is progression, ks
+        if progression:
+            assert verify_hadamard(m, digits, duals) == _gram_is_scaled_identity(m, digits, duals)
+        else:
+            with pytest.raises(PreconditionError):
+                verify_hadamard(m, digits, duals)
+    assert verify_hadamard(m, [w.scaled(0)], [IntVector([3, 3])])
+    # an all-zero digit list is a progression only at q = 1
+    with pytest.raises(PreconditionError):
+        verify_hadamard(m, [w.scaled(0)] * 2, duals[:2])
 
 
 def test_collinear_verification_solves_instead_of_inverting(monkeypatch):
@@ -298,7 +299,7 @@ def test_collinear_verification_solves_instead_of_inverting(monkeypatch):
     assert calls == []
 
 
-def test_permuted_consecutive_digits_make_no_cyclotomic_reduction(monkeypatch):
+def test_permuted_consecutive_digits_make_no_cyclotomic_reduction():
     # H*H does not depend on the order of the digits, so swapping two of
     # them keeps the closed form
     triple = leading_triple(ProblemInstance(M_CUBE, V_CUBE, 36))
@@ -306,14 +307,8 @@ def test_permuted_consecutive_digits_make_no_cyclotomic_reduction(monkeypatch):
     digits[1], digits[2] = digits[2], digits[1]
     corrupted = list(triple.duals)
     corrupted[1] = corrupted[1] + IntVector([1, 0, 0])
-    calls = []
-    original = hadamard._root_of_unity_sum_is_zero
-    monkeypatch.setattr(
-        hadamard, "_root_of_unity_sum_is_zero", lambda e: calls.append(e) or original(e)
-    )
     assert verify_hadamard(triple.m, digits, triple.duals)
     assert not verify_hadamard(triple.m, digits, corrupted)
-    assert calls == []
 
 
 def test_large_one_dimensional_q_is_certified():
@@ -321,12 +316,19 @@ def test_large_one_dimensional_q_is_certified():
     assert c.verdict is Verdict.SPECTRAL
     triple = c.certificate.triple
     assert triple.verified and triple.q == 200
-    # 12 of the 200 digits, not 12 consecutive multiples: the cyclotomic path decides
-    digits = random.Random(200).sample(triple.digits, 12)
-    with _spy_cyclotomic() as spy:
-        exact = verify_hadamard(triple.m, digits, triple.duals[:12])
-    assert exact == _gram_is_scaled_identity(triple.m, digits, triple.duals[:12])
-    assert spy.call_count == 1
+    rng = random.Random(200)
+    shuffled = rng.sample(triple.digits, 200)
+    assert verify_hadamard(triple.m, shuffled, triple.duals) is True
+    assert _gram_is_scaled_identity(triple.m, shuffled, triple.duals)
+    # the first 12 digits are consecutive multiples; 12 drawn from all 200 are not
+    for digits, duals in [(rng.sample(triple.digits[:12], 12), triple.duals[:12]),
+                          (triple.digits[:12], rng.sample(triple.duals, 12))]:
+        assert verify_hadamard(triple.m, digits, duals) == _gram_is_scaled_identity(
+            triple.m, digits, duals)
+    digits = rng.sample(triple.digits, 12)
+    assert not _is_progression(digits)
+    with pytest.raises(PreconditionError):
+        verify_hadamard(triple.m, digits, triple.duals[:12])
 
 
 def _gram_is_scaled_identity(m, digits, duals):
@@ -344,8 +346,7 @@ def _gram_is_scaled_identity(m, digits, duals):
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_closed_form_matches_gram_for_every_q(n):
-    # constructed, permuted and corrupted duals at every q <= 40; the
-    # cyclotomic path rejects the corrupted ones within a few column pairs
+    # constructed, permuted and corrupted duals at every q <= 40
     rng = random.Random(40 + n)
     e_n = IntVector([0] * (n - 1) + [1])
     for q in range(2, 41):
@@ -356,7 +357,6 @@ def test_closed_form_matches_gram_for_every_q(n):
         for duals in (triple.duals, rng.sample(triple.duals, q), corrupted):
             exact = verify_hadamard(triple.m, triple.digits, duals)
             assert exact == _gram_is_scaled_identity(triple.m, triple.digits, duals), q
-        assert hadamard._verify_cyclotomic(triple.m, triple.digits, corrupted) == exact
 
 
 @st.composite
@@ -401,23 +401,14 @@ def _unitarity_cases(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_unitarity_cases())
-def test_closed_form_and_cyclotomic_unitarity_agree(case):
+def test_closed_form_unitarity_matches_the_gram_oracle(case):
     m, digits, duals = case
-    numeric = _gram_is_scaled_identity(m, digits, duals)
-    q = len(digits)
-    # the digit set is {0, w, ..., (q-1)w} for some digit w, in any order
-    consecutive = any(
-        set(digits) == {w.scaled(k) for k in range(q)} for w in digits if not w.is_zero()
-    )
-    with _spy_cyclotomic() as spy:
-        exact = verify_hadamard(m, digits, duals)
-    assert exact == numeric
-    if consecutive:
-        assert spy.call_count == 0
-        assert hadamard._verify_cyclotomic(m, digits, duals) == exact
+    if _is_progression(digits):
+        assert verify_hadamard(m, digits, duals) == _gram_is_scaled_identity(m, digits, duals)
     else:
-        # random digits: the cyclotomic path decided
-        assert spy.call_count == 1
+        # random digits: refused, not decided
+        with pytest.raises(PreconditionError):
+            verify_hadamard(m, digits, duals)
 
 
 @st.composite
@@ -446,8 +437,6 @@ def test_progression_verify_matches_the_list_paths(case):
     assert triple.verify() is exact and triple.verified is exact
     shuffled = rng.sample(triple.digits, triple.q)
     assert verify_hadamard(triple.m, shuffled, triple.duals) is exact
-    if triple.q <= 12:
-        assert hadamard._verify_cyclotomic(triple.m, triple.digits, triple.duals) == exact
 
 
 def test_classify_cost_does_not_grow_with_q():

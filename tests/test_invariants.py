@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,9 @@ import pytest
 from affinespectra import conjugation, fourier, hadamard, linalg
 from affinespectra.classify import ProblemInstance, classify, leading_triple
 from affinespectra.cli import main
-from affinespectra.errors import InternalError, InternalRankError
+from affinespectra.errors import InternalError, InternalRankError, PreconditionError
 from affinespectra.fourier import construct_witness, witness_orthogonal_family
-from affinespectra.hadamard import candidate_spectrum, verify_hadamard
+from affinespectra.hadamard import candidate_spectrum, phase_matrix, verify_hadamard
 from affinespectra.linalg import IntMatrix, IntVector, RatMatrix, char_poly, det
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -274,9 +275,13 @@ def test_spectra_and_phases_make_no_rational_matrix(monkeypatch, tmp_path, capsy
     # rank 1 at q = 4: b^{-T} out of the companion frame, then b^T out of the block
     assert main(["spectrum", "--input", str(path), "--depth", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 16
-    # not collinear, so the cyclotomic path reads phase_matrix
+    # the phases come from the integer adjugate; a digit set that is not
+    # consecutive multiples of one vector is refused, not decided
     square = [IntVector([0, 0]), IntVector([1, 0]), IntVector([0, 1]), IntVector([1, 1])]
-    assert verify_hadamard(IntMatrix([[2, 0], [0, 2]]), square, square)
+    theta = phase_matrix(IntMatrix([[2, 0], [0, 2]]), square, square)
+    assert theta[3] == (0, Fraction(1, 2), Fraction(1, 2), 0)
+    with pytest.raises(PreconditionError):
+        verify_hadamard(IntMatrix([[2, 0], [0, 2]]), square, square)
     w = construct_witness(diag)
     family = witness_orthogonal_family(diag, w, 4)
     assert all(lam.is_integral() for lam in family)

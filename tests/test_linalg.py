@@ -213,8 +213,6 @@ def test_shape_validation():
         IntMatrix([])
     with pytest.raises(TypeError):
         IntMatrix([[1.5]])
-    with pytest.raises(ValueError):
-        IntMatrix([[1, 2]]).trace()
 
 
 def test_rat_matrix_norm_and_pow():
