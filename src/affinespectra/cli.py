@@ -4,11 +4,12 @@ Subcommands are thin drivers over the library: classify, decompose,
 witness, hadamard, spectrum, clique, sample.  Instances arrive as JSON
 files; reports leave as JSON with sorted keys, two-space indent, and a
 trailing newline, with big integers as decimal strings so nothing is
-clipped to a native number range.
+clipped to a native number range.  classify --verify-certificate checks a
+report by rebuilding it for the instance and comparing the two.
 
 Exit codes: 0 success, 1 malformed input, 2 violated precondition
-(including a certificate that fails re-verification, and an option value
-outside its domain), 3 internal error.
+(including a report that differs from the rebuilt one, and an option
+value outside its domain), 3 internal error.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .classify import ProblemInstance, classify, leading_triple
 from .conjugation import _transport
 from .errors import InternalError, ParseError, PreconditionError
 from .evidence import chaos_game, completeness_defect, max_orthogonal_clique
-from .fourier import Witness, _check_j_max, _vanishing_factors, construct_witness, verify_witness
-from .hadamard import CandidateSpectrum, candidate_spectrum, verify_hadamard
+from .fourier import _check_j_max, _vanishing_factors, construct_witness
+from .hadamard import CandidateSpectrum, candidate_spectrum
 from .linalg import IntMatrix, IntVector, RatVector
 
 
@@ -49,19 +50,25 @@ def _to_int(x):
     raise ParseError(f"expected an integer, got {x!r}")
 
 
+def _read_json(path: str, what: str):
+    """One JSON file; unreadable or unparsable, including nesting past the
+    recursion limit and integers past the digit limit, is exit 1."""
+    try:
+        with open(path, "rb") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise ParseError(f"cannot read {what} {path}: {e}") from None
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"invalid JSON in {what} {path}: {e}") from None
+
+
 def load_instance(path: str) -> ProblemInstance:
     """Read {"matrix": ..., "v": ..., "q": ...} and validate it.
 
     Shape problems raise ParseError (exit 1); domain problems such as a
     non-expanding matrix raise the library's preconditions (exit 2).
     """
-    try:
-        with open(path, "rb") as fh:
-            data = json.load(fh)
-    except OSError as e:
-        raise ParseError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {path}: {e}") from None
+    data = _read_json(path, "instance file")
     if not isinstance(data, dict):
         raise ParseError("instance file must be a JSON object")
     for key in ("matrix", "v", "q"):
@@ -85,12 +92,21 @@ def load_instance(path: str) -> ProblemInstance:
 # ---------------------------------------------------------------------------
 
 
+def _decimal(x) -> str:
+    try:
+        return str(x)
+    except ValueError:
+        # an integer past the interpreter's digit limit has no str()
+        raise PreconditionError(f"a result has an integer of more than "
+                                f"{sys.get_int_max_str_digits()} decimal digits") from None
+
+
 def _ser_int(x) -> str:
-    return str(int(x))
+    return _decimal(int(x))
 
 
 def _ser_frac(x) -> str:
-    return str(Fraction(x))
+    return _decimal(Fraction(x))
 
 
 def _ser_ivec(v):
@@ -103,21 +119,6 @@ def _ser_rvec(v):
 
 def _ser_imat(m):
     return [[_ser_int(x) for x in row] for row in m.rows]
-
-
-def _parse_rvec(entries) -> RatVector:
-    try:
-        return RatVector([Fraction(e) for e in entries])
-    except (ValueError, ZeroDivisionError, TypeError):
-        raise ParseError(f"bad rational vector {entries!r}") from None
-
-
-def _parse_ivecs(entries):
-    return [_parse_rvec(e).to_int() for e in entries]
-
-
-def _parse_imat(rows) -> IntMatrix:
-    return IntMatrix([[_to_int(x) for x in row] for row in rows])
 
 
 def _emit(args, obj, human_lines):
@@ -165,8 +166,6 @@ def _clique_json(rep):
 
 
 def _certificate_json(cert):
-    if cert is None:
-        return None
     if cert.kind == "hadamard":
         block = None
         if cert.block is not None:
@@ -183,51 +182,55 @@ def _certificate_json(cert):
     return {"type": "condition-only", "note": cert.note, "reverified": None}
 
 
-def _cert_field(cert, key, parse):
-    """One certificate field through its parser; a missing or ill-typed
-    field is a schema error (exit 1), never a traceback."""
-    if key not in cert:
-        raise ParseError(f"certificate is missing {key!r}")
-    try:
-        return parse(cert[key])
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise ParseError(f"certificate field {key!r} is malformed") from None
+def _report_json(classification):
+    """The part of a classify report that the instance determines: what
+    classify writes and what --verify-certificate rebuilds."""
+    cond = classification.conditions
+    return {
+        "verdict": classification.verdict.value,
+        "conditions": {
+            "r": cond.r,
+            "det_m1": _ser_int(cond.det_m1),
+            "gcd": _ser_int(cond.gcd_q_detm1),
+            "q_divides": cond.q_divides_detm1,
+            "pure_power_c": None if cond.pure_power_c is None else _ser_int(cond.pure_power_c),
+        },
+        "certificate": _certificate_json(classification.certificate),
+        "theorems_applied": classification.reasons,
+    }
 
 
-def _reverify_certificate(inst: ProblemInstance, cert) -> str:
-    """Re-check a report's certificate from its own serialized data.
-
-    Raises PreconditionError when the data does not verify, so a tampered
-    report exits with code 2, and ParseError when it is malformed."""
-    if cert is None:
-        return "no certificate present"
-    if not isinstance(cert, dict):
-        raise ParseError("certificate must be a JSON object or null")
-    kind = cert.get("type")
-    if kind == "hadamard":
-        m = _cert_field(cert, "matrix", _parse_imat)
-        digits = _cert_field(cert, "digits", _parse_ivecs)
-        duals = _cert_field(cert, "duals", _parse_ivecs)
-        if len(digits) != inst.q or len(duals) != inst.q:
-            raise PreconditionError("certificate digit count does not match q")
-        if m.nrows != m.ncols or any(len(x) != m.nrows for x in digits + duals):
-            raise ParseError("certificate matrix and vectors disagree in dimension")
-        if not verify_hadamard(m, digits, duals):
-            raise PreconditionError("hadamard certificate failed exact unitarity")
-        return "hadamard certificate re-verified"
-    if kind == "witness":
-        w = Witness(
-            alpha=_cert_field(cert, "alpha", _parse_rvec),
-            ell=_cert_field(cert, "ell", _to_int),
-            phase=_cert_field(cert, "phase", Fraction),
-            image=_cert_field(cert, "image", _parse_rvec),
-        )
-        if not verify_witness(inst, w):
-            raise PreconditionError("witness certificate failed exact verification")
-        return "witness certificate re-verified"
+def _verify_report(inst: ProblemInstance, report) -> str:
+    """Check a report by rebuilding it: it is valid for inst exactly when
+    its fields equal _report_json(classify(inst)), which carries a
+    certificate classify has verified exactly.  Keys that it lacks
+    (evidence, timings_ms) are ignored.  A missing field or another JSON
+    type exits 1, another list length or value exits 2, each naming the
+    first such field in sorted key order."""
+    if not isinstance(report, dict):
+        raise ParseError("report must be a JSON object")
+    want = _report_json(classify(inst))
+    _match(want, report, "")
+    kind = want["certificate"]["type"]
     if kind == "condition-only":
         return "no constructive certificate to verify"
-    raise ParseError(f"unknown certificate type {kind!r}")
+    return f"{kind} certificate re-verified"
+
+
+def _match(want, got, path):
+    if type(got) is not type(want):
+        raise ParseError(f"report field {path} is missing or not of its JSON type")
+    if isinstance(want, dict):
+        for key in sorted(want):
+            # Ellipsis is no JSON value, so a missing key fails the type test
+            _match(want[key], got.get(key, ...), f"{path}.{key}" if path else key)
+    elif isinstance(want, list):
+        if len(got) != len(want):
+            raise PreconditionError(f"report field {path} has length {len(got)}, not {len(want)}")
+        for i, (w, g) in enumerate(zip(want, got)):
+            _match(w, g, f"{path}[{i}]")
+    elif got != want:
+        raise PreconditionError(f"report field {path} does not match the instance")
 
 
 # ---------------------------------------------------------------------------
@@ -291,33 +294,15 @@ def _spectrum_in_original_coords(inst: ProblemInstance, triple, depth: int):
 def cmd_classify(args) -> int:
     inst = load_instance(args.input)
     if args.verify_certificate:
-        try:
-            with open(args.verify_certificate, "rb") as fh:
-                report = json.load(fh)
-        except OSError as e:
-            raise ParseError(f"cannot read report: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid report JSON: {e}") from None
-        if not isinstance(report, dict):
-            raise ParseError("report must be a JSON object")
-        status = _reverify_certificate(inst, report.get("certificate"))
-        sys.stdout.write(status + "\n")
+        report = _read_json(args.verify_certificate, "report")
+        sys.stdout.write(_verify_report(inst, report) + "\n")
         return 0
     start = time.perf_counter()
     classification = classify(inst)
     elapsed = (time.perf_counter() - start) * 1000.0
     cond = classification.conditions
     report = {
-        "verdict": classification.verdict.value,
-        "conditions": {
-            "r": cond.r,
-            "det_m1": _ser_int(cond.det_m1),
-            "gcd": _ser_int(cond.gcd_q_detm1),
-            "q_divides": cond.q_divides_detm1,
-            "pure_power_c": None if cond.pure_power_c is None else _ser_int(cond.pure_power_c),
-        },
-        "certificate": _certificate_json(classification.certificate),
-        "theorems_applied": classification.reasons,
+        **_report_json(classification),
         "evidence": _evidence_json(args, inst, classification),
         "timings_ms": {"classify": round(elapsed, 3)},
     }
@@ -337,8 +322,6 @@ def cmd_classify(args) -> int:
 
 
 def _describe_cert(cert_json) -> str:
-    if cert_json is None:
-        return "(none)"
     if cert_json["type"] == "condition-only":
         return f"condition-only ({cert_json['note']})"
     return f"{cert_json['type']} (verified: {str(cert_json['reverified']).lower()})"
@@ -432,7 +415,7 @@ def cmd_spectrum(args) -> int:
         for idx, hit in zip(nonzero, hits)
     ]
     den = spectrum.denominator
-    frequencies = [[str(Fraction(x, den)) for x in a] for a in spectrum.numerators]
+    frequencies = [[_decimal(Fraction(x, den)) for x in a] for a in spectrum.numerators]
     obj = {
         "depth": spectrum.depth,
         "count": len(frequencies),
@@ -517,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--verify-certificate",
         metavar="REPORT",
-        help="re-verify the certificate in an existing report file and exit",
+        help="check a report file against the report rebuilt for the instance "
+        "(verdict, conditions, certificate, theorems_applied) and exit",
     )
     p.set_defaults(func=cmd_classify)
 

@@ -7,10 +7,10 @@ is decided exactly: a True is a proof, not a numerical observation.  A
 HadamardTriple keeps its digits {0, w, ..., (q-1)w} and duals
 {0, u, ..., (q-1)u} as (w, u, q) and decides itself by one linear solve
 and one gcd (Laba-Wang), so the classifier builds no list of q vectors.
-The list path, verify_hadamard, serves reports: it takes digits that are
-consecutive multiples of one vector, in any order, and decides them by the
-same closed form in one pass over the duals; it refuses any other digit
-set (PreconditionError), since the paper's digit sets are all of this kind.
+The list path, verify_hadamard, serves library callers and the benchmark:
+digits that are consecutive multiples of one vector, in any order, take
+the same closed form in one pass over the duals; any other digit set is
+refused (PreconditionError), as the paper's digit sets are all of this kind.
 """
 
 from __future__ import annotations

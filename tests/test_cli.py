@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_hadamard import _gram_is_scaled_identity, _is_progression
 
 from affinespectra import cli
 from affinespectra.classify import WitnessCertificate, leading_triple
@@ -18,7 +17,7 @@ from affinespectra.cli import _certificate_json, load_instance, main
 from affinespectra.conjugation import map_spectrum
 from affinespectra.fourier import Witness, certify_orthogonal
 from affinespectra.hadamard import candidate_spectrum
-from affinespectra.linalg import IntMatrix, IntVector, RatVector
+from affinespectra.linalg import IntVector, RatVector
 
 CUBE = {"matrix": [[2, 6, 4], [-1, 2, 2], [-1, -1, -4]], "v": [0, 0, 1], "q": 6}
 DIAG = {"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 6}
@@ -176,7 +175,7 @@ def test_tampered_certificate_exits_2(write, capsys, tmp_path):
         capsys, "classify", "--input", instance, "--verify-certificate", str(report_path)
     )
     assert code == 2
-    assert "unitarity" in err
+    assert err == "error: report field certificate.duals[1][0] does not match the instance\n"
 
 
 def test_tampered_witness_exits_2(write, capsys, tmp_path):
@@ -242,15 +241,13 @@ def _set(key, value):
         (DIAG, _set("ell", None)),
         (DIAG, _set("phase", [1])),
         (CUBE, _set("matrix", 5)),
-        (CUBE, _set("matrix", [[1, 2], [3, 4]])),
-        (CUBE, _set("digits", [["1/2", "0", "0"]] * 6)),
     ],
     ids=[
         "list-report", "list-certificate",
         "hadamard-no-type", "no-matrix", "no-digits", "no-duals",
         "witness-no-type", "no-alpha", "no-ell", "no-phase", "no-image",
         "float-ell", "string-ell", "null-ell", "list-phase",
-        "int-matrix", "matrix-dimension", "rational-digits",
+        "int-matrix",
     ],
 )
 def test_malformed_report_exits_1_with_one_line(write, capsys, tmp_path, inst, edit):
@@ -258,6 +255,21 @@ def test_malformed_report_exits_1_with_one_line(write, capsys, tmp_path, inst, e
     assert code == 1
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (_set("matrix", [[1, 2], [3, 4]]), "certificate.matrix has length 2, not 3"),
+        (_set("digits", [["1/2", "0", "0"]] * 6), "certificate.digits[0][0] does not match the instance"),
+    ],
+    ids=["matrix-dimension", "rational-digits"],
+)
+def test_report_of_another_size_or_value_exits_2_with_one_line(write, capsys, tmp_path, edit, field):
+    # well-formed JSON of the report's shape that is not the cube's report:
+    # a list of another length is compared before its entries
+    code, _, err = _reverify_edited(write, capsys, tmp_path, CUBE, edit)
+    assert (code, err) == (2, f"error: report field {field}\n")
 
 
 def _singular_matrix(collinear):
@@ -273,28 +285,26 @@ def _singular_matrix(collinear):
 
 @pytest.mark.parametrize("collinear", [True, False], ids=["closed-form", "not-a-progression"])
 def test_singular_certificate_matrix_exits_2(write, capsys, tmp_path, collinear):
+    # the first field in sorted key order that differs from the rebuilt
+    # report is named: digits come before matrix
     code, _, err = _reverify_edited(write, capsys, tmp_path, CUBE, _singular_matrix(collinear))
-    assert code == 2
-    assert err == "error: matrix is singular\n"
-
-
-def test_witness_at_any_depth_reverifies_quickly(write, capsys, tmp_path):
-    # a witness stays valid at every larger depth; the integrality check
-    # powers the matrix modulo the denominator, in about log2(ell) steps
-    code, out, _ = _reverify_edited(write, capsys, tmp_path, DIAG, _set("ell", 10**100))
-    assert code == 0
-    assert "witness certificate re-verified" in out
+    field = "matrix[0][0]" if collinear else "digits[1][0]"
+    assert (code, err) == (2, f"error: report field certificate.{field} does not match the instance\n")
 
 
 def test_tampered_witness_at_huge_depth_exits_2(write, capsys, tmp_path):
     def edit(report):
         # the mask still vanishes at this alpha; only integrality fails
-        report["certificate"].update(alpha=["1/3", "0", "0"], ell=str(10**100))
+        report["certificate"].update(alpha=["1/3", "0", "0"], ell=10**100)
         return report
 
+    start = time.perf_counter()
     code, _, err = _reverify_edited(write, capsys, tmp_path, DIAG, edit)
-    assert code == 2
-    assert "witness certificate failed" in err
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (2, "error: report field certificate.alpha[0] does not match the instance\n")
+    # a depth written as a decimal string is a field of another JSON type
+    code, _, err = _reverify_edited(write, capsys, tmp_path, DIAG, _set("ell", str(10**100)))
+    assert (code, err) == (1, "error: report field certificate.ell is missing or not of its JSON type\n")
 
 
 def test_large_q_report_reverifies(write, capsys, tmp_path):
@@ -328,19 +338,21 @@ def _swap_digits(report):
 
 
 def test_report_with_swapped_digits_reverifies(write, capsys, tmp_path):
-    # the digit set, not its order, decides unitarity
+    # the report as written re-verifies; the same digits in another order
+    # are a mathematically valid certificate, but not the report classify
+    # writes for this instance
     inst = {"matrix": [[10**4]], "v": [1], "q": 40}
-    code, out, _ = _reverify_edited(write, capsys, tmp_path, inst, _swap_digits)
-    assert code == 0
-    assert "hadamard certificate re-verified" in out
+    code, out, _ = _reverify_edited(write, capsys, tmp_path, inst, lambda report: report)
+    assert (code, out) == (0, "hadamard certificate re-verified\n")
+    code, _, err = _reverify_edited(write, capsys, tmp_path, inst, _swap_digits)
+    assert (code, err) == (2, "error: report field certificate.digits[1][0] does not match the instance\n")
 
     def corrupt(report):
         report["certificate"]["duals"][3] = [str(int(report["certificate"]["duals"][3][0]) + 1)]
         return _swap_digits(report)
 
     code, _, err = _reverify_edited(write, capsys, tmp_path, inst, corrupt)
-    assert code == 2
-    assert "hadamard certificate failed exact unitarity" in err
+    assert (code, err) == (2, "error: report field certificate.digits[1][0] does not match the instance\n")
 
 
 @pytest.mark.parametrize("kind", ["permute", "digit", "dual", "duplicate", "swap"])
@@ -348,16 +360,18 @@ def test_report_with_swapped_digits_reverifies(write, capsys, tmp_path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_edited_hadamard_report_exits_0_or_2_with_one_line(write, capsys, tmp_path, kind, data):
-    # one edit of a Hadamard report: exit 0 exactly when its digits are still
-    # consecutive multiples of one vector and its phase matrix is unitary
+    # one edit of a Hadamard report: exit 0 exactly when the edited
+    # certificate is still the one classify writes for the instance
     q = data.draw(st.integers(2, 40))
     inst = data.draw(st.sampled_from([CUBE, {"matrix": [[q * data.draw(st.sampled_from([-2, -1, 1, 2]))]],
                                              "v": [1], "q": q}]))
     i, j = data.draw(st.lists(st.integers(0, inst["q"] - 1), min_size=2, max_size=2, unique=True))
     perm = data.draw(st.permutations(range(inst["q"])))
     vec = data.draw(st.lists(st.integers(-3, 3).map(str), min_size=len(inst["v"]), max_size=len(inst["v"])))
+    original = []
 
     def edit(report):
+        original.append(json.loads(json.dumps(report["certificate"])))
         cert = report["certificate"]
         digits, duals = cert["digits"], cert["duals"]
         if kind == "permute":
@@ -372,11 +386,157 @@ def test_edited_hadamard_report_exits_0_or_2_with_one_line(write, capsys, tmp_pa
 
     code, out, err = _reverify_edited(write, capsys, tmp_path, inst, edit)
     cert = json.loads((tmp_path / "report.json").read_text())["certificate"]
-    m = IntMatrix([[int(x) for x in row] for row in cert["matrix"]])
-    digits, duals = ([IntVector([int(x) for x in v]) for v in cert[k]] for k in ("digits", "duals"))
-    unitary = _is_progression(digits) and _gram_is_scaled_identity(m, digits, duals)
-    assert code == (0 if unitary else 2), kind
+    assert code == (0 if cert == original[0] else 2), kind
     assert len((out + err).splitlines()) == 1 and "Traceback" not in err
+
+
+def _bump_image_zero_phase(report):
+    cert = report["certificate"]
+    cert["image"] = [str(int(x) + 1) for x in cert["image"]]
+    cert["phase"] = "0"
+    return report
+
+
+@pytest.mark.parametrize(
+    "written, checked, edit, field",
+    [
+        ({"matrix": [[6]], "v": [1], "q": 6}, CUBE, lambda report: report,
+         "certificate.digits[0] has length 1, not 3"),
+        ({"matrix": [[6]], "v": [1], "q": 4}, None, _bump_image_zero_phase,
+         "certificate.image[0] does not match the instance"),
+        ({"matrix": [[3]], "v": [1], "q": 2}, None, lambda report: {**report, "verdict": "spectral"},
+         "verdict does not match the instance"),
+    ],
+    ids=["cross-instance-certificate", "witness-image-phase", "verdict-switch"],
+)
+def test_report_not_rebuilt_for_the_instance_exits_2(write, capsys, tmp_path, written, checked, edit, field):
+    # a valid certificate of another instance, a witness whose image and
+    # phase are not its own, and a verdict the instance does not have
+    report_path = tmp_path / "report.json"
+    _run(capsys, "classify", "--input", write(written, "written.json"), "--report", str(report_path))
+    report_path.write_text(json.dumps(edit(json.loads(report_path.read_text()))))
+    instance = write(checked or written, "checked.json")
+    code, out, err = _run(capsys, "classify", "--input", instance, "--verify-certificate", str(report_path))
+    assert (code, out, err) == (2, "", f"error: report field {field}\n")
+
+
+_IGNORED = ("evidence", "timings_ms")  # report keys no instance determines
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["0", "1", "-6", "1/2", "spectral", "witness", "hadamard"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["type", "r", "x"]), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _nearby(old):
+    """Values near old: of its JSON type, or of another type that Python
+    compares equal to it (True == 1 == 1.0)."""
+    if isinstance(old, bool) or old is None:
+        return st.sampled_from([True, False, None, 0])
+    if isinstance(old, (int, float)):
+        return st.sampled_from([old, old + 1, 1 - old, True, float(old)])
+    return st.sampled_from([old, old + "0", "0", "1", old.upper()])
+
+
+def _fields(obj, path=()):
+    """Every node below obj by its path, grouped by the path without list
+    indices, so that verdict weighs as much as all digits together."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    groups = {}
+    for key, value in items:
+        sub = path + (key,)
+        groups.setdefault(tuple(k for k in sub if isinstance(k, str)), []).append((sub, value))
+        for field, nodes in _fields(value, sub).items():
+            groups.setdefault(field, []).extend(nodes)
+    return groups
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+_EDITABLE = {
+    "delete": lambda path, value: isinstance(path[-1], str),
+    "swap": lambda path, value: isinstance(value, list) and len(value) > 1,
+    "replace": lambda path, value: not isinstance(value, (dict, list)),
+}
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [CUBE, DIAG, {"matrix": [[3]], "v": [1], "q": 2}, {**DIAG, "q": 4}],
+    ids=["cube hadamard", "reduced witness", "condition-only", "reduced hadamard with block"],
+)
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_one_report_mutation_exits_0_1_or_2_with_one_line(write, capsys, tmp_path, inst, data):
+    # one edit anywhere in a report: a deleted key or a value of another
+    # JSON type exits 1, any other difference exits 2, and an unchanged
+    # report, or an edit under a key no instance determines, exits 0
+    instance = write(inst)
+    code, out, _ = _run(capsys, "classify", "--input", instance, "--json")
+    assert code == 0
+    report = json.loads(out)
+    # the fields each kind of edit can reach, by the field's name
+    reach = {kind: {f: [n for n in nodes if ok(*n)] for f, nodes in _fields(report).items()}
+             for kind, ok in _EDITABLE.items()}
+    reach = {kind: {f: nodes for f, nodes in fields.items() if nodes} for kind, fields in reach.items()}
+    kind = data.draw(st.sampled_from(["none"] + [k for k in _EDITABLE if reach[k]]))
+    path, expected = None, 0
+    if kind != "none":
+        field = data.draw(st.sampled_from(sorted(reach[kind])))
+        path, old = data.draw(st.sampled_from(reach[kind][field]))
+    if kind == "delete":
+        del _at(report, path[:-1])[path[-1]]
+        expected = 1
+    elif kind == "swap":
+        i, j = data.draw(st.lists(st.integers(0, len(old) - 1), min_size=2, max_size=2, unique=True))
+        old[i], old[j] = old[j], old[i]
+        expected = 0 if old[i] == old[j] else 2
+    elif kind == "replace":
+        new = data.draw(_JSON_VALUES | _nearby(old))
+        _at(report, path[:-1])[path[-1]] = new
+        expected = 1 if type(new) is not type(old) else 0 if new == old else 2
+    if path and path[0] in _IGNORED:
+        expected = 0
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = _run(capsys, "classify", "--input", instance, "--verify-certificate", str(report_path))
+    assert code == expected, (kind, path)
+    assert len((out + err).splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: report field ") if code else err == ""
+
+
+@pytest.mark.parametrize("as_report", [False, True], ids=["instance", "report"])
+def test_json_nested_past_the_recursion_limit_exits_1(write, capsys, tmp_path, as_report):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    argv = ["--input", write(M4), "--verify-certificate", str(deep)] if as_report else ["--input", str(deep)]
+    code, out, err = _run(capsys, "classify", *argv)
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON in ")
+
+
+def test_integer_literal_past_the_digit_limit_exits_1(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"matrix": [[' + "7" * 5000 + ']], "v": [1], "q": 2}')
+    code, out, err = _run(capsys, "classify", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON in instance file")
+
+
+@pytest.mark.parametrize("argv", [["classify", "--json"], ["spectrum", "--depth", "1"]], ids=lambda a: a[0])
+def test_result_past_the_digit_limit_exits_2(write, capsys, argv):
+    # each entry has 2200 digits, under the limit; det m1 has 4400
+    inst = {"matrix": [["7" * 2200, "1"], ["0", "7" * 2200]], "v": ["0", "1"], "q": 7}
+    code, out, err = _run(capsys, argv[0], "--input", write(inst), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"error: a result has an integer of more than {sys.get_int_max_str_digits()} decimal digits\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -483,6 +484,18 @@ def test_verify_witness_squares_only_while_bits_remain(monkeypatch, ell, squarin
     monkeypatch.setattr(linalg, "_mat_mul", lambda a, b: products.append(a) or original(a, b))
     assert verify_witness(inst, Witness(w.alpha, ell, w.phase, w.image))
     assert len(products) == squarings
+
+
+def test_witness_holds_at_any_larger_depth():
+    # (M*)^ell alpha stays integral at every depth past the witness's own;
+    # the integrality check powers the matrix modulo the denominator, in
+    # about log2(ell) steps, so a depth of 10^100 decides in well under 1 s
+    inst = ProblemInstance(M_DIAG, V_DIAG, 6)
+    w = construct_witness(inst)
+    for alpha, holds in ((w.alpha, True), (RatVector([Fraction(1, 3), 0, 0]), False)):
+        start = time.perf_counter()
+        assert verify_witness(inst, Witness(alpha, 10**100, w.phase, w.image)) is holds
+        assert time.perf_counter() - start < 1.0
 
 
 def test_witness_family_realizes_orthogonality():
