@@ -39,7 +39,6 @@ from .fourier import (
     mask_is_zero_exact,
     mu_hat,
     verify_witness,
-    witness_orthogonal_family,
 )
 from .hadamard import (
     CandidateSpectrum,

@@ -95,15 +95,14 @@ class Conditions:
 
 class HadamardCertificate:
     """A verified Hadamard triple in the companion frame of the leading
-    block, plus the block decomposition when dimension reduction was
-    used.  Re-verifiable from its own data."""
+    block, which records the block decomposition when dimension reduction
+    was used.  Re-verifiable from its own data."""
 
     kind = "hadamard"
-    __slots__ = ("triple", "block")
+    __slots__ = ("triple",)
 
-    def __init__(self, triple: HadamardTriple, block=None):
+    def __init__(self, triple: HadamardTriple):
         self.triple = triple
-        self.block = block
 
 
 class WitnessCertificate:
@@ -152,9 +151,10 @@ def pure_power_form(p: IntPolynomial):
 
 def leading_triple(inst: ProblemInstance) -> HadamardTriple:
     """Dual digit triple of the leading block in its companion frame, with
-    exact unitarity checked (``triple.verified``).  Raises NotDivisible
-    when q does not divide |det m1|."""
+    exact unitarity checked (``triple.verified``) and the block decomposition
+    recorded (``triple.block``).  Raises NotDivisible when q does not divide |det m1|."""
     triple = construct_dual_digits(inst.leading.companion(), inst.q)
+    triple.block = inst.leading.decomp
     triple.verify()
     return triple
 
@@ -185,7 +185,7 @@ def classify(inst: ProblemInstance) -> Classification:
             raise InternalError("constructed dual digits failed unitarity")
         reasons.append("divisibility-sufficiency")
         return Classification(
-            Verdict.SPECTRAL, conditions, HadamardCertificate(triple, lead.decomp), reasons
+            Verdict.SPECTRAL, conditions, HadamardCertificate(triple), reasons
         )
     if g > 1:
         reasons.append("gcd-witness")

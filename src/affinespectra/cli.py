@@ -17,16 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
 
 from .classify import ProblemInstance, classify, leading_triple
-from .conjugation import _transport
 from .errors import InternalError, ParseError, PreconditionError
 from .evidence import chaos_game, completeness_defect, max_orthogonal_clique
 from .fourier import _check_j_max, _vanishing_factors, construct_witness
-from .hadamard import CandidateSpectrum, candidate_spectrum
+from .hadamard import candidate_spectrum
 from .linalg import IntMatrix, IntVector, RatVector
 
 
@@ -35,19 +35,24 @@ from .linalg import IntMatrix, IntVector, RatVector
 # ---------------------------------------------------------------------------
 
 
+_INT_SYNTAX = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
+
+
 def _to_int(x):
     # decimal strings are accepted so arbitrary-precision entries survive
     # editors and JSON implementations that clip large numbers
-    if isinstance(x, bool):
-        raise ParseError(f"expected an integer, got {x!r}")
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
         try:
             return int(x, 10)
         except ValueError:
-            raise ParseError(f"expected an integer, got {x!r}") from None
-    raise ParseError(f"expected an integer, got {x!r}")
+            if _INT_SYNTAX.fullmatch(x):  # well formed, so past the digit limit
+                raise ParseError(f"expected an integer, got a string of more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
+    shown = repr(x)  # a prefix of a long entry, and its length
+    shown = shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
+    raise ParseError(f"expected an integer, got {shown}")
 
 
 def _read_json(path: str, what: str):
@@ -167,13 +172,11 @@ def _clique_json(rep):
 
 def _certificate_json(cert):
     if cert.kind == "hadamard":
-        block = None
-        if cert.block is not None:
-            block = {"b": _ser_imat(cert.block.b), "r": cert.block.r}
+        block = cert.triple.block
         return {
             "type": "hadamard",
             **_triple_json(cert.triple),
-            "block": block,
+            "block": None if block is None else {"b": _ser_imat(block.b), "r": block.r},
             "reverified": bool(cert.triple.verified),
         }
     if cert.kind == "witness":
@@ -255,7 +258,7 @@ def _evidence_json(args, inst, classification):
     cert = classification.certificate
     if cert is None or cert.kind != "hadamard":
         raise PreconditionError("completeness evidence requires a spectral verdict")
-    spectrum = _spectrum_in_original_coords(inst, cert.triple, args.depth)
+    spectrum = candidate_spectrum(cert.triple, args.depth)
     rep = completeness_defect(inst, spectrum, _default_probes(inst.m.n), args.tail_eps)
     return {
         "kind": "completeness",
@@ -264,26 +267,6 @@ def _evidence_json(args, inst, classification):
         "probes": [_ser_rvec(p) for p in rep.probes],
         "defects": rep.defects,
     }
-
-
-def _spectrum_in_original_coords(inst: ProblemInstance, triple, depth: int):
-    """Candidate spectrum of the verified leading-block triple, expressed
-    in the instance's own coordinates.
-
-    Full Krylov rank: the companion frame's mapping is built into
-    candidate_spectrum.  Reduced rank: the integer numerators of the
-    leading block are padded with zeros and carried through the block
-    change of basis by b^T over the same denominator, which preserves
-    every pairwise orthogonality certificate exactly.
-    """
-    small = candidate_spectrum(triple, depth)
-    decomp = inst.leading.decomp
-    if decomp is None:
-        return small
-    pad = (0,) * (inst.m.n - inst.leading.r)
-    bt, _ = _transport(decomp.b, "forward")
-    return CandidateSpectrum(depth, [(bt * IntVector._make(a + pad)).entries for a in small.numerators],
-                             small.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +381,7 @@ def cmd_hadamard(args) -> int:
 
 def cmd_spectrum(args) -> int:
     inst = load_instance(args.input)
-    spectrum = _spectrum_in_original_coords(inst, leading_triple(inst), args.depth)
+    spectrum = candidate_spectrum(leading_triple(inst), args.depth)
     nonzero = [idx for idx, a in enumerate(spectrum.numerators) if any(a)]
     if nonzero:
         _check_j_max(inst, args.jmax)

@@ -43,10 +43,6 @@ class Singular(PreconditionError):
     pass
 
 
-class NotUnimodular(PreconditionError):
-    pass
-
-
 class RankDeficient(PreconditionError):
     pass
 

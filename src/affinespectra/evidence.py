@@ -29,6 +29,7 @@ _CLIQUE_NODES = 2**14
 # completeness work: frequencies x probes x factors x (n^2 + 24), a factor
 # being n^2 multiply-adds plus a mask and tail bound costing about 24 more
 _COMPLETENESS_CAP = 2**25
+_SAMPLE_CAP = 2**25  # chaos game floats: iterations x (n + 5), 8 bytes each
 
 
 class CliqueReport:
@@ -379,7 +380,11 @@ def chaos_game(inst, iterations: int, seed: int) -> AttractorSample:
     of the attractor radius; no float power of M^{-1} is iterated.  The
     digits are the stream of random.Random(seed).randrange(q), decoded in
     batches from getrandbits by _randrange_stream, so a seed keeps its
-    meaning; the first 100 iterates are discarded."""
+    meaning; the first 100 iterates are discarded.  Raises TooLarge,
+    before any digit is drawn, when iterations x (n + 5) exceeds 2^25."""
+    if iterations * (inst.m.n + 5) > _SAMPLE_CAP:
+        raise TooLarge(f"{iterations} chaos game iterations in dimension {inst.m.n} need about "
+                       f"{8 * iterations * (inst.m.n + 5)} bytes, over the cap of {8 * _SAMPLE_CAP}")
     import numpy as np  # only sampling needs numpy; keep it off the import path
 
     digits = _randrange_stream(random.Random(seed), inst.q, _BURN_IN + iterations).astype(float)

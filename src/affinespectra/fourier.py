@@ -36,6 +36,7 @@ _WITNESS_DEPTH_CAP = 500
 _MU_HAT_FACTOR_CAP = 100000
 _PROBE_BITS_CAP = 2**28
 _FLOAT_MIN = sys.float_info.min  # the smallest normal float
+_ULP = 2.0 ** -53  # unit roundoff of a double
 
 
 class Witness:
@@ -73,7 +74,7 @@ class OrthogonalityCertificate:
 
 
 class MuHatValue:
-    """Truncated transform value with a certified absolute error bound."""
+    """Truncated transform value with a certified absolute error bound (_error_bound)."""
 
     __slots__ = ("value", "error", "factors")
 
@@ -225,6 +226,20 @@ def _factor_bound(inst, radius: Fraction, tail_eps: float) -> int:
             return _MU_HAT_FACTOR_CAP + 1
 
 
+def _error_bound(tail: float, factors: int, q: int) -> float:
+    """|mu_hat - value| for a product of ``factors`` float masks with the
+    float tail bound ``tail``; u = 2^-53, sin, cos and exp within 1 ulp.
+    A mask (1/q) sum_k e^{2 pi i k tau}, |tau| <= 1/2, has slope at most
+    pi (q - 1).  Its angle pi (q - 1) tf takes 4 roundings, 2 pi (q - 1) u,
+    and exp 3u; in sin(pi q tf) / (q sin(pi tf)) the first argument's 4
+    roundings give 2 pi u, as q |sin(pi tau)| >= 2 q |tau|, the sines 7u,
+    the other operations 3u, and the product sqrt(5) u: a factor is off by
+    under (2 pi q + 16) u, and the product, |mask| <= 1, by under factors
+    (8 q + 16) u, the slack covering second-order terms.  Raising the tail
+    by 8u covers its 3 roundings and, as x e^x >= expm1(x), the rest."""
+    return math.expm1(tail * (1 + 8 * _ULP)) + factors * (8 * q + 16) * _ULP
+
+
 def _transform_many(inst, numerators, den: int, tail_eps: float) -> list:
     """(value, error, factors) of mu_hat at each point a / den, in order.
 
@@ -272,7 +287,7 @@ def _rows_lockstep(inst, live, den: int, tail_eps: float, out: list):
             product *= _mask_from_phase(q, t, den, w, p)
             tail = math.pi * (c_num * max(map(abs, a)) / scale)
             if tail < tail_eps:
-                out[i] = (product, math.expm1(tail), j)
+                out[i] = (product, _error_bound(tail, j, q), j)
             else:
                 stepped.append((i, a, product))
         live = stepped
@@ -322,7 +337,7 @@ def _columns_lockstep(inst, live, den: int, tail_eps: float, out: list):
             continue
         for i, t, product, tail, kept in zip(index, phases, products, tails, keep):
             if not kept:
-                out[i] = (complex(0.0), 0.0, j) if t in zeros else (product, math.expm1(tail), j)
+                out[i] = (complex(0.0), 0.0, j) if t in zeros else (product, _error_bound(tail, j, q), j)
         index, products = list(compress(index, keep)), list(compress(products, keep))
         cols = [list(compress(col, keep)) for col in cols]
 
@@ -334,7 +349,7 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     provably below tail_eps, using |mask(eta) - 1| <= pi (q-1) |<v, eta>|
     and geometric decay of the exact power norms.  If any factor is an
     exact rational zero the product short-circuits to exactly 0.  The
-    returned error field bounds |true - value| absolutely.  The iterate
+    error field bounds |true - value|, float rounding included.  The iterate
     (M*)^{-j} xi is kept exactly as (adj^T)^j a over L d^j, by the kernel
     that evidence.completeness_defect runs on many points at once.
     Raises ValueError unless tail_eps is finite and positive.
@@ -350,7 +365,7 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
 @lru_cache(maxsize=None)
 def _probe_sequence(m: IntMatrix, v: IntVector) -> list:
     """[(n_j, d^j) for j = 0, 1, ...] with M^{-j} v = n_j / d^j, grown on
-    demand by _vanishing_factor.  <(M*)^{-j} delta, v> = <delta, M^{-j} v>,
+    demand by _vanishing_factors.  <(M*)^{-j} delta, v> = <delta, M^{-j} v>,
     so one sequence serves every pair ever certified against (M, v)."""
     return [(v.entries, 1)]
 
@@ -403,11 +418,6 @@ def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
     return out
 
 
-def _vanishing_factor(inst, a, den: int, j_max: int | None):
-    """_vanishing_factors at the one point a / den."""
-    return _vanishing_factors(inst, [a], den, j_max)[0]
-
-
 def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
     """Search for an exactly vanishing factor separating two frequencies.
 
@@ -424,7 +434,8 @@ def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
     if delta.is_zero():
         raise ValueError("frequencies must differ")
     _check_j_max(inst, j_max)
-    hit = _vanishing_factor(inst, *_over_common_denominator(delta), j_max)
+    a, den = _over_common_denominator(delta)
+    hit = _vanishing_factors(inst, [a], den, j_max)[0]
     return None if hit is None else OrthogonalityCertificate(lambda1, lambda2, hit[0], Fraction(*hit[1:]))
 
 
@@ -541,29 +552,6 @@ def verify_witness(inst, w: Witness) -> bool:
     return not any(_apply_power(inst.m.transpose().rows, w.ell, a, den))
 
 
-def witness_orthogonal_family(inst, w: Witness, count: int) -> list[RatVector]:
-    """Mutually orthogonal integer frequencies grown from a witness.
-
-    Returns the partial sums lambda_k = sum_{i=1}^{k} (M*)^{i ell} alpha
-    for k = 0, ..., count-1.  Any two of them differ by (M*)^{j} applied
-    to (alpha + integer vector), so the mask kills factor j and every
-    pair is certifiable; the family realizes, at finite scale, the
-    infinite orthogonal set the witness promises.  Works on the integers
-    of alpha = a / den: each sum of (M^T)^{i ell} a must be 0 mod den.
-    """
-    mt = inst.m.transpose().rows
-    term, den = _over_common_denominator(w.alpha)
-    acc = [0] * inst.m.n
-    out = [RatVector(acc)]
-    for _ in range(count - 1):
-        term = _apply_power(mt, w.ell, term)
-        acc = [x + y for x, y in zip(acc, term)]
-        if any(x % den for x in acc):
-            raise InternalError("orthogonal family member is not integral")
-        out.append(RatVector(x // den for x in acc))
-    return out
-
-
 __all__ = [
     "MuHatValue",
     "OrthogonalityCertificate",
@@ -574,5 +562,4 @@ __all__ = [
     "mask_is_zero_exact",
     "mu_hat",
     "verify_witness",
-    "witness_orthogonal_family",
 ]

@@ -31,13 +31,15 @@ _SPECTRUM_CAP = 2**16  # frequencies a candidate spectrum may hold
 class HadamardTriple:
     """Matrix m, digits {0, w, ..., (q-1)w} and duals {0, u, ..., (q-1)u}, listed
     on first read.  verify() alone sets ``verified``: with m^{-1} w = x / d and
-    T = <x, u>, H is unitary iff q T = 0 mod d and gcd(q T / d, q) = 1."""
+    T = <x, u>, H is unitary iff q T = 0 mod d and gcd(q T / d, q) = 1.
+    ``coordinate_frame`` is m's companion conjugation, and ``block`` the
+    block decomposition whose leading block it conjugates, or None."""
 
-    __slots__ = ("m", "w", "u", "q", "coordinate_frame", "verified", "_digits", "_duals")
+    __slots__ = ("m", "w", "u", "q", "coordinate_frame", "block", "verified", "_digits", "_duals")
 
     def __init__(self, m: IntMatrix, w: IntVector, u: IntVector, q: int, coordinate_frame=None):
         self.m, self.w, self.u, self.q = m, w, u, q
-        self.coordinate_frame, self.verified = coordinate_frame, False
+        self.coordinate_frame, self.block, self.verified = coordinate_frame, None, False
         self._digits = self._duals = None
 
     @property
@@ -69,10 +71,10 @@ def _progression(w: IntVector, q: int):
 
 class CandidateSpectrum:
     """Finite truncation of the canonical spectrum attached to a verified
-    triple, expressed in the coordinates the instance was given in: the
-    frequencies a / denominator held as their integer numerators a over one
-    positive denominator.  ``frequencies`` lists them as RatVectors on
-    first read."""
+    triple, in the instance's n coordinates, also when the triple lives on
+    a leading block of rank r < n: the frequencies a / denominator held as
+    their integer numerators a over one positive denominator.
+    ``frequencies`` lists them as RatVectors on first read."""
 
     __slots__ = ("depth", "numerators", "denominator", "_frequencies")
 
@@ -150,10 +152,11 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
     Requires a verified triple and at most _SPECTRUM_CAP sums (TooLarge,
     before any is built); the q^depth sums must be pairwise distinct (a
     collision would contradict unitarity and raises DuplicateFrequency).
-    Frequencies are returned mapped out of the companion frame when one is
-    recorded, so they live in the instance's coordinates, as integer
-    numerators over |det b| with b the frame's basis (over 1 without a
-    frame); no Fraction is made.  0 is always first.
+    Frequencies are returned in the instance's coordinates: out of the
+    companion frame by b^{-T}, b its basis, when one is recorded, and then,
+    when a block decomposition is recorded too, padded with zeros and
+    carried by its b^T.  They are integer numerators over |det b| of the
+    frame (over 1 without one); no Fraction is made.  0 is always first.
     """
     if not triple.verified:
         raise UnverifiedTriple("run verify() before expanding a spectrum")
@@ -161,11 +164,12 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
         raise ValueError("depth must be at least 1")
     if triple.q ** min(depth, _SPECTRUM_CAP.bit_length()) > _SPECTRUM_CAP:  # q >= 2 passes it by then
         raise TooLarge(f"{triple.q}^{depth} frequencies exceed the cap of {_SPECTRUM_CAP}")
-    # layers[i] is (M*)^i applied to each dual, carried out of the companion
-    # frame as op s over den; op is injective, so the sums collide where the
-    # companion sums do.  level holds the sums over the first i digits in
-    # itertools.product order (first digit slowest); their entries are ints
-    # the package built, so no sum is re-validated
+    # layers[i] is (M*)^i applied to each dual, carried to the instance's
+    # coordinates as op s over den before any sum; zero padding, then b^T,
+    # is the transpose of b's first r rows, so op is injective and the sums
+    # collide where the companion sums do.  level holds the sums over the
+    # first i digits in itertools.product order (first digit slowest); their
+    # entries are ints the package built, so no sum is re-validated
     q, mt = triple.q, triple.m.transpose()
     layers = [triple.duals]
     while len(layers) < depth:
@@ -173,6 +177,8 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
     den = 1
     if triple.coordinate_frame is not None:
         op, den = _transport(triple.coordinate_frame.b, "inverse")
+        if triple.block is not None:
+            op = IntMatrix._make(tuple(zip(*triple.block.b.rows[:triple.block.r]))) * op
         layers = [[op * s for s in layer] for layer in layers]
     level = [s.entries for s in layers[0]]
     for layer in layers[1:]:

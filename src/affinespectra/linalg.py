@@ -19,13 +19,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import lshift, mul
 
-from .errors import (
-    InternalError,
-    NotUnimodular,
-    RankDeficient,
-    Singular,
-    ZeroVector,
-)
+from .errors import InternalError, RankDeficient, Singular, ZeroVector
 
 
 def _as_int(x) -> int:
@@ -365,10 +359,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(zip(*self.rows))
 
-    def inf_norm(self) -> Fraction:
-        """Induced infinity norm: max absolute row sum.  Exact."""
-        return max(sum((abs(x) for x in row), Fraction(0)) for row in self.rows)
-
 
 class IntPolynomial:
     """Integer polynomial, coefficients in ascending degree order."""
@@ -407,14 +397,6 @@ class IntPolynomial:
         acc = 0 * x  # matches the numeric type of x
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_matrix(self, m: IntMatrix) -> IntMatrix:
-        """Horner evaluation at a square integer matrix."""
-        n = m.n
-        acc = IntMatrix.identity(n).scaled(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * m + IntMatrix.identity(n).scaled(c)
         return acc
 
 
@@ -737,16 +719,6 @@ def inverse(m) -> RatMatrix:
     if d == 0:
         raise Singular("matrix is singular")
     return RatMatrix([Fraction(scale * x, d) for x in row] for row in adj)
-
-
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular matrix, returned with integer entries; the
-    determinant comes from the same elimination as the adjugate."""
-    m._require_square()
-    adj, d = _adjugate(m.rows)
-    if d not in (1, -1):
-        raise NotUnimodular(f"det = {d}, expected +1 or -1")
-    return IntMatrix._make(tuple(tuple(d * x for x in row) for row in adj))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,11 @@ from affinespectra.linalg import (
     IntPolynomial,
     IntVector,
     det,
-    inverse_unimodular,
     is_expanding,
     krylov,
 )
+
+from oracles import inverse_unimodular
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
 V_CUBE = IntVector([0, 0, 1])
@@ -128,7 +129,7 @@ def test_spectral_full_rank():
     assert res.conditions.q_divides_detm1
     assert res.conditions.pure_power_c == 36
     assert isinstance(res.certificate, HadamardCertificate)
-    assert res.certificate.block is None
+    assert res.certificate.triple.block is None
     assert res.certificate.triple.verified
     assert res.reasons == ["divisibility-sufficiency"]
 
@@ -140,8 +141,8 @@ def test_spectral_reduced():
         assert res.conditions.r == 1
         assert res.conditions.det_m1 == 4
         assert isinstance(res.certificate, HadamardCertificate)
-        assert res.certificate.block is not None
-        assert res.certificate.block.m1 == IntMatrix([[4]])
+        assert res.certificate.triple.block is not None
+        assert res.certificate.triple.block.m1 == IntMatrix([[4]])
         assert res.reasons == ["rank-reduction", "divisibility-sufficiency"]
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 from affinespectra import cli
 from affinespectra.classify import WitnessCertificate, leading_triple
 from affinespectra.cli import _certificate_json, load_instance, main
-from affinespectra.conjugation import map_spectrum
 from affinespectra.fourier import Witness, certify_orthogonal
-from affinespectra.hadamard import candidate_spectrum
 from affinespectra.linalg import IntVector, RatVector
+
+from oracles import oracle_spectrum
 
 CUBE = {"matrix": [[2, 6, 4], [-1, 2, 2], [-1, -1, -4]], "v": [0, 0, 1], "q": 6}
 DIAG = {"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 6}
@@ -522,6 +523,21 @@ def test_json_nested_past_the_recursion_limit_exits_1(write, capsys, tmp_path, a
     assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON in ")
 
 
+@pytest.mark.parametrize("entry", ["7" * 5000, "7" * 5000 + "x", list(range(3000))],
+                         ids=["past the digit limit", "long string", "long list"])
+def test_a_long_bad_entry_gives_one_short_line(write, capsys, entry):
+    # a 5000-digit string is past the interpreter's digit limit; any other
+    # bad entry is named by a 40-character prefix of its repr and its length
+    code, out, err = _run(capsys, "classify", "--input", write({**M4, "matrix": [[entry]]}))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 200
+    shown = repr(entry)
+    if entry == "7" * 5000:
+        assert err == f"error: expected an integer, got a string of more than {sys.get_int_max_str_digits()} digits\n"
+    else:
+        assert err == f"error: expected an integer, got {shown[:40]}... ({len(shown)} characters)\n"
+
+
 def test_integer_literal_past_the_digit_limit_exits_1(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text('{"matrix": [[' + "7" * 5000 + ']], "v": [1], "q": 2}')
@@ -668,14 +684,10 @@ def test_spectrum_reduced_instance_certifies(write, capsys):
 
 
 def _oracle_spectrum_json(inst, depth, jmax):
-    """spectrum --json as the per-frequency loop made it: the spectrum as
-    RatVectors, a reduced one padded and carried by map_spectrum, and one
+    """spectrum --json as the per-frequency loop made it: the spectrum of
+    the rational oracle, a reduced one padded and carried by b^T, and one
     certify_orthogonal of 0 against each nonzero frequency."""
-    freqs = candidate_spectrum(leading_triple(inst), depth).frequencies
-    r, decomp = inst.leading.r, inst.leading.decomp
-    if decomp is not None:
-        padded = [RatVector(list(f) + [Fraction(0)] * (inst.m.n - r)) for f in freqs]
-        freqs = map_spectrum(decomp.b, padded, "forward")
+    freqs = oracle_spectrum(inst, leading_triple(inst), depth)
     zero = RatVector([0] * inst.m.n)
     certificates = []
     for idx, lam in enumerate(freqs):
@@ -890,6 +902,15 @@ def test_sample_csv_header_3d(write, capsys):
     assert lines[0] == "x1,x2,x3"
     assert len(lines) == 11
     assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+
+def test_sample_past_its_cap_exits_2_before_drawing(write, capsys, monkeypatch):
+    # 1-D: iterations x (1 + 5) floats; 5592405 is the last under 2^25
+    monkeypatch.setattr(random.Random, "getrandbits", lambda *a: pytest.fail("digits drawn"))
+    code, out, err = _run(capsys, "sample", "--input", write(M4), "--iters", "5592406")
+    assert (code, out) == (2, "")
+    assert err == ("error: 5592406 chaos game iterations in dimension 1 need about 268435488 bytes, "
+                   "over the cap of 268435456\n")
 
 
 def test_sample_deterministic(write, capsys):

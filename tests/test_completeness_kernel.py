@@ -15,7 +15,6 @@ must match them bit for bit.
 """
 
 import cmath
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -28,19 +27,14 @@ from hypothesis import strategies as st
 
 from affinespectra import evidence, fourier
 from affinespectra.classify import ProblemInstance, classify
-from affinespectra.cli import _default_probes, _spectrum_in_original_coords
+from affinespectra.cli import _default_probes
 from affinespectra.errors import DuplicateFrequency, TooLarge
 from affinespectra.evidence import completeness_defect
 from affinespectra.fourier import mu_hat
 from affinespectra.hadamard import HadamardTriple, candidate_spectrum
-from affinespectra.linalg import (
-    IntMatrix,
-    IntVector,
-    RatVector,
-    _over_common_denominator,
-    inverse,
-    inverse_unimodular,
-)
+from affinespectra.linalg import IntMatrix, IntVector, RatVector, _over_common_denominator
+
+from oracles import inverse_unimodular, oracle_spectrum, oracle_sums
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
 # a unimodular conjugate of x^4 + 6 whose mask phases come within about
@@ -122,7 +116,7 @@ def _oracle_mu_hat(inst, xi, tail_eps=1e-9):
         product *= _oracle_mask_from_phase(q, t, den)
         tail = math.pi * (coeff.numerator * max(map(abs, a)) / (coeff.denominator * den))
         if tail < tail_eps:
-            return product, math.expm1(tail), j
+            return product, math.expm1(tail * (1 + 2**-50)) + j * (8 * q + 16) * 2**-53, j
 
 
 def _oracle_defects(inst, freqs, probes, tail_eps=1e-9):
@@ -135,38 +129,6 @@ def _oracle_defects(inst, freqs, probes, tail_eps=1e-9):
             q_sum += abs(_oracle_mu_hat(inst, xi - lam, tail_eps)[0]) ** 2
         defects.append(1.0 - q_sum)
     return defects
-
-
-def _oracle_spectrum(inst, triple, depth):
-    """The frequencies by rational matrices: the companion sums through
-    inverse(b)^T of the companion frame, then, at a reduced rank, padded
-    with zeros and through b^T of the block change of basis."""
-    freqs = [s.to_rat() for s in _oracle_sums(triple, depth)]
-    if triple.coordinate_frame is not None:
-        inv_t = inverse(triple.coordinate_frame.b).transpose()
-        freqs = [inv_t * lam for lam in freqs]
-    decomp = inst.leading.decomp
-    if decomp is not None:
-        b_t = decomp.b.transpose().to_rat()
-        freqs = [b_t * RatVector(list(lam) + [0] * (inst.m.n - len(lam))) for lam in freqs]
-    return freqs
-
-
-def _oracle_sums(triple, depth):
-    """The q^depth sums in itertools.product order, or the collision error."""
-    q, mt, layers = triple.q, triple.m.transpose(), [triple.duals]
-    while len(layers) < depth:
-        layers.append([mt * s for s in layers[-1]])
-    sums, seen = [], set()
-    for choice in itertools.product(range(q), repeat=depth):
-        acc = layers[0][choice[0]]
-        for j in range(1, depth):
-            acc = acc + layers[j][choice[j]]
-        if acc.entries in seen:
-            raise DuplicateFrequency(f"expansion collision at digits {choice}")
-        seen.add(acc.entries)
-        sums.append(acc)
-    return sums
 
 
 def _outcome(f, *args):
@@ -356,7 +318,7 @@ def test_candidate_spectrum_defects_match_the_loop():
         cert = classify(inst).certificate
         if cert is None or cert.kind != "hadamard":
             continue
-        spectrum = _spectrum_in_original_coords(inst, cert.triple, 2 if inst.q < 6 else 1)
+        spectrum = candidate_spectrum(cert.triple, 2 if inst.q < 6 else 1)
         probes = _default_probes(inst.m.n)[:4]
         assert _defects(inst, spectrum, probes) == _oracle_defects(inst, spectrum.frequencies, probes)
         checked += 1
@@ -424,7 +386,7 @@ def _triples(draw):
 @given(_triples(), st.integers(1, 3))
 def test_candidate_spectrum_matches_the_product_loop(triple, depth):
     try:
-        expected = [s.to_rat() for s in _oracle_sums(triple, depth)]
+        expected = [s.to_rat() for s in oracle_sums(triple, depth)]
     except DuplicateFrequency as e:
         with pytest.raises(DuplicateFrequency) as got:
             candidate_spectrum(triple, depth)
@@ -447,19 +409,36 @@ def _spectral_instances():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_spectral_instances(), st.integers(1, 2))
 def test_spectrum_numerators_over_one_denominator_are_its_frequencies(inst, depth):
-    spectrum = _spectrum_in_original_coords(inst, classify(inst).certificate.triple, depth)
+    spectrum = candidate_spectrum(classify(inst).certificate.triple, depth)
     den = spectrum.denominator
     assert den > 0 and len(spectrum.numerators) == inst.q ** depth
     assert all(type(x) is int for a in spectrum.numerators for x in a)
     assert spectrum.frequencies == [RatVector([Fraction(x, den) for x in a]) for a in spectrum.numerators]
-    assert spectrum.frequencies == _oracle_spectrum(inst, classify(inst).certificate.triple, depth)
+    assert spectrum.frequencies == oracle_spectrum(inst, classify(inst).certificate.triple, depth)
+
+
+@pytest.mark.parametrize("m, v, q, depth", [
+    ([[6, 0], [0, 5]], [1, 0], 6, 2),
+    ([[1, -3, 3], [3, -5, 3], [6, -6, 4]], [1, 1, 2], 4, 2),
+    ([[0, -6, 1], [1, 0, 1], [0, 0, 3]], [1, 0, 0], 6, 1),
+], ids=["diag(6, 5)", "DIAG q=4", "x^2+6 in 3-D"])
+def test_a_reduced_rank_spectrum_lives_in_the_instance_coordinates(m, v, q, depth):
+    # the library carries a leading-block spectrum back to all n coordinates
+    inst = ProblemInstance(IntMatrix(m), IntVector(v), q)
+    triple = classify(inst).certificate.triple
+    spectrum = candidate_spectrum(triple, depth)
+    assert inst.leading.r < inst.m.n and triple.block is inst.leading.decomp
+    assert spectrum.frequencies == oracle_spectrum(inst, triple, depth)
+    assert all(len(a) == inst.m.n for a in spectrum.numerators)
+    probes = _default_probes(inst.m.n)[:3]
+    assert _defects(inst, spectrum, probes) == _oracle_defects(inst, spectrum.frequencies, probes)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(_spectral_instances(), st.data())
 def test_a_spectrum_and_its_frequency_list_give_identical_defects(inst, data):
     depth = 1 if inst.m.n > 2 else 2
-    spectrum = _spectrum_in_original_coords(inst, classify(inst).certificate.triple, depth)
+    spectrum = candidate_spectrum(classify(inst).certificate.triple, depth)
     probes = data.draw(st.lists(_frequencies(inst.m.n), min_size=1, max_size=2))
     frequencies = list(spectrum.frequencies)
     got = _defects(inst, spectrum, probes)

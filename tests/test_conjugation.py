@@ -26,10 +26,11 @@ from affinespectra.linalg import (
     char_poly,
     det,
     inverse,
-    inverse_unimodular,
     krylov,
     rank,
 )
+
+from oracles import inverse_unimodular
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
 V_CUBE = IntVector([0, 0, 1])

@@ -226,6 +226,17 @@ def test_chaos_game_respects_bounding_radius():
         assert np.max(np.abs(sample.points)) <= sample.radius + 1e-9
 
 
+@pytest.mark.parametrize("m, v, iterations", [([[2]], [1], 5592406), (M_CUBE.rows, V_CUBE, 4194305)],
+                         ids=["1-D", "3-D"])
+def test_chaos_game_past_its_cap_draws_no_digit(monkeypatch, m, v, iterations):
+    # the first refused count: iterations x (n + 5) floats just over 2^25
+    inst = _inst(m, v, 2)
+    assert (iterations - 1) * (inst.m.n + 5) <= 2**25 < iterations * (inst.m.n + 5)
+    monkeypatch.setattr(random.Random, "getrandbits", lambda *a: pytest.fail("digits drawn"))
+    with pytest.raises(TooLarge, match="over the cap of 268435456"):
+        chaos_game(inst, iterations, seed=0)
+
+
 def test_attractor_radius_unit_interval():
     # binary digits fill [0, 1]: dmax = 1 and sum of 2^{-j} bounds by 1
     inst = _inst([[2]], [1], 2)

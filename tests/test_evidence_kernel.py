@@ -37,8 +37,9 @@ from affinespectra.linalg import (
     RatMatrix,
     RatVector,
     inverse,
-    inverse_unimodular,
 )
+
+from oracles import inverse_unimodular
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
 # a unimodular conjugate of the companion of x^4 + 6, with q = 6
@@ -101,7 +102,7 @@ def _oracle_contraction(m):
     power = p
     norm_sum = Fraction(0)
     for k in range(1, 10 * m.n + 1):
-        rho = power.inf_norm()
+        rho = max(sum(map(abs, row)) for row in power.rows)
         norm_sum += rho
         if rho < 1:
             return p, rho, norm_sum
@@ -126,7 +127,7 @@ def _oracle_mu_hat(inst, xi, tail_eps=1e-9):
         product *= _oracle_mask(inst.q, tm)
         tail = math.pi * float(coeff * max(abs(e) for e in cur))
         if tail < tail_eps:
-            return product, math.expm1(tail), j
+            return product, math.expm1(tail * (1 + 2**-50)) + j * (8 * inst.q + 16) * 2**-53, j
 
 
 def _oracle_probes(inst, count):
@@ -193,7 +194,7 @@ def _pairwise_clique(inst, ell, box_radius, j_max):
 
     def certified_pair(a, b):
         delta = [x - y for x, y in zip(a, b)]
-        return fourier._vanishing_factor(inst, delta, ell, j_max) is not None
+        return fourier._vanishing_factors(inst, [delta], ell, j_max)[0] is not None
 
     def connected(a, b):
         key = tuple(x - y for x, y in zip(a, b))
@@ -215,8 +216,8 @@ def _pairwise_clique(inst, ell, box_radius, j_max):
 
 
 def _oracle_vanishing_factor(inst, a, den, j_max):
-    """fourier._vanishing_factor as it was when it computed the default
-    j_max up front, before the search."""
+    """fourier._vanishing_factors at one point, as it was when it computed
+    the default j_max up front, before the search."""
     if j_max is None:
         max_den = max(den // math.gcd(x, den) for x in a)
         max_num = max(abs(x) // math.gcd(x, den) for x in a)
@@ -454,7 +455,7 @@ def test_lazy_default_depth_matches_eager_oracle(inst, entries, den, mode, depth
     n = inst.m.n
     a = entries[:n]
     j_max = {"default": None, "explicit": depth, "below": depth % (3 * n + 1)}[mode]
-    assert fourier._vanishing_factor(inst, a, den, j_max) == _oracle_vanishing_factor(inst, a, den, j_max)
+    assert fourier._vanishing_factors(inst, [a], den, j_max) == [_oracle_vanishing_factor(inst, a, den, j_max)]
 
 
 _POINT_ROWS = st.lists(st.lists(_DEEP_ENTRIES, min_size=4, max_size=4), min_size=1, max_size=6)
@@ -486,8 +487,8 @@ def test_a_certificate_past_the_lazy_point_is_found():
     # [[2]], q = 2: 2^9 / 2^j is 1/2 mod 1 first at j = 10, past 3n = 3
     # and within the default depth 3 + bitlen(2^9) = 13
     inst = ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2)
-    assert fourier._vanishing_factor(inst, [2 ** 9], 1, None) == (10, 512, 1024)
-    assert fourier._vanishing_factor(inst, [2 ** 9], 1, 9) is None
+    assert fourier._vanishing_factors(inst, [[2 ** 9]], 1, None) == [(10, 512, 1024)]
+    assert fourier._vanishing_factors(inst, [[2 ** 9]], 1, 9) == [None]
 
 
 def _random_graph(n, density, seed):

@@ -38,9 +38,10 @@ from affinespectra.linalg import (
     RatVector,
     det,
     inverse,
-    inverse_unimodular,
     is_expanding,
 )
+
+from oracles import inverse_unimodular
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
 V_CUBE = IntVector([0, 0, 1])
