@@ -35,21 +35,22 @@ from .linalg import IntMatrix, IntVector, RatVector
 # ---------------------------------------------------------------------------
 
 
-_INT_SYNTAX = re.compile(r"\s*[+-]?\d+(_\d+)*\s*")
+_INT_SYNTAX = re.compile(r"[+-]?[0-9]+")
 
 
 def _to_int(x):
     # decimal strings are accepted so arbitrary-precision entries survive
-    # editors and JSON implementations that clip large numbers
+    # editors and JSON implementations that clip large numbers: ASCII digits
+    # with an optional sign, not int()'s underscores, surrounding whitespace
+    # or non-ASCII digits
     if isinstance(x, int) and not isinstance(x, bool):
         return x
-    if isinstance(x, str):
+    if isinstance(x, str) and _INT_SYNTAX.fullmatch(x):
         try:
             return int(x, 10)
-        except ValueError:
-            if _INT_SYNTAX.fullmatch(x):  # well formed, so past the digit limit
-                raise ParseError(f"expected an integer, got a string of more than "
-                                 f"{sys.get_int_max_str_digits()} digits") from None
+        except ValueError:  # well formed, so past the digit limit
+            raise ParseError(f"expected an integer, got a string of more than "
+                             f"{sys.get_int_max_str_digits()} digits") from None
     shown = repr(x)  # a prefix of a long entry, and its length
     shown = shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
     raise ParseError(f"expected an integer, got {shown}")

@@ -28,9 +28,11 @@ from .linalg import (
     RatVector,
     _adjugate,
     _annihilates,
+    _conjugate,
     _hnf_unimodular,
     _krylov_relation,
     _over_common_denominator,
+    _products_equal,
     char_poly,
     det,
 )
@@ -121,7 +123,7 @@ def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConju
     m_tilde = companion_matrix(f)
     v_tilde = IntVector([0] * (n - 1) + [1])
     # with b invertible these are b^{-1} M b = m_tilde and b^{-1} v = v_tilde
-    if m * b != b * m_tilde:
+    if not _products_equal(m.rows, b.rows, b.rows, m_tilde.rows):
         raise InternalError("iterate basis does not conjugate to the companion matrix")
     if b * v_tilde != vecs[0]:
         raise InternalError("iterate basis does not carry v to the last basis vector")
@@ -149,7 +151,7 @@ def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial)
         raise FullRank(f"iterates of v already span dimension {n}")
     a = IntMatrix._from_columns(reversed(vecs[:r]))
     b, b_inv, _ = _hnf_unimodular(a)
-    block = b * m * b_inv
+    block = IntMatrix._make(_conjugate(b.rows, m.rows, b_inv.rows))
     if any(block.rows[i][j] for i in range(r, n) for j in range(r)):
         raise InternalRankError("block triangularization failed to zero the lower-left block")
     m1 = block.submatrix(range(r), range(r))

@@ -500,34 +500,43 @@ def construct_witness(inst) -> Witness:
         raise GcdOne(
             f"gcd(q={inst.q}, |det m1|={abs(d1)}) = 1: no vanishing-denominator witness"
         )
-    # all in integers: m1^{-1} = adj / d1_abs, and m1^{-ell} v1 = a / den
-    # with gcd(den, a) = 1, so den is the lcm of the entry denominators
-    adj, d1_abs = _inverse_parts(m1)
+    # all in integers: m1^{-ell} v1 = a / den with gcd(den, a) = 1, so den
+    # is the lcm of the entry denominators; each step is one solve on m1
     a, den = v1, 1
     for ell in range(1, _WITNESS_DEPTH_CAP + 1):
-        a, den = adj * a, den * d1_abs
+        a, d1_abs = _solve_parts(m1, a)
+        den *= d1_abs
         g = gcd(den, *a)
-        a, den = IntVector(x // g for x in a), den // g
+        a, den = IntVector._make(tuple(x // g for x in a)), den // g
         dstar = gcd(den, inst.q)
         if dstar > 1:
             break
     else:
         raise InternalError("witness depth cap reached; should be unreachable")
     z = _solve_phase_congruence(a, den, den // dstar)
+    m1_t = m1.transpose()
     if decomp is None:
-        # alpha = (m1^{-T})^ell z = num / den
-        num = IntVector._make(tuple(_apply_power(adj.transpose().rows, ell, z.entries)))
-        den, image = d1_abs ** ell, z
+        # alpha = (m1^{-T})^ell z = num / den, ell solves on m1^T
+        num, den, image = z, 1, z
+        for _ in range(ell):
+            num, d = _solve_parts(m1_t, num)
+            den *= d
     else:
         # alpha = b^T (B^{-T})^ell (z, 0) with B = b M b^{-1}: (M*)^ell alpha
         # = b^T (z, 0) is integral, and the leading block of b^{-T} alpha is
-        # (m1^{-T})^ell z; ell solves x / d = B^{-T} x_prev, d = |det M|
-        bt, image = decomp.block.transpose(), IntVector(list(z) + [0] * (n - r))
-        num, den = image, 1
+        # (m1^{-T})^ell z.  B^T = [[m1^T, 0], [c^T, m2^T]], so a step
+        # y -> B^{-T} y is x1 / d1 = m1^{-T} y1, then x2 / d2 =
+        # m2^{-T} (d1 y2 - c^T x1), giving (d2 x1, x2) / (d1 d2) with
+        # d1 d2 = |det M|: solves on m1^T and m2^T, no n x n solve
+        m2_t, c_t = decomp.m2.transpose(), decomp.c.transpose()
+        image = IntVector._make(z.entries + (0,) * (n - r))
+        num, den = image.entries, 1
         for _ in range(ell):
-            num, d = _solve_parts(bt, num)
-            den *= d
-        num, image = decomp.b.transpose() * num, decomp.b.transpose() * image
+            x1, d1_abs = _solve_parts(m1_t, IntVector._make(num[:r]))
+            y2 = (d1_abs * y - e for y, e in zip(num[r:], c_t * x1))
+            x2, d2_abs = _solve_parts(m2_t, IntVector._make(tuple(y2)))
+            num, den = x1.scaled(d2_abs).entries + x2.entries, den * d1_abs * d2_abs
+        num, image = decomp.b.transpose() * IntVector._make(num), decomp.b.transpose() * image
     alpha = RatVector(Fraction(x, den) for x in num)
     phase = Fraction(num.dot(inst.v) % den, den)
     witness = Witness(alpha, ell, phase, image)

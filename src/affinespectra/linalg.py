@@ -9,6 +9,10 @@ expanding property that keeps each reduced polynomial content-free.  The
 unimodular echelon form runs its Euclid on the work rows alone and
 replays the recorded steps on packed ints, one per row of b and per
 column of b^-1, in fields the steps' magnitude bounds prove wide enough.
+Exact products that are only checked (b b^-1 = I, b a = h, M b = b M~),
+and the block b M b^-1 from 5 rows on, run on packed rows: each row one
+int of balanced fields wide enough for every entry (Kronecker
+substitution), so a product takes n^2 big-int operations.
 Every division assumed exact is checked.  No float ever participates in
 a mathematical decision made by this module.
 """
@@ -542,20 +546,59 @@ def _unpack(packed: list[int], n: int, size: int) -> tuple:
     try:
         raw = b"".join([(p + offset).to_bytes(n * size, "little") for p in packed])
     except OverflowError:
-        raise InternalError("hnf_unimodular: an entry outgrew its packed width") from None
+        raise InternalError("an entry outgrew its packed width") from None
     entries = [int.from_bytes(raw[k:k + size], "little") - half for k in range(0, len(raw), size)]
     return tuple(zip(*[iter(entries)] * n))
 
 
+def _bits(rows) -> int:
+    """Bit length of the largest absolute entry."""
+    return max(map(abs, chain(*rows))).bit_length()
+
+
+def _pack(rows, width: int) -> list[int]:
+    """Each row as one int of balanced ``width``-bit fields (Kronecker
+    substitution), entry j at bit width j.  The map is linear, and rows
+    whose entries lie below 2^(width - 1) in absolute value are equal iff
+    their ints are."""
+    shifts = range(0, width * len(rows[0]), width)
+    return [sum(map(lshift, row, shifts)) for row in rows]
+
+
+def _times_packed(left, packed: list[int]) -> list[int]:
+    """The rows of left * right packed, from the packed rows of right: n^2
+    big-int products in place of n^3 small ones."""
+    return [sum(map(mul, row, packed)) for row in left]
+
+
+def _product_width(left, right) -> int:
+    """A field width holding every entry of left * right, each at most
+    k max|left| max|right| for k = len(right)."""
+    return 1 + len(right).bit_length() + _bits(left) + _bits(right)
+
+
 def _product_is(left, right, target) -> bool:
-    """left * right == target, each row compared as one int of balanced
-    fields wide enough for every entry of the product and of target, so
-    that equal ints mean equal rows."""
-    width = 1 + len(right).bit_length() + max(map(abs, chain(*left))).bit_length()
-    width += max(map(abs, chain(*right, *target))).bit_length()
-    shifts = range(0, width * len(target[0]), width)
-    packed = [sum(map(lshift, row, shifts)) for row in right]
-    return [sum(map(mul, row, packed)) for row in left] == [sum(map(lshift, t, shifts)) for t in target]
+    """left * right == target, each row compared as one packed int."""
+    width = max(_product_width(left, right), 1 + _bits(target))
+    return _times_packed(left, _pack(right, width)) == _pack(target, width)
+
+
+def _products_equal(a, b, c, d) -> bool:
+    """a * b == c * d, each row compared as one packed int."""
+    width = max(_product_width(a, b), _product_width(c, d))
+    return _times_packed(a, _pack(b, width)) == _times_packed(c, _pack(d, width))
+
+
+def _conjugate(b, m, b_inv) -> tuple:
+    """Rows of b * m * b_inv.  From 5 rows on, on packed rows: m b_inv
+    packed at a byte width that holds every entry of the whole product
+    (n^2 max|b| max|m| max|b_inv|), b times those, then unpacked; below
+    that the plain products cost less."""
+    n = len(m)
+    if n < 5:
+        return _mat_mul(_mat_mul(b, m), b_inv)
+    size = (2 * n.bit_length() + _bits(b) + _bits(m) + _bits(b_inv) + 8) // 8
+    return _unpack(_times_packed(b, _times_packed(m, _pack(b_inv, 8 * size))), n, size)
 
 
 def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -571,19 +614,23 @@ def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     for col in range(nc):  # full column rank puts the pivot of col in row col
         if col == nr:
             raise RankDeficient(f"hnf_unimodular: no pivot row left for column {col}")
-        while True:
-            cand = [(abs(work[i][col]), i) for i in range(col, nr) if work[i][col] != 0]
-            if not cand:
-                raise RankDeficient(f"hnf_unimodular: column {col} is dependent")
-            _, piv = min(cand)
+        cand = [(abs(work[i][col]), i) for i in range(col, nr) if work[i][col] != 0]
+        if not cand:
+            raise RankDeficient(f"hnf_unimodular: column {col} is dependent")
+        piv = min(cand)[1]
+        while piv is not None:
             if piv != col:
                 work[col], work[piv] = work[piv], work[col]
                 bound[col], bound[piv] = bound[piv], bound[col]
                 bound_inv[col], bound_inv[piv] = bound_inv[piv], bound_inv[col]
                 steps.append((col, piv, 0))
-            top, clean = work[col], True
+            # a floor remainder is below |p|, so the next pivot is the least
+            # nonzero remainder (lowest row on ties), and none ends the column
+            top, piv, least = work[col], None, abs(work[col][col])
             for i in range(col + 1, nr):
                 w_i = work[i]
+                if not w_i[col]:
+                    continue
                 t = w_i[col] // top[col]
                 if t:
                     for j in range(col, nc):
@@ -591,9 +638,8 @@ def _hnf_unimodular(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     bound[i] += abs(t) * bound[col]
                     bound_inv[col] += abs(t) * bound_inv[i]
                     steps.append((i, col, t))
-                clean = clean and w_i[col] == 0
-            if clean:
-                break
+                if w_i[col] and abs(w_i[col]) < least:
+                    piv, least = i, abs(w_i[col])
     size = (max(bound + bound_inv).bit_length() + 8) // 8
     rows = [1 << 8 * size * i for i in range(nr)]
     cols = rows[:]

@@ -99,6 +99,25 @@ def test_string_integers_accepted(write, capsys):
     assert json.loads(out)["verdict"] == "spectral"
 
 
+def test_signed_string_integers_accepted(write, capsys):
+    # a leading sign is part of the syntax: "+4" is 4 and "-0" is 0
+    code, out, _ = _run(capsys, "decompose", "--input", write({"matrix": [["+4", "-0"], ["-0", "5"]],
+                                                              "v": ["+1", "-0"], "q": "+2"}), "--json")
+    assert code == 0
+    assert json.loads(out) == json.loads(_run(capsys, "decompose", "--input", write(
+        {"matrix": [[4, 0], [0, 5]], "v": [1, 0], "q": 2}), "--json")[1])
+
+
+@pytest.mark.parametrize("entry", ["1_000", " 7 ", "7\n", "٣", "+-7", ""],
+                         ids=["underscore", "spaces", "newline", "arabic-indic digit", "two signs", "empty"])
+def test_int_syntax_past_ascii_digits_exits_1(write, capsys, entry):
+    # int() takes the first four, but only ASCII digits with one optional
+    # sign are an integer here
+    code, out, err = _run(capsys, "classify", "--input", write({**M4, "matrix": [[entry]]}))
+    assert (code, out) == (1, "")
+    assert err == f"error: expected an integer, got {entry!r}\n"
+
+
 # -- report files -------------------------------------------------------------
 
 

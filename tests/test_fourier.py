@@ -7,6 +7,8 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affinespectra.classify import ProblemInstance
 from affinespectra.conjugation import map_spectrum
@@ -453,6 +455,79 @@ def test_witness_matches_rational_construction():
         reduced += inst.leading.decomp is not None
         deep += w.ell > 1
     assert reduced >= 10 and deep >= 5, (reduced, deep)
+
+
+def _conjugated_witness_instance(seed):
+    """M = U [[B1, C], [0, B2]] U^-1, v = U (s e_k, 0), n <= 10, U built by
+    elementary row operations as test_linalg._krylov_basis builds it: B1
+    the companion of x^r + ... + a0 with the prime q dividing a0, whose
+    inverse iterates of e_k stay integral for k steps, so the witness depth
+    reaches k + 1; B2 upper triangular with diagonal +-2 or +-3.  r = n
+    about a quarter of the time.  None when M is not expanding."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 10)
+    r = n if rng.random() < 0.25 else rng.randint(1, n)
+    q = rng.choice((2, 3))
+    coeffs = [q * rng.choice((-3, -2, -1, 1, 2, 3))]
+    coeffs += [rng.choice((0, 0, 0, -1, 1)) for _ in range(r - 1)]
+    blk = [[0] * n for _ in range(n)]
+    for i in range(r):
+        if i + 1 < r:
+            blk[i + 1][i] = 1
+        blk[i][r - 1] = -coeffs[i]
+        for j in range(r, n):
+            blk[i][j] = rng.randint(-2, 2)
+    for i in range(r, n):
+        blk[i][i] = rng.choice((-3, -2, 2, 3))
+        for j in range(i + 1, n):
+            blk[i][j] = rng.randint(-2, 2)
+    u, u_inv = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
+    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+        # U <- (I + c e_i e_j^T) U, so U^-1 <- U^-1 (I - c e_i e_j^T)
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        for row in u_inv:
+            row[j] -= c * row[i]
+    m = IntMatrix(u) * IntMatrix(blk) * IntMatrix(u_inv)
+    if not is_expanding(m):
+        return None
+    x = [0] * n
+    x[rng.randrange(r)] = rng.choice((-1, 1))
+    return ProblemInstance(m, IntMatrix(u) * IntVector(x), q)
+
+
+def _check_witness_draw(inst):
+    """The witness equals the rational construction, and a decomposition's
+    block is b M b^-1 with the rational inverse of b."""
+    w = construct_witness(inst)
+    assert w.verified
+    assert (w.alpha, w.ell, w.phase, w.image) == _witness_over_fractions(inst), inst.m
+    decomp = inst.leading.decomp
+    if decomp is not None:
+        b = decomp.b.to_rat()
+        assert b * inst.m.to_rat() * inverse(b) == decomp.block
+    return w
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32).map(_conjugated_witness_instance))
+def test_witness_matches_rational_construction_on_conjugates(inst):
+    assume(inst is not None)
+    _check_witness_draw(inst)
+
+
+def test_conjugated_witness_draws_cover_both_frames_and_depth():
+    # fixed seeds of the same construction cover what the drawn ones may
+    # miss: reduced and full rank, a block past the packed product's
+    # threshold, and a witness deeper than one step in each frame
+    insts = [_conjugated_witness_instance(seed) for seed in range(40)]
+    seen = set()
+    for inst in filter(None, insts):
+        w = _check_witness_draw(inst)
+        seen.add((inst.leading.decomp is None, w.ell > 1, inst.m.n >= 5))
+    assert {(False, True), (True, True)} <= {key[:2] for key in seen}, seen
+    assert (False, True, True) in seen, seen
 
 
 def test_witness_makes_no_rational_matrix_product(monkeypatch):

@@ -192,12 +192,88 @@ def test_rank_deficient_instance_computes_two_determinants(monkeypatch, inst, ve
     assert sorted(len(args[0].rows) for args in det_calls) == sorted([n, n - c.conditions.r])
 
 
+@pytest.mark.parametrize("inst", [
+    RANK_TWO,
+    {"matrix": [[4, 0], [0, 5]], "v": [1, 0], "q": 6},
+], ids=["rank-2", "diagonal"])
+def test_reduced_witness_solves_only_on_the_blocks(monkeypatch, inst):
+    # m1^{-ell} v1 and (m1^{-T})^ell z step by solves on m1 and m1^T, and
+    # B^{-T} by solves on m1^T and m2^T: no adjugate, no n x n solve
+    problem = ProblemInstance(IntMatrix(inst["matrix"]), IntVector(inst["v"]), inst["q"])
+    n, r = problem.m.n, problem.leading.r
+    adjugates = _count_calls(monkeypatch, linalg, "_adjugate")
+    inverses = _count_calls(monkeypatch, linalg, "_inverse_parts")
+    solves = _count_calls(monkeypatch, linalg, "_solve_parts")
+    w = fourier.construct_witness(problem)
+    assert w.verified and problem.leading.decomp is not None
+    assert adjugates == inverses == []
+    assert solves and {args[0].n for args in solves} == {r, n - r}
+
+
 def test_block_determinant_check_still_fires(monkeypatch):
     # det M == det m1 * det m2 is still checked, with det m1 read off f
     original = linalg.det
     monkeypatch.setattr(conjugation, "det", lambda m: original(m) + 1)
     with pytest.raises(InternalError, match="block determinants"):
         ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), RANK_ONE["q"])
+
+
+def test_hnf_checks_fire_on_corrupted_fields(monkeypatch):
+    a = IntMatrix([[3, 1], [5, 2], [7, 4]])
+    with pytest.raises(InternalError, match="outgrew its packed width"):
+        linalg._unpack([1 << 64], 1, 8)
+    unpack = linalg._unpack
+
+    def corrupt(edit):
+        # edit the unpacked rows of b and the unpacked columns of b^-1
+        monkeypatch.setattr(linalg, "_unpack", lambda *args: edit(unpack(*args)))
+
+    # P b and b^-1 P^T for the reversal P: still inverse to each other,
+    # but no longer the b that reduces a to h
+    corrupt(lambda rows: rows[::-1])
+    with pytest.raises(InternalError, match="do not reproduce the echelon form"):
+        linalg._hnf_unimodular(a)
+    # b[0][0] and b^-1[0][0] one off: b b^-1 = I fails
+    corrupt(lambda rows: ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:])
+    with pytest.raises(InternalError, match="must stay unimodular"):
+        linalg._hnf_unimodular(a)
+
+
+@pytest.mark.parametrize("n", [3, 8], ids=["plain", "packed"])
+def test_block_checks_fire_on_corrupted_products(monkeypatch, n):
+    # diag(2, ..., n + 1) with v = e_0 + e_1: rank 2 for n = 3 (plain block
+    # product) and n = 8 (packed)
+    m = IntMatrix([[(i + 2) * (i == j) for j in range(n)] for i in range(n)])
+    v = IntVector([1, 1] + [0] * (n - 2))
+    vecs, r, f = linalg._krylov_relation(m, v)
+    assert r == 2
+    w = IntVector([1, 1, 1] + [0] * (n - 3))  # off the span of the iterates of v
+    with pytest.raises(InternalRankError, match="nonzero trailing entries"):
+        conjugation._block_decompose(m, w, vecs, r, f)
+    conjugate = linalg._conjugate
+
+    def corner_off(*args):
+        rows = conjugate(*args)
+        return rows[:-1] + ((rows[-1][0] + 1,) + rows[-1][1:],)
+
+    monkeypatch.setattr(conjugation, "_conjugate", corner_off)
+    with pytest.raises(InternalRankError, match="lower-left block"):
+        conjugation._block_decompose(m, v, vecs, r, f)
+
+
+@pytest.mark.parametrize("part, i, j", [("m1", 0, 1), ("c", 1, 1), ("m2", 1, 1)])
+def test_reduced_witness_fails_verification_on_a_corrupted_block(part, i, j):
+    # the witness solves read m1, c and m2 of the decomposition; one entry
+    # off by one gives a frequency that verify_witness refuses (an entry
+    # that the solves of this instance never meet would not)
+    problem = ProblemInstance(IntMatrix(RANK_TWO["matrix"]), IntVector(RANK_TWO["v"]), RANK_TWO["q"])
+    decomp = problem.leading.decomp
+    block = getattr(decomp, part)
+    setattr(decomp, part, block + IntMatrix([[int((k, l) == (i, j)) for l in range(block.ncols)]
+                                             for k in range(block.nrows)]))
+    problem.leading = problem.leading._replace(m1=decomp.m1)
+    with pytest.raises(InternalError, match="constructed witness failed verification"):
+        fourier.construct_witness(problem)
 
 
 @pytest.mark.parametrize("inst", [CUBE, RANK_ONE], ids=["full-rank", "rank-1"])

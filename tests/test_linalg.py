@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinespectra.conjugation import _companion_conjugate, companion_matrix
 from affinespectra.errors import (
+    InternalError,
     RankDeficient,
     Singular,
     ZeroVector,
@@ -29,10 +31,15 @@ from affinespectra.linalg import (
     rank,
     xgcd,
     _apply_power,
+    _conjugate,
     _hnf_unimodular,
     _inverse_parts,
     _krylov_relation,
+    _mat_mul,
     _no_root_in_closed_unit_disk,
+    _product_is,
+    _product_width,
+    _products_equal,
     _solve_parts,
 )
 
@@ -424,6 +431,91 @@ def test_hnf_matches_whole_row_reduction(small, near_2_64, krylov):
 def test_hnf_rejects_rank_deficient():
     with pytest.raises(RankDeficient):
         hnf_unimodular(IntMatrix([[1, 2], [2, 4], [0, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# packed rows (the width of Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+
+def _near_2_64(rng, nr, nc):
+    return [[rng.choice((-2**64, 2**64)) + rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_packed_products_of_equal_operands_near_2_64_compare_equal(n):
+    rng = random.Random(n)
+    a, b = _near_2_64(rng, n, n), _near_2_64(rng, n, n)
+    assert _products_equal(a, b, a, b)
+    assert _product_is(a, b, _mat_mul(a, b))
+    c = _near_2_64(rng, n, n)
+    assert _conjugate(a, b, c) == _mat_mul(_mat_mul(a, b), c)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_packed_products_off_by_one_at_the_widest_entry_compare_unequal(n, sign):
+    # every entry of a b is n (2^64 - 1)^2, the most the operands' bit
+    # lengths allow; one entry is moved by 1, at the top or the bottom field
+    top = 2**64 - 1
+    a, b = [[sign * top] * n for _ in range(n)], [[top] * n for _ in range(n)]
+    prod = _mat_mul(a, b)
+    assert prod[0][0] == sign * n * top * top
+    # the balanced fields hold the widest entry the bit lengths allow
+    assert n * top * top < 2 ** (_product_width(a, b) - 1)
+    for i, j in ((0, 0), (n - 1, n - 1)):
+        for delta in (1, -1):
+            target = [list(row) for row in prod]
+            target[i][j] += delta
+            assert not _product_is(a, b, target)
+            # a with e_i appended as a column, b with delta e_j as a row:
+            # c d = a b + delta e_i e_j^T
+            c = [row + [int(k == i)] for k, row in enumerate(a)]
+            d = b + [[delta * int(k == j) for k in range(n)]]
+            assert _mat_mul(c, d) == tuple(map(tuple, target))
+            assert not _products_equal(a, b, c, d)
+    assert _products_equal(a, b, a, b) and _product_is(a, b, prod)
+
+
+def test_packed_block_product_at_the_widest_entry():
+    # past the plain-product threshold, b m b^-1 with every entry at the
+    # bound n^2 max|b| max|m| max|b^-1| the packed width is chosen from
+    for n in (5, 9, 16):
+        top = 2**64 - 1
+        a, m, c = ([[s * top] * n for _ in range(n)] for s in (1, -1, 1))
+        assert _conjugate(a, m, c) == ((-n * n * top**3,) * n,) * n
+
+
+def _companion_16():
+    """(m, vecs, f): a 16-D conjugate of the companion matrix of
+    x^16 - x^15 + 3x - 6, v with full Krylov rank, its iterates, char poly."""
+    rng = random.Random(16)
+    n, coeffs = 16, [-6, 3] + [0] * 13 + [-1]
+    blk = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i + 1 < n:
+            blk[i + 1][i] = 1
+        blk[i][n - 1] = -coeffs[i]
+    u = IntMatrix.identity(n)
+    for _ in range(40):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(a == b) + (rng.choice((-1, 1)) if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)]
+        u = u * IntMatrix(e)
+    m = u * IntMatrix(blk) * inverse_unimodular(u)
+    vecs, r, f = _krylov_relation(m, u * IntVector([1] + [0] * (n - 1)))
+    assert r == n and f == IntPolynomial(coeffs + [1])
+    return m, vecs[:n], f
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 15])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_companion_check_catches_a_char_poly_coefficient_off_by_one(k, delta):
+    m, vecs, f = _companion_16()
+    assert _companion_conjugate(m, vecs, f).m_tilde == companion_matrix(f)
+    coeffs = list(f.coeffs)
+    coeffs[k] += delta
+    with pytest.raises(InternalError, match="does not conjugate to the companion matrix"):
+        _companion_conjugate(m, vecs, IntPolynomial(coeffs))
 
 
 # ---------------------------------------------------------------------------
