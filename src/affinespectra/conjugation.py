@@ -32,7 +32,7 @@ from .linalg import (
     _hnf_unimodular,
     _krylov_relation,
     _over_common_denominator,
-    _products_equal,
+    _product_is,
     char_poly,
     det,
 )
@@ -121,13 +121,13 @@ def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConju
     n = m.n  # vecs = [v, Mv, ..., M^{n-1}v] of full rank, f = char_poly(m)
     b = IntMatrix._from_columns(reversed(vecs))
     m_tilde = companion_matrix(f)
-    v_tilde = IntVector([0] * (n - 1) + [1])
-    # with b invertible these are b^{-1} M b = m_tilde and b^{-1} v = v_tilde
-    if not _products_equal(m.rows, b.rows, b.rows, m_tilde.rows):
+    # M b = b m_tilde is b^{-1} M b = m_tilde for b invertible, and b's last
+    # column is v; row k of b m_tilde is (<b_k, m_tilde[:, 0]>, b_k[:-1])
+    first = b * IntVector._make(tuple(row[0] for row in m_tilde.rows))
+    target = [(x,) + row[:-1] for x, row in zip(first, b.rows)]
+    if not _product_is(m.rows, b.rows, target):
         raise InternalError("iterate basis does not conjugate to the companion matrix")
-    if b * v_tilde != vecs[0]:
-        raise InternalError("iterate basis does not carry v to the last basis vector")
-    return CompanionConjugation(b, m_tilde, v_tilde)
+    return CompanionConjugation(b, m_tilde, IntVector._make((0,) * (n - 1) + (1,)))
 
 
 def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:

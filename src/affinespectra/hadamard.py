@@ -5,8 +5,8 @@ set {0, ..., q-1} u with u = (-a_n/q, 0, ..., 0) makes the digit/dual
 phase matrix a scaled discrete Fourier matrix, hence unitary.  Unitarity
 is decided exactly: a True is a proof, not a numerical observation.  A
 HadamardTriple keeps its digits {0, w, ..., (q-1)w} and duals
-{0, u, ..., (q-1)u} as (w, u, q) and decides itself by one linear solve
-and one gcd (Laba-Wang), so the classifier builds no list of q vectors.
+{0, u, ..., (q-1)u} as (w, u, q) and decides itself by one gcd and one
+substitution for m^{-1} w (Laba-Wang), so it builds no list of q vectors.
 The list path, verify_hadamard, serves library callers and the benchmark:
 digits that are consecutive multiples of one vector, in any order, take
 the same closed form in one pass over the duals; any other digit set is
@@ -129,8 +129,8 @@ def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
     tau_l = <m^{-1} w, s_l>, which vanishes iff q (tau_l - tau_j) is an
     integer and tau_l - tau_j is not; so H is unitary iff the residues
     (tau_l - tau_0) mod 1 are q distinct multiples of 1/q (Laba-Wang).
-    One exact linear solve for m^{-1} w, made before the digit set is
-    compared, and one pass over the duals; no tolerance.
+    One exact solve for m^{-1} w (a substitution on a companion m) before
+    the digit set is compared, one pass over the duals; no tolerance.
     """
     if not digits or len(digits) != len(duals):
         raise ValueError("digit and dual sets must have equal, nonzero size")

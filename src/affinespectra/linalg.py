@@ -12,7 +12,8 @@ column of b^-1, in fields the steps' magnitude bounds prove wide enough.
 Exact products that are only checked (b b^-1 = I, b a = h, M b = b M~),
 and the block b M b^-1 from 5 rows on, run on packed rows: each row one
 int of balanced fields wide enough for every entry (Kronecker
-substitution), so a product takes n^2 big-int operations.
+substitution), so a product takes n^2 big-int operations.  A solve
+against a companion matrix is a substitution, not an elimination.
 Every division assumed exact is checked.  No float ever participates in
 a mathematical decision made by this module.
 """
@@ -243,11 +244,11 @@ class IntMatrix:
         if self.nrows != self.ncols:
             raise ValueError(f"square matrix required, got {self.nrows}x{self.ncols}")
 
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
+    def __eq__(self, other):  # equal to an equal RatMatrix, and hashed alike
+        return isinstance(other, (IntMatrix, RatMatrix)) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(("IntMatrix", self.rows))
+        return hash(self.rows)
 
     def __repr__(self):
         return f"IntMatrix({[list(r) for r in self.rows]})"
@@ -323,12 +324,10 @@ class RatMatrix:
         return len(self.rows[0])
 
     def __eq__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rat()
-        return isinstance(other, RatMatrix) and self.rows == other.rows
+        return isinstance(other, (IntMatrix, RatMatrix)) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(("RatMatrix", self.rows))
+        return hash(self.rows)
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in r] for r in self.rows]})"
@@ -583,12 +582,6 @@ def _product_is(left, right, target) -> bool:
     return _times_packed(left, _pack(right, width)) == _pack(target, width)
 
 
-def _products_equal(a, b, c, d) -> bool:
-    """a * b == c * d, each row compared as one packed int."""
-    width = max(_product_width(a, b), _product_width(c, d))
-    return _times_packed(a, _pack(b, width)) == _times_packed(c, _pack(d, width))
-
-
 def _conjugate(b, m, b_inv) -> tuple:
     """Rows of b * m * b_inv.  From 5 rows on, on packed rows: m b_inv
     packed at a byte width that holds every entry of the whole product
@@ -691,15 +684,30 @@ def _eliminate(a: list[list[int]], ncols: int) -> tuple[int, int, int]:
     return r, sign, prev
 
 
+def _is_companion(rows) -> bool:
+    """Ones on the superdiagonal, zeros elsewhere off column 0 (any 1 x 1)."""
+    n = len(rows)
+    unit = (0,) * (n - 1) + (1,) + (0,) * (n - 2)  # row i's tail at n - 1 - i
+    return all(tuple(row[1:]) == unit[n - 1 - i:2 * n - 2 - i] for i, row in enumerate(rows))
+
+
 def _solve(rows, rhs) -> tuple[list[list[int]] | None, int]:
     """(X, det A) with X = adj(A) W, for the rows of a square integer A and
     the columns W of ``rhs``, or (None, 0) when A is singular.
 
-    The last pivot D of the elimination of [A | W] is +-det A, and
-    back-substitution solves U x = D c column by column: x = D A^{-1} w is
-    integral by Cramer's rule, so each division is exact (checked).  Scaling
-    by det A = sign D gives adj(A) w, and x's unsolved entries are 0."""
+    A companion matrix with first column c, c_{n-1} != 0, takes O(n) per
+    column: det A = (-1)^(n+1) c_{n-1}, x_0 = (-1)^(n+1) w_{n-1} and
+    x_{i+1} = det(A) w_i - c_i x_0.  Otherwise the last pivot D of the
+    elimination of [A | W] is +-det A, and back-substitution solves
+    U x = D c column by column: x = D A^{-1} w is integral by Cramer's rule,
+    so each division is exact (checked).  Scaling by det A = sign D gives
+    adj(A) w, and x's unsolved entries are 0."""
     n, width = len(rows), len(rows) + len(rhs)
+    if rows[-1][0] and _is_companion(rows):
+        sign = 1 if n % 2 else -1
+        d, x0s = sign * rows[-1][0], [sign * w[-1] for w in rhs]
+        return [[x0] + [d * e - row[0] * x0 for e, row in zip(w, rows[:-1])]
+                for w, x0 in zip(rhs, x0s)], d
     a = [list(row) + [w[i] for w in rhs] for i, row in enumerate(rows)]
     r, sign, prev = _eliminate(a, n)
     if r < n:
@@ -726,7 +734,7 @@ def _adjugate(rows) -> tuple[list[list[int]] | None, int]:
 
 def _solve_parts(m: IntMatrix, w) -> tuple[IntVector, int]:
     """(x, d) with m^{-1} w = x / d, x integral and d = |det m| > 0, from one
-    elimination of [m | w] and one back-substitution, not the adjugate."""
+    ``_solve`` of [m | w] (a substitution on a companion m), not the adjugate."""
     m._require_square()
     if len(w) != m.nrows:
         raise ValueError("dimension mismatch")

@@ -1,8 +1,9 @@
 """Exact helpers shared by the tests, built on the rational reference
-(RatMatrix and inverse) or on plain integer arithmetic rather than on the
-code they check."""
+(RatMatrix and inverse), on plain Fraction elimination or on plain integer
+arithmetic rather than on the code they check."""
 
 import itertools
+from fractions import Fraction
 
 from affinespectra.errors import DuplicateFrequency
 from affinespectra.linalg import IntMatrix, RatVector, inverse
@@ -56,3 +57,22 @@ def oracle_spectrum(inst, triple, depth):
         b_t = decomp.b.transpose().to_rat()
         freqs = [b_t * RatVector(list(lam) + [0] * (inst.m.n - len(lam))) for lam in freqs]
     return freqs
+
+
+def inverse_by_fraction_gauss_jordan(rows):
+    """Plain Fraction Gauss-Jordan on [A | I] for the rows of a square
+    integer or rational A: the rows of A^{-1}, or None when A is singular."""
+    n = len(rows)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]

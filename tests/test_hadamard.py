@@ -300,6 +300,42 @@ def test_collinear_verification_solves_instead_of_inverting(monkeypatch):
     assert calls == []
 
 
+def _x16_minus_6():
+    """(M, v): a 16-D unimodular conjugate of the companion matrix of
+    x^16 - 6 and the image of its last basis vector, a full Krylov basis."""
+    rng, n = random.Random(16), 16
+    u = IntMatrix.identity(n)
+    for _ in range(40):
+        i, j = rng.sample(range(n), 2)
+        step = [[int(a == b) + (rng.choice((-1, 1)) if (a, b) == (i, j) else 0) for b in range(n)]
+                for a in range(n)]
+        u = u * IntMatrix(step)
+    m = u * companion_matrix(IntPolynomial([-6] + [0] * 15 + [1])) * inverse_unimodular(u)
+    return m, u * IntVector([0] * (n - 1) + [1])
+
+
+def test_companion_frame_certificates_make_no_elimination(monkeypatch):
+    # every classifier triple lives on a companion matrix, where m^-1 w and
+    # the adjugate are substitutions: checking a 16-D triple, its phases and
+    # the witness of a 1-D block [[b]] runs no Bareiss elimination
+    triple = leading_triple(ProblemInstance(*_x16_minus_6(), 6))
+    witnessed = [ProblemInstance(IntMatrix([[b]]), IntVector([1]), q)
+                 for b, q in ((4, 6), (-9, 6), (10**40, 15))]
+
+    def refuse(*args):
+        raise RuntimeError("Bareiss elimination on the companion frame")
+
+    monkeypatch.setattr(linalg, "_eliminate", refuse)
+    assert triple.m.n == 16 and triple.verify()
+    assert verify_hadamard(triple.m, triple.digits, triple.duals)
+    phases = phase_matrix(triple.m, triple.digits, triple.duals)
+    assert {(k * l - 6 * p) % 6 for k, row in enumerate(phases) for l, p in enumerate(row)} == {0}
+    for inst in witnessed:
+        c = classify(inst)
+        assert c.verdict is Verdict.NOT_SPECTRAL_INFINITE_ORTHOGONALS
+        assert c.certificate.witness.verified
+
+
 def test_permuted_consecutive_digits_make_no_cyclotomic_reduction():
     # H*H does not depend on the order of the digits, so swapping two of
     # them keeps the closed form

@@ -3,12 +3,14 @@ against independent routes (numpy floats, plain Fraction elimination)."""
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinespectra import linalg
 from affinespectra.conjugation import _companion_conjugate, companion_matrix
 from affinespectra.errors import (
     InternalError,
@@ -31,19 +33,21 @@ from affinespectra.linalg import (
     rank,
     xgcd,
     _apply_power,
+    _adjugate,
     _conjugate,
     _hnf_unimodular,
     _inverse_parts,
+    _is_companion,
     _krylov_relation,
     _mat_mul,
     _no_root_in_closed_unit_disk,
     _product_is,
     _product_width,
-    _products_equal,
+    _solve,
     _solve_parts,
 )
 
-from oracles import eval_matrix, inverse_unimodular
+from oracles import eval_matrix, inverse_by_fraction_gauss_jordan, inverse_unimodular
 
 # char poly x^3 + 36; v generates a full Krylov basis
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
@@ -220,6 +224,19 @@ def test_shape_validation():
         IntMatrix([])
     with pytest.raises(TypeError):
         IntMatrix([[1.5]])
+
+
+def test_integer_and_rational_matrices_compare_and_hash_alike():
+    # equality is symmetric and agrees with hashing, as between 3 and Fraction(3)
+    rat = M_CUBE.to_rat()
+    assert M_CUBE == rat and rat == M_CUBE
+    assert hash(M_CUBE) == hash(rat) and len({M_CUBE, rat}) == 1
+    half = RatMatrix([[Fraction(1, 2), 0]])
+    for a, b in ((IntMatrix([[0, 0]]), half), (IntMatrix([[1, 2]]), RatMatrix([[1], [2]]))):
+        assert a != b and b != a
+    assert M_CUBE != M_CUBE.rows and M_CUBE.to_rat() != M_CUBE.rows
+    # vectors keep strict type equality
+    assert V_CUBE != V_CUBE.to_rat() and V_CUBE.to_rat() != V_CUBE
 
 
 def test_rat_matrix_pow():
@@ -446,7 +463,6 @@ def _near_2_64(rng, nr, nc):
 def test_packed_products_of_equal_operands_near_2_64_compare_equal(n):
     rng = random.Random(n)
     a, b = _near_2_64(rng, n, n), _near_2_64(rng, n, n)
-    assert _products_equal(a, b, a, b)
     assert _product_is(a, b, _mat_mul(a, b))
     c = _near_2_64(rng, n, n)
     assert _conjugate(a, b, c) == _mat_mul(_mat_mul(a, b), c)
@@ -469,12 +485,12 @@ def test_packed_products_off_by_one_at_the_widest_entry_compare_unequal(n, sign)
             target[i][j] += delta
             assert not _product_is(a, b, target)
             # a with e_i appended as a column, b with delta e_j as a row:
-            # c d = a b + delta e_i e_j^T
+            # c d = a b + delta e_i e_j^T, the target, and not a b
             c = [row + [int(k == i)] for k, row in enumerate(a)]
             d = b + [[delta * int(k == j) for k in range(n)]]
             assert _mat_mul(c, d) == tuple(map(tuple, target))
-            assert not _products_equal(a, b, c, d)
-    assert _products_equal(a, b, a, b) and _product_is(a, b, prod)
+            assert _product_is(c, d, target) and not _product_is(c, d, prod)
+    assert _product_is(a, b, prod)
 
 
 def test_packed_block_product_at_the_widest_entry():
@@ -622,24 +638,6 @@ def _int_matrices(draw, max_n=8, entries=st.integers(-6, 6)):
     return IntMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
 
 
-def _inverse_by_fraction_gauss_jordan(rows):
-    """Plain Fraction Gauss-Jordan on [A | I]; None when A is singular."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_int_matrices(), st.lists(st.integers(1, 12), min_size=64, max_size=64))
 def test_inverse_matches_fraction_gauss_jordan(m, dens):
@@ -647,7 +645,7 @@ def test_inverse_matches_fraction_gauss_jordan(m, dens):
     rat = RatMatrix([[Fraction(x, dens[(i * n + j) % 64]) for j, x in enumerate(row)]
                      for i, row in enumerate(m.rows)])
     for a in (m, rat):
-        expected = _inverse_by_fraction_gauss_jordan(a.rows)
+        expected = inverse_by_fraction_gauss_jordan(a.rows)
         if expected is None:
             with pytest.raises(Singular):
                 inverse(a)
@@ -670,6 +668,68 @@ def test_solve_parts_matches_adjugate_times_w(m, entries):
     x, d_solve = _solve_parts(m, w)
     assert (x, d_solve) == (adj * w, d) == (adj * w, abs(det(m)))
     assert m * x == w.scaled(d)
+
+
+@st.composite
+def _companion_systems(draw):
+    """(C, W, (i, j, delta)): the companion matrix of a monic f of degree 1
+    to 12 with coefficients up to 2^256 in size, many middle ones zero and
+    f(0) often zero or negative, 1 to 3 right-hand sides, and a nonzero
+    change of one entry off the first column."""
+    n = draw(st.integers(1, 12))
+    big = st.integers(-2**256, 2**256)
+    middle = draw(st.lists(st.one_of(st.just(0), big), min_size=n - 1, max_size=n - 1))
+    f0 = draw(st.one_of(st.just(0), st.integers(-2**256, -1), big))
+    rhs = draw(st.lists(st.lists(big, min_size=n, max_size=n), min_size=1, max_size=3))
+    bend = draw(st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)),
+                          st.integers(-2**256, 2**256).filter(bool)))
+    return companion_matrix(IntPolynomial([f0] + middle + [1])), rhs, bend
+
+
+def _adj_times(inv, d, w):
+    """d A^{-1} w from the rows of A^{-1}: adj(A) w for d = det A."""
+    return [d * sum(map(mul, row, w)) for row in inv]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_companion_systems())
+def test_companion_solve_is_the_elimination(system):
+    # the substitution on a companion matrix returns the very integers the
+    # Bareiss route returns, and one entry off the layout takes that route
+    c, rhs, (i, j, delta) = system
+    rows, n = c.rows, c.nrows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_is_companion", lambda rows: False)
+        eliminated = _solve(rows, rhs)
+    assert _is_companion(rows) and _solve(rows, rhs) == eliminated
+    inv = inverse_by_fraction_gauss_jordan(rows)
+    if rows[-1][0] == 0:
+        assert inv is None and eliminated == (None, 0) == _adjugate(rows)
+        with pytest.raises(Singular, match="matrix is singular"):
+            _solve_parts(c, IntVector(rhs[0]))
+        with pytest.raises(Singular):
+            inverse(c)
+    else:
+        cols, d = eliminated
+        assert d == det(c) == (-1) ** (n + 1) * rows[-1][0]
+        assert cols == [_adj_times(inv, d, w) for w in rhs]
+        adj, d_adj = _adjugate(rows)
+        assert d_adj == d
+        assert RatMatrix([[Fraction(x, d) for x in row] for row in adj]) == RatMatrix(inv)
+        assert inverse(c) == RatMatrix(inv)
+        x, d_parts = _solve_parts(c, IntVector(rhs[0]))
+        assert d_parts == abs(d) and list(x) == [e * (d // d_parts) for e in cols[0]]
+    if n == 1:
+        return  # every nonzero [[a]] is a companion matrix
+    bent = [list(row) for row in rows]
+    bent[i][j] += delta
+    assert not _is_companion(bent)
+    inv = inverse_by_fraction_gauss_jordan(bent)
+    if inv is None:
+        assert _solve(bent, rhs) == (None, 0)
+    else:
+        d = det(IntMatrix(bent))
+        assert _solve(bent, rhs) == ([_adj_times(inv, d, w) for w in rhs], d)
 
 
 def test_solve_parts_errors():
