@@ -448,6 +448,11 @@ def cmd_sample(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_JMAX_HELP = ("deepest factor searched for a certificate (default: 3n plus the bit length "
+              "of the difference); an upper limit, as the search ends once a decay "
+              "bound shows that no later factor can vanish")
+
+
 def _add_common(p, report=False, evidence=False, depth=False, clique=False):
     p.add_argument("--input", required=True, help="instance JSON file")
     fmt = p.add_mutually_exclusive_group()
@@ -468,7 +473,7 @@ def _add_common(p, report=False, evidence=False, depth=False, clique=False):
     if clique:
         p.add_argument("--lattice-den", type=int, default=1, dest="lattice_den")
         p.add_argument("--box", type=int, default=10)
-        p.add_argument("--jmax", type=int, default=None)
+        p.add_argument("--jmax", type=int, default=None, help=_JMAX_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="candidate spectrum truncation")
     _add_common(p, depth=True)
-    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--jmax", type=int, default=None, help=_JMAX_HELP)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("clique", help="maximum orthogonal clique on a lattice box")

@@ -91,16 +91,16 @@ class AttractorSample:
 def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
     """Exact maximum clique, branch and bound with a greedy coloring bound.
 
-    A complete graph returns every vertex; otherwise the search runs on the
-    vertices relabelled by non-increasing degree, ties by index (the initial
-    order of Tomita and Seki's MCQ), and maps its clique back.  Vertex sets
-    are bitmasks, which keeps the search deterministic and cheap.  The
-    vertices are the neighbours of 0 of an orthogonal clique search: past
-    _CLIQUE_NODES branch nodes it raises TooLarge with the best clique so
-    far, counting 0."""
+    The search runs on the vertices relabelled by non-increasing degree,
+    ties by index (the initial order of Tomita and Seki's MCQ), and maps its
+    clique back.  Vertex sets are bitmasks, which keeps the search
+    deterministic and cheap.  The vertices are the neighbours of 0 of an
+    orthogonal clique search, which returns a complete graph without
+    calling this: past _CLIQUE_NODES branch nodes it raises TooLarge with
+    the best clique so far, counting 0."""
+    if n_vertices == 0:
+        return []
     full = (1 << n_vertices) - 1
-    if all(bits | 1 << v == full for v, bits in enumerate(adj_bits)):
-        return list(range(n_vertices))
     by_degree = sorted(range(n_vertices), key=lambda v: -adj_bits[v].bit_count())
     # each row relabelled in C: its bits as a string, vertex u at index u,
     # picked in the new order, highest new index first
@@ -183,10 +183,13 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
 
     Key sets are int bitmasks, bit k + top for key k, [-top, top] holding
     every difference of two box points: under 2^n * 5000 bits by the cap.
-    One lockstep certification gives N0, the neighbours of 0, and one more
-    the differences of N0 outside the box; the row of a is the certified
-    set shifted by a, met with N0.  Exact maximum clique is exponential in
-    the worst case; the degree order of the search also picks the clique
+    One lockstep certification (fourier._vanishing_factors, whose search
+    depth j_max or its default only bounds from above) gives N0, the
+    neighbours of 0, and one more the differences of N0 outside the box.
+    When every difference of two members of N0 is certified, 0 and N0 in
+    key order are the clique; otherwise the row of a is the certified set
+    shifted by a, met with N0.  Exact maximum clique is exponential in the
+    worst case; the degree order of the search also picks the clique
     returned among several of maximum size.
     """
     ell = lattice_denominator
@@ -226,14 +229,19 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     diffs, box = 0, set(keys)
     for a in neighbors_of_zero:
         diffs |= n0 << a + top
-    fresh = certified_keys([k for k in members(diffs) if k > 0 and k not in box])
-    # index top - k of the string holds key k: the certified set shifted by
-    # a, on the box keys [-top / 2, top / 2], is the slice from top / 2 + a
-    certified_set = f"{n0 | sum(1 << top + k | 1 << top - k for k in fresh):0{2 * top + 1}b}"
-    pick = itemgetter(*(top // 2 - k for k in reversed(neighbors_of_zero))) if count else None
-    adj_bits = [int("".join(pick(certified_set[top // 2 + a:top * 3 // 2 + a + 1])), 2)
-                for a in neighbors_of_zero]
-    clique = _max_clique(count, adj_bits)
+    sums = [k for k in members(diffs) if k > 0]
+    fresh = certified_keys([k for k in sums if k not in box])
+    if hits.union(fresh).issuperset(sums):
+        # every difference of two neighbours of 0 is certified
+        clique = range(count)
+    else:
+        # index top - k of the string holds key k: the certified set shifted
+        # by a, on the box keys [-top / 2, top / 2], is the slice from top / 2 + a
+        certified_set = f"{n0 | sum(1 << top + k | 1 << top - k for k in fresh):0{2 * top + 1}b}"
+        pick = itemgetter(*(top // 2 - k for k in reversed(neighbors_of_zero)))
+        adj_bits = [int("".join(pick(certified_set[top // 2 + a:top * 3 // 2 + a + 1])), 2)
+                    for a in neighbors_of_zero]
+        clique = _max_clique(count, adj_bits)
     witness = [0] + [neighbors_of_zero[i] for i in clique]
     # each raw difference a - b, b after a in the witness, re-checked afresh
     raw, after = 0, 0

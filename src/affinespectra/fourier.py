@@ -386,11 +386,21 @@ def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
     mask vanishes at (M*)^{-j} (a / den), with phase r / modulus = <a, n_j> /
     (den d^j) mod 1, or None.  The points step through j = 1, 2, ... in
     lockstep.  The default j_max, 3n + bitlen(max reduced den * max reduced
-    num) of a / den, exceeds 3n, so it is computed only if j <= 3n fail."""
+    num) of a / den, exceeds 3n, so it is computed only if j < 3n fail.
+
+    Both depths are upper limits.  A mask vanishes only at a phase t with
+    q t an integer and t not, so |t| >= 1 / q.  With (k, rho, s) the row
+    data of _contraction_data, C = max(1, s) >= ||M^{-i}||_inf for all i, so
+    |<a / den, M^{-j'} v>| <= |a|_1 C |n_j|_inf / (den d^j) for all j' >= j,
+    and a point leaves with None at the first j where the bound is below
+    1 / q even with max(|a|_1, 1) for |a|_1: q |a|_1 C |n_j|_inf < den d^j."""
     seq = _probe_sequence(inst.m, inst.v)
     q, least = inst.q, 3 * inst.m.n
+    c = max(Fraction(1), _contraction_data(inst.m)[4][2])
+    qc = q * c.numerator
     ends = [least if j_max is None else j_max] * len(points)
     out, live, j = [None] * len(points), [i for i, end in enumerate(ends) if end > 0], 0
+    norms = None
     while live:
         j += 1
         if j == len(seq):
@@ -399,22 +409,27 @@ def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
             seq.append((tuple(sum(map(mul, row, prev)) for row in adj.rows), scale * d))
         n_j, d_j = seq[j]
         modulus = den * d_j
+        # the least |a|_1 the bound keeps; the sort waits until it can drop
+        # a point with |a|_1 >= 1, as every nonzero point has
+        lim = -(-modulus * c.denominator // (qc * max(map(abs, n_j))))
+        if norms is None and lim > 1:
+            norms = {i: sum(map(abs, points[i])) for i in live}
+            live.sort(key=norms.__getitem__, reverse=True)
+        # live runs largest |a|_1 first, so points leave from its end
+        while norms is not None and live and norms[live[-1]] < lim:
+            live.pop()
+        if j == least and j_max is None:
+            for i in live:
+                ends[i] = least + (max(den // gcd(x, den) for x in points[i])
+                                   * max(abs(x) // gcd(x, den) for x in points[i])).bit_length()
         stepped = []
         for i in live:
             r = sum(map(mul, points[i], n_j)) % modulus
             if r and q * r % modulus == 0:
                 out[i] = (j, r, modulus)
-            else:
+            elif ends[i] > j:
                 stepped.append(i)
         live = stepped
-        if j == least and j_max is None:
-            for i in live:
-                ends[i] = least + (max(den // gcd(x, den) for x in points[i])
-                                   * max(abs(x) // gcd(x, den) for x in points[i])).bit_length()
-            live.sort(key=ends.__getitem__, reverse=True)
-        # live runs latest bound first, so points leave from its end
-        while live and ends[live[-1]] <= j:
-            live.pop()
     return out
 
 
@@ -423,8 +438,11 @@ def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
 
     Returns an OrthogonalityCertificate for the first j <= j_max with
     mask((M*)^{-j}(lambda1 - lambda2)) = 0, or None when the search is
-    exhausted.  None means NOT CERTIFIED; it never means "not orthogonal".
-    Raises TooLarge when an explicit j_max is over its budget (_check_j_max).
+    exhausted.  j_max, or the default depth of _vanishing_factors, is an
+    upper limit: the search also ends where a decay bound shows that no
+    later factor can vanish.  None means NOT CERTIFIED; it never means "not
+    orthogonal".  Raises TooLarge when an explicit j_max is over its budget
+    (_check_j_max).
     """
     lambda1 = _as_rat_vector(lambda1)
     lambda2 = _as_rat_vector(lambda2)

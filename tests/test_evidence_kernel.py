@@ -423,22 +423,72 @@ def test_clique_certifies_each_difference_once(monkeypatch):
     assert len(points) <= 700
 
 
-def test_default_search_depth_is_unchanged():
-    # an uncertifiable pair searches the whole default window, 3 n plus the
-    # bit length of (largest reduced denominator) * (largest reduced
-    # numerator), and the probe sequence grows to exactly that depth
-    for rows, v, q, lam in [
-        ([[4]], [1], 2, [Fraction(3, 4)]),
-        ([[4]], [1], 2, [1]),
-        ([[2, 1], [0, 3]], [1, 1], 3, [Fraction(5, 6), Fraction(-7, 4)]),
-    ]:
-        inst = ProblemInstance(IntMatrix(rows), IntVector(v), q)
-        lam = RatVector(lam)
-        fourier._probe_sequence.cache_clear()
-        assert certify_orthogonal(inst, RatVector([0] * len(v)), lam) is None
-        assert _oracle_certify(inst, RatVector([0] * len(v)), lam) is None
-        bits = (max(e.denominator for e in lam) * max(abs(e.numerator) for e in lam)).bit_length()
-        assert len(fourier._probe_sequence(inst.m, inst.v)) == 3 * len(v) + bits + 1
+def _decay_bound_level(inst, a, den, last):
+    """The first j in 1..last with q max(|a|_1, 1) C |M^{-j} v|_inf < den,
+    in Fractions, or None: C = max(1, s), s the sum of the row norms
+    |M^{-i}|_inf for i = 1, 2, ... up to the first below 1.  From that j on
+    the phase <a / den, M^{-j'} v> stays below 1 / q, so no mask vanishes."""
+    m_inv = inverse(inst.m)
+    power, s = m_inv, Fraction(0)
+    while True:
+        rho = max(sum(map(abs, row)) for row in power.rows)
+        s += rho
+        if rho < 1:
+            break
+        power = power * m_inv
+    weight = inst.q * max(sum(map(abs, a)), 1) * max(Fraction(1), s)
+    probe = RatVector(inst.v)
+    for j in range(1, last + 1):
+        probe = m_inv * probe
+        if weight * max(map(abs, probe)) < den:
+            return j
+    return None
+
+
+def _default_depth(a, den, n):
+    max_den = max(den // math.gcd(x, den) for x in a)
+    max_num = max(abs(x) // math.gcd(x, den) for x in a)
+    return 3 * n + (max_den * max_num).bit_length()
+
+
+def _stop_level(inst, a, den, j_max):
+    """The last j at which fourier._vanishing_factors looks at a / den: the
+    j of its certificate, else the first j where the decay bound holds or
+    the search depth, whichever comes first."""
+    hit = _oracle_vanishing_factor(inst, a, den, j_max)
+    if hit is not None:
+        return hit[0]
+    end = _default_depth(a, den, inst.m.n) if j_max is None else j_max
+    bound = _decay_bound_level(inst, a, den, end)
+    return end if bound is None else bound
+
+
+@pytest.mark.parametrize("rows, v, q, lam, j_max, limit", [
+    ([[4]], [1], 2, [Fraction(3, 4)], None, "bound"),
+    ([[4]], [1], 2, [1], None, "bound"),
+    ([[2, 1], [0, 3]], [1, 1], 3, [Fraction(5, 6), Fraction(-7, 4)], None, "bound"),
+    ([[2, 1], [0, 3]], [1, 1], 3, [Fraction(5, 6), Fraction(-7, 4)], 1, "window"),
+    # contracting by sqrt(2) a step, and no phase over a power of 2 is a
+    # nonzero multiple of 1/3: the default window ends first
+    ([[1, 1], [-1, 1]], [1, 0], 3, [40, 40], None, "window"),
+], ids=["1-D 3/4", "1-D 1", "2-D", "2-D jmax 1", "2-D slow"])
+def test_search_stops_where_the_decay_bound_holds(rows, v, q, lam, j_max, limit):
+    # an uncertifiable pair stops at the first j where the decay bound
+    # proves that no later factor vanishes, and never past the search depth:
+    # 3 n plus the bit length of (largest reduced denominator) * (largest
+    # reduced numerator), or the explicit j_max
+    inst = ProblemInstance(IntMatrix(rows), IntVector(v), q)
+    zero, lam = RatVector([0] * len(v)), RatVector(lam)
+    a, den = linalg._over_common_denominator(zero - lam)
+    fourier._probe_sequence.cache_clear()
+    assert certify_orthogonal(inst, zero, lam, j_max) is None
+    reached = len(fourier._probe_sequence(inst.m, inst.v)) - 1
+    assert _oracle_vanishing_factor(inst, a, den, j_max) is None
+    assert _oracle_certify(inst, zero, lam, j_max) is None
+    window = _default_depth(a, den, len(v)) if j_max is None else j_max
+    bound = _decay_bound_level(inst, a, den, window)
+    assert reached == (window if bound is None else bound) <= window
+    assert (bound is None) == (limit == "window")
 
 
 # entries x b^k, b | 6, so that some differences first certify past j = 3n
@@ -479,8 +529,9 @@ def test_lockstep_certification_matches_one_point_oracle(inst, rows, den, mode, 
     reached = len(fourier._probe_sequence(inst.m, inst.v))
     fourier._probe_sequence.cache_clear()
     assert got == [_oracle_vanishing_factor(inst, a, den, j_max) for a in points]
-    # the one-point calls grow the shared probe sequence to the same length
-    assert reached == len(fourier._probe_sequence(inst.m, inst.v))
+    # the lockstep grows the shared probe sequence exactly as far as the
+    # furthest point's own search goes
+    assert reached == 1 + max(_stop_level(inst, a, den, j_max) for a in points)
 
 
 def test_a_certificate_past_the_lazy_point_is_found():
@@ -489,6 +540,56 @@ def test_a_certificate_past_the_lazy_point_is_found():
     inst = ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2)
     assert fourier._vanishing_factors(inst, [[2 ** 9]], 1, None) == [(10, 512, 1024)]
     assert fourier._vanishing_factors(inst, [[2 ** 9]], 1, 9) == [None]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_instances(BASES + BASES_4D), st.lists(_DEEP_ENTRIES, min_size=4, max_size=4),
+       st.integers(1, 12), st.integers(1, 200))
+@example(ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2), [1] * 4, 3, 200)
+@example(ProblemInstance(M_CUBE, V_CUBE, 6), [0] * 4, 1, 5)
+def test_no_factor_vanishes_past_the_decay_bound(inst, entries, den, j_max):
+    n = inst.m.n
+    a = entries[:n]
+    # a search with no depth in its way stops where the Fraction bound
+    # holds, and 64 further levels of the eager oracle find no zero
+    fourier._probe_sequence.cache_clear()
+    hit = fourier._vanishing_factors(inst, [a], den, 10 ** 6)[0]
+    stop = len(fourier._probe_sequence(inst.m, inst.v)) - 1
+    if hit is None:
+        assert stop == _decay_bound_level(inst, a, den, stop)
+        assert _oracle_vanishing_factor(inst, a, den, stop + 64) is None
+    else:
+        assert (hit, stop) == (_oracle_vanishing_factor(inst, a, den, stop + 64), hit[0])
+    # an explicit depth is an upper limit, the result the oracle's
+    assert fourier._vanishing_factors(inst, [a], den, j_max) == [_oracle_vanishing_factor(inst, a, den, j_max)]
+
+
+def test_deep_jmax_stops_at_the_decay_bound():
+    # every difference of the cube fixture's box 3 certifies or meets the
+    # decay bound within 7 factors; a search to j_max builds 5000 probes
+    inst = ProblemInstance(M_CUBE, V_CUBE, 6)
+    fourier._probe_sequence.cache_clear()
+    report = max_orthogonal_clique(inst, 1, 3, 5000)
+    assert (report.max_clique_size, report.certified) == (36, True)
+    assert len(fourier._probe_sequence(inst.m, inst.v)) <= 8
+
+
+def test_a_clique_of_all_neighbours_of_zero_skips_the_search(monkeypatch):
+    # x^4 + 6 at q = 6, box 1: 0 and its 80 neighbours are mutually
+    # orthogonal, so no row is built and the branch and bound never runs
+    inst = ProblemInstance(companion_matrix(IntPolynomial([6, 0, 0, 0, 1])), IntVector([0, 0, 0, 1]), 6)
+    expected = _oracle_clique(inst, 1, 1)
+
+    def refuse(n_vertices, adj_bits):
+        raise AssertionError("maximum clique search on a complete graph")
+
+    monkeypatch.setattr(evidence, "_max_clique", refuse)
+    report = max_orthogonal_clique(inst, 1, 1)
+    assert (report.max_clique_size, [p.entries for p in report.witness_set], report.certified) == expected
+    assert expected[0] == 81
+    # the cube fixture's neighbours of 0 are not a clique: the search runs
+    with pytest.raises(AssertionError, match="complete graph"):
+        max_orthogonal_clique(ProblemInstance(M_CUBE, V_CUBE, 6), 1, 1)
 
 
 def _random_graph(n, density, seed):
