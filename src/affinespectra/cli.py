@@ -385,7 +385,8 @@ def cmd_spectrum(args) -> int:
     spectrum = candidate_spectrum(leading_triple(inst), args.depth)
     nonzero = [idx for idx, a in enumerate(spectrum.numerators) if any(a)]
     if nonzero:
-        _check_j_max(inst, args.jmax)
+        norm = max(sum(map(abs, spectrum.numerators[idx])) for idx in nonzero)
+        _check_j_max(inst, args.jmax, norm, spectrum.denominator)
     # one lockstep pass certifies every 0 - lambda = -a / den; j and the
     # reduced phase read only its rational value, not the denominator
     hits = _vanishing_factors(inst, [tuple(-x for x in spectrum.numerators[idx]) for idx in nonzero],

@@ -164,11 +164,21 @@ def _lattice_key(g, half: int) -> int:
     return sum(x * (2 * half + 1) ** k for k, x in enumerate(g))
 
 
+def _box_keys(n: int, radius: int, base: int) -> list[int]:
+    """sum_k g_k B^k, B = base, for the g of [-radius, radius]^n in the order
+    of itertools.product: one pass per axis, each adding axis i fastest."""
+    keys = [0]
+    for step in (base ** i for i in range(n)):
+        keys = [k + g for k in keys for g in range(-radius * step, radius * step + 1, step)]
+    return keys
+
+
 def _lattice_decoder(n: int, half: int):
-    """key -> its n coordinates, the balanced base-B digits lowest first."""
+    """keys -> their points, each the tuple of its n balanced base-B digits,
+    lowest first, B = 2 half + 1: one pass per axis over the whole list."""
     base = 2 * half + 1
     powers, offset = [base ** k for k in range(n)], _lattice_key((half,) * n, half)
-    return lambda key: [(key + offset) // p % base - half for p in powers]
+    return lambda keys: list(zip(*([(key + offset) // p % base - half for key in keys] for p in powers)))
 
 
 def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max=None) -> CliqueReport:
@@ -183,9 +193,12 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
 
     Key sets are int bitmasks, bit k + top for key k, [-top, top] holding
     every difference of two box points: under 2^n * 5000 bits by the cap.
-    One lockstep certification (fourier._vanishing_factors, whose search
-    depth j_max or its default only bounds from above) gives N0, the
-    neighbours of 0, and one more the differences of N0 outside the box.
+    The box keys are progressions per axis in the order of the grid's
+    tuples, which the certification reads; only keys off the grid are
+    decoded.  One lockstep certification (fourier._vanishing_factors, whose
+    search depth j_max or its default only bounds from above) of the grid
+    points after 0 gives N0, the neighbours of 0, and one more the
+    differences of N0 outside the box.
     When every difference of two members of N0 is certified, 0 and N0 in
     key order are the clique; otherwise the row of a is the certified set
     shifted by a, met with N0.  Exact maximum clique is exponential in the
@@ -201,27 +214,27 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
         raise TooLarge(
             f"{per_axis ** n} lattice points exceed the cap of {_CANDIDATE_CAP}"
         )
-    _check_j_max(inst, j_max)
-    # key(a) - key(b) = key(a - b), whose coordinates lie in [-2 N L, 2 N L].
-    # Negating a difference maps each phase r to -r mod the modulus, keeping
-    # every verdict, so the positive keys stand for both signs.  product
-    # over an ascending span lists the points in lexicographic order, as L > 0
-    half = 2 * box_radius * ell
+    # key(a) - key(b) = key(a - b), whose coordinates lie in [-2 N L, 2 N L]
+    _check_j_max(inst, j_max, 2 * n * box_radius * ell, ell)
+    half, radius = 2 * box_radius * ell, box_radius * ell
     top = _lattice_key((half,) * n, half)
-    span = range(-box_radius * ell, box_radius * ell + 1)
-    keys = [_lattice_key(p, half) for p in itertools.product(span, repeat=n)]
+    grid = list(itertools.product(range(-radius, radius + 1), repeat=n))
+    keys = _box_keys(n, radius, 2 * half + 1)
     point = _lattice_decoder(n, half)
 
-    def certified_keys(ks) -> list[int]:
-        found = _vanishing_factors(inst, [point(k) for k in ks], ell, j_max)
+    def certified_keys(ks, points) -> list[int]:
+        found = _vanishing_factors(inst, points, ell, j_max)
         return [k for k, hit in zip(ks, found) if hit is not None]
 
     def members(mask) -> list[int]:  # the keys k of bit k + 2 top, descending
         s = f"{mask:b}"
         return [len(s) - 1 - 2 * top - i for i, c in enumerate(s) if c == "1"]
 
-    # the box is symmetric, so its positive keys hold every sign class
-    hits = set(certified_keys([k for k in keys if k > 0]))
+    # Negating a difference maps each phase r to -r mod the modulus, keeping
+    # every verdict.  The grid is symmetric and 0 its middle, so the points
+    # after 0 hold one of each sign class; their absolute keys stand for both
+    middle = len(keys) // 2
+    hits = {abs(k) for k in certified_keys(keys[middle + 1:], grid[middle + 1:])}
     neighbors_of_zero = [k for k in keys if abs(k) in hits]
     count = len(neighbors_of_zero)
     n0 = sum(1 << k + top for k in neighbors_of_zero)
@@ -230,7 +243,8 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     for a in neighbors_of_zero:
         diffs |= n0 << a + top
     sums = [k for k in members(diffs) if k > 0]
-    fresh = certified_keys([k for k in sums if k not in box])
+    outside = [k for k in sums if k not in box]
+    fresh = certified_keys(outside, point(outside))
     if hits.union(fresh).issuperset(sums):
         # every difference of two neighbours of 0 is certified
         clique = range(count)
@@ -249,8 +263,8 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
         raw |= after << a + top
         after |= 1 << top - a
     check = members(raw)
-    certified = len(certified_keys(check)) == len(check)
-    witness = [RatVector([Fraction(g, ell) for g in point(k)]) for k in witness]
+    certified = len(certified_keys(check, point(check))) == len(check)
+    witness = [RatVector([Fraction(g, ell) for g in p]) for p in point(witness)]
     return CliqueReport(
         lattice_denominator=ell,
         box_radius=box_radius,

@@ -101,35 +101,34 @@ def _phase(inst, xi: RatVector) -> Fraction:
     return xi.dot(inst.v)
 
 
-def _mask_constants(q: int) -> tuple:
-    """(w, p) = (i pi (q - 1), pi q), the leading products of the mask's
-    closed form, rounded as its left-to-right expression rounds them; a
-    caller computes them once per q, not once per phase."""
-    return 1j * math.pi * (q - 1), math.pi * q
-
-
-def _mask_from_phase(q: int, t: int, den: int, w: complex, p: float) -> complex:
-    """The mask at phase t / den, 0 <= t < den, with (w, p) = _mask_constants(q)."""
-    if t == 0:
-        return complex(1.0)
-    if q * t % den == 0:
-        return complex(0.0)  # exact zero of the geometric sum
-    # period 1: reduce into (-1/2, 1/2] while exact, or a phase just below
-    # an integer loses every digit of sin(pi t) in the float conversion
-    tf = (t - den if 2 * t > den else t) / den
-    rot = cmath.exp(w * tf)
-    if abs(tf) < _FLOAT_MIN:
-        # below the normal floats sin(pi t) keeps too few digits, and the
-        # Dirichlet ratio is 1 to double precision there
-        return rot
-    # (1/q) sum_k e^{2 pi i k t} in closed Dirichlet-kernel form
-    return rot * math.sin(p * tf) / (q * math.sin(math.pi * tf))
+def _masks(q: int, phases, den: int) -> dict:
+    """{t: the mask at phase t / den} for the distinct t in [0, den) of
+    phases, None at an exact zero (t != 0, q t = 0 mod den): one pass, one
+    zero test and one closed Dirichlet form of (1/q) sum_k e^{2 pi i k t}
+    per phase."""
+    w, p = 1j * math.pi * (q - 1), math.pi * q
+    exp, sin, pi = cmath.exp, math.sin, math.pi
+    out = {}
+    for t in set(phases):
+        if t == 0:
+            out[t] = complex(1.0)
+        elif q * t % den == 0:
+            out[t] = None
+        else:
+            # period 1: reduce into (-1/2, 1/2] while exact, or a phase just
+            # below an integer loses every digit of sin(pi t) as a float;
+            # below the normal floats the Dirichlet ratio is 1 to precision
+            tf = (t - den if 2 * t > den else t) / den
+            rot = exp(w * tf)
+            out[t] = rot if abs(tf) < _FLOAT_MIN else rot * sin(p * tf) / (q * sin(pi * tf))
+    return out
 
 
 def mask(inst, xi) -> complex:
     """Normalized digit exponential sum (1/q) sum_k e^{2 pi i k <v, xi>}."""
     t = _phase(inst, _as_rat_vector(xi)) % 1
-    return _mask_from_phase(inst.q, t.numerator, t.denominator, *_mask_constants(inst.q))
+    value = _masks(inst.q, [t.numerator], t.denominator)[t.numerator]
+    return complex(0.0) if value is None else value
 
 
 def mask_is_zero_exact(inst, xi) -> bool:
@@ -268,7 +267,7 @@ def _rows_lockstep(inst, live, den: int, tail_eps: float, out: list):
     _, adj_t, d, _, _ = _contraction_data(inst.m)
     coeff = _tail_coefficient(inst.m, inst.v, inst.q)
     c_num, c_den, q = coeff.numerator, coeff.denominator, inst.q
-    v, rows, (w, p) = inst.v.entries, adj_t.rows, _mask_constants(q)
+    v, rows = inst.v.entries, adj_t.rows
     live = [(i, a, complex(1.0)) for i, a in live]
     j = 0
     while live:
@@ -278,13 +277,15 @@ def _rows_lockstep(inst, live, den: int, tail_eps: float, out: list):
         j += 1
         scale = c_den * den
         stepped = []
-        for i, a, product in live:
-            a = [sum(map(mul, row, a)) for row in rows]
-            t = sum(map(mul, a, v)) % den
-            if t and q * t % den == 0:
+        points = [[sum(map(mul, row, a)) for row in rows] for _, a, _ in live]
+        phases = [sum(map(mul, a, v)) % den for a in points]
+        masks = _masks(q, phases, den)
+        for (i, _, product), a, t in zip(live, points, phases):
+            value = masks[t]
+            if value is None:
                 out[i] = (complex(0.0), 0.0, j)
                 continue
-            product *= _mask_from_phase(q, t, den, w, p)
+            product *= value
             tail = math.pi * (c_num * max(map(abs, a)) / scale)
             if tail < tail_eps:
                 out[i] = (product, _error_bound(tail, j, q), j)
@@ -305,14 +306,15 @@ def _combine(terms, cols) -> list:
 def _columns_lockstep(inst, live, den: int, tail_eps: float, out: list):
     """_transform_many on the points (i, a) held column-major, one list per
     coordinate: a step is one comprehension per nonzero entry of adj^T and
-    a few over all points, each distinct phase takes one mask, and the
-    points that leave are dropped in one pass."""
+    a few over all points, each distinct phase takes one mask and zero
+    test, and the points that leave are dropped in one pass.  When v is a
+    unit vector e_k, the phase is coordinate k itself."""
     _, adj_t, d, _, _ = _contraction_data(inst.m)
     coeff = _tail_coefficient(inst.m, inst.v, inst.q)
     c_num, c_den, q = coeff.numerator, coeff.denominator, inst.q
     rows = [[(c, k) for k, c in enumerate(row) if c] for row in adj_t.rows]
     phase = [(c, k) for k, c in enumerate(inst.v.entries) if c]
-    w, p = _mask_constants(q)
+    unit = len(phase) == 1 and phase[0][0] == 1
     index = [i for i, _ in live]
     cols = [list(col) for col in zip(*(a for _, a in live))]
     products = [complex(1.0)] * len(index)
@@ -324,9 +326,11 @@ def _columns_lockstep(inst, live, den: int, tail_eps: float, out: list):
         j += 1
         scale = c_den * den
         cols = [_combine(terms, cols) for terms in rows]
-        phases = [t % den for t in _combine(phase, cols)]
-        masks = {t: _mask_from_phase(q, t, den, w, p) for t in set(phases)}
-        zeros = {t for t in masks if t and q * t % den == 0}
+        phases = [t % den for t in (cols[phase[0][1]] if unit else _combine(phase, cols))]
+        masks = _masks(q, phases, den)
+        # a point at an exact zero leaves with value 0, whatever its product
+        zeros = {t for t, value in masks.items() if value is None}
+        masks.update(dict.fromkeys(zeros, complex(0.0)))
         products = [product * masks[t] for product, t in zip(products, phases)]
         sup = map(abs, cols[0])
         for col in cols[1:]:
@@ -370,15 +374,31 @@ def _probe_sequence(m: IntMatrix, v: IntVector) -> list:
     return [(v.entries, 1)]
 
 
-def _check_j_max(inst, j_max: int | None):
-    """Raise TooLarge, before any probe is built, if the n_j for j <= an
-    explicit j_max, which _probe_sequence keeps, need over 2^28 bits: each
-    has n entries of about j log2(d) bits, n j_max^2 log2(d) / 2 in all."""
-    if j_max is not None:
-        bits = inst.m.n * j_max * j_max * _contraction_data(inst.m)[2].bit_length() // 2
-        if bits > _PROBE_BITS_CAP:
-            raise TooLarge(f"certificates up to j_max = {j_max} need about {bits} bits "
-                           f"of probe vectors, over the cap of {_PROBE_BITS_CAP}")
+def _check_j_max(inst, j_max: int | None, norm: int, den: int):
+    """Raise TooLarge, before any probe is built, if a search to an explicit
+    j_max over points a / den, |a|_1 <= norm, builds n_j (kept by
+    _probe_sequence, n entries of about j log2(d) bits each) worth over
+    2^28 bits, n J^2 log2(d) / 2 up to level J.  It builds them up to
+    min(j_max, J), J = max(1, k m) for the least m with q max(norm, 1) C^2
+    rho^m |v|_inf < den, (k, rho, s) the row data of _contraction_data and
+    C = max(1, s): as |M^{-j} v|_inf <= C rho^floor(j / k) |v|_inf, the
+    decay bound of _vanishing_factors has dropped every point by level J.
+    One integer test at m = (the deepest level within the cap) // k
+    decides; the level in the message is a float estimate."""
+    if j_max is None:
+        return
+    _, _, d, _, (k, rho, s) = _contraction_data(inst.m)
+    n, width = inst.m.n, d.bit_length()
+    if n * j_max * j_max * width // 2 <= _PROBE_BITS_CAP:
+        return
+    deepest = math.isqrt((2 * _PROBE_BITS_CAP + 1) // (n * width))
+    weight = inst.q * max(norm, 1) * max(Fraction(1), s) ** 2 * max(map(abs, inst.v.entries))
+    m = deepest // k
+    if deepest and weight.numerator * rho.numerator ** m < den * weight.denominator * rho.denominator ** m:
+        return
+    reach = min(j_max, max(deepest + 1, k * math.ceil((_log(weight) - math.log(den)) / -_log(rho))))
+    raise TooLarge(f"certificates up to j_max = {j_max} need about {n * reach * reach * width // 2} bits "
+                   f"of probe vectors, over the cap of {_PROBE_BITS_CAP}")
 
 
 def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
@@ -451,8 +471,8 @@ def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
         raise ValueError("frequency dimension does not match the instance")
     if delta.is_zero():
         raise ValueError("frequencies must differ")
-    _check_j_max(inst, j_max)
     a, den = _over_common_denominator(delta)
+    _check_j_max(inst, j_max, sum(map(abs, a)), den)
     hit = _vanishing_factors(inst, [a], den, j_max)[0]
     return None if hit is None else OrthogonalityCertificate(lambda1, lambda2, hit[0], Fraction(*hit[1:]))
 

@@ -866,18 +866,25 @@ def test_search_depth_below_one_exits_2(write, capsys, command):
     assert err.startswith("error: --jmax must be at least 1")
 
 
+# M^-j = 2^-j [[1, -j 10^60 / 2], [0, 1]]: its row norms first fall below
+# 1 at j = 207, and C = max(1, s) is about 10^60, so the level where the
+# decay bound provably holds is far past the deepest the probe cap allows
+SHEAR = {"matrix": [[2, str(10 ** 60)], [0, 2]], "v": [0, 1], "q": 2}
+
+
 @pytest.mark.parametrize(
     "inst, argv",
     [
-        ({"matrix": [[45]], "v": [1], "q": 2}, ["clique", "--lattice-den", "2", "--box", "3"]),
-        ({"matrix": [[45]], "v": [1], "q": 2}, ["classify", "--evidence", "clique"]),
-        (M4, ["spectrum"]),
+        (SHEAR, ["clique", "--lattice-den", "2", "--box", "3"]),
+        (SHEAR, ["classify", "--evidence", "clique"]),
+        (SHEAR, ["spectrum"]),
     ],
     ids=["clique", "classify --evidence clique", "spectrum"],
 )
 def test_search_depth_beyond_its_budget_exits_2_quickly(write, capsys, inst, argv):
-    # the probe vectors up to --jmax are cached, about j_max^2 log2(d) / 2
-    # bits at n = 1: --jmax 32000 peaked at 393 MB before the budget existed
+    # the probe vectors up to the level the search can reach, min(--jmax,
+    # J) for the decay bound's level J, are cached, about n j^2 log2(d) / 2
+    # bits: --jmax 32000 peaked at 393 MB at n = 1 before the budget existed
     start = time.perf_counter()
     code, out, err = _run(capsys, argv[0], "--input", write(inst), *argv[1:], "--jmax", "1000000")
     assert time.perf_counter() - start < 1.0
@@ -885,6 +892,24 @@ def test_search_depth_beyond_its_budget_exits_2_quickly(write, capsys, inst, arg
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: certificates up to j_max = 1000000 need about")
     assert "over the cap of 268435456" in lines[0]
+
+
+@pytest.mark.parametrize("inst, argv", [
+    (CUBE, ["clique", "--box", "2"]),
+    ({"matrix": [[45]], "v": [1], "q": 2}, ["clique", "--lattice-den", "2", "--box", "3"]),
+    (M4, ["spectrum"]),
+], ids=["cube box 2", "[[45]] box 3", "spectrum"])
+def test_jmax_past_the_old_price_searches_to_the_decay_bound(write, capsys, inst, argv):
+    # --jmax 9000 was priced as 9000 levels of probes (729,000,000 bits on
+    # the cube fixture) and refused; every difference meets its decay bound
+    # within a few dozen levels, so the output is that of --jmax 5000
+    path = write(inst)
+    results = [_run(capsys, argv[0], "--input", path, *argv[1:], "--jmax", str(j_max))
+               for j_max in (5000, 9000, 1000000)]
+    assert results[0][0] == 0 and results[0][2] == ""
+    assert results[1] == results[0] and results[2] == results[0]
+    if argv == ["clique", "--box", "2"]:
+        assert "max clique size: 19\n" in results[0][1]
 
 
 # -- sample CSV ---------------------------------------------------------------

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from affinespectra import evidence, fourier, hadamard, linalg
 from affinespectra.classify import ProblemInstance
 from affinespectra.conjugation import companion_conjugate, companion_matrix
-from affinespectra.errors import NonConvergent
+from affinespectra.errors import NonConvergent, TooLarge
 from affinespectra.evidence import attractor_radius, chaos_game, max_orthogonal_clique
 from affinespectra.fourier import certify_orthogonal, mu_hat
 from affinespectra.hadamard import construct_dual_digits, verify_hadamard
@@ -398,11 +398,29 @@ def test_key_differences_decode_to_coordinate_differences(n, box, ell):
     half = 2 * box * ell
     points = list(itertools.product(range(-box * ell, box * ell + 1), repeat=n))
     keys = [evidence._lattice_key(p, half) for p in points]
-    point = evidence._lattice_decoder(n, half)
-    for a, key_a in zip(points, keys):
-        assert point(key_a) == list(a)
-        for b, key_b in zip(points, keys):
-            assert point(key_a - key_b) == [x - y for x, y in zip(a, b)]
+    decode = evidence._lattice_decoder(n, half)
+    assert decode(keys) == points
+    differences = [key_a - key_b for key_a in keys for key_b in keys]
+    assert decode(differences) == [tuple(x - y for x, y in zip(a, b)) for a in points for b in points]
+    assert decode([]) == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 4), st.integers(0, 6), st.integers(1, 4))
+def test_box_keys_are_the_lattice_keys_in_product_order(n, box, ell):
+    while (2 * box * ell + 1) ** n > evidence._CANDIDATE_CAP:
+        box -= 1
+    half, radius = 2 * box * ell, box * ell
+    span = range(-radius, radius + 1)
+    points = list(itertools.product(span, repeat=n))
+    keys = evidence._box_keys(n, radius, 2 * half + 1)
+    assert keys == [evidence._lattice_key(p, half) for p in points]
+    # the batch decoder returns each key's coordinates
+    assert evidence._lattice_decoder(n, half)(keys) == points
+    # 0 is the middle point, and the points after it hold one of each sign class
+    middle = len(keys) // 2
+    assert keys[middle] == 0
+    assert sorted(map(abs, keys[middle + 1:])) == sorted(k for k in keys if k > 0)
 
 
 def test_clique_certifies_each_difference_once(monkeypatch):
@@ -572,6 +590,72 @@ def test_deep_jmax_stops_at_the_decay_bound():
     report = max_orthogonal_clique(inst, 1, 3, 5000)
     assert (report.max_clique_size, report.certified) == (36, True)
     assert len(fourier._probe_sequence(inst.m, inst.v)) <= 8
+
+
+def _priced_level(inst, norm, den, last):
+    """min(J, last), J = max(1, k m) for the least m with q max(norm, 1) C^2
+    rho^m |v|_inf < den, in Fractions from the row norms of M^{-1}, M^{-2},
+    ...: k the first power whose norm rho is below 1, C = max(1, s), s the
+    sum of the first k norms.  As |M^{-j} v|_inf <= C rho^floor(j / k)
+    |v|_inf, the decay bound holds at J for every a / den with |a|_1 <= norm."""
+    m_inv = inverse(inst.m)
+    power, s, k = m_inv, Fraction(0), 1
+    while True:
+        rho = max(sum(map(abs, row)) for row in power.rows)
+        s += rho
+        if rho < 1:
+            break
+        power, k = power * m_inv, k + 1
+    weight = inst.q * max(norm, 1) * max(Fraction(1), s) ** 2 * max(map(abs, inst.v.entries))
+    lhs, rhs, m = weight.numerator, den * weight.denominator, 0
+    while lhs >= rhs and k * m < last:
+        lhs, rhs, m = lhs * rho.numerator, rhs * rho.denominator, m + 1
+    return min(max(1, k * m), last)
+
+
+def _probe_bits(inst, level):
+    return inst.m.n * level * level * fourier._contraction_data(inst.m)[2].bit_length() // 2
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_instances(BASES + BASES_4D), _POINT_ROWS, st.integers(1, 12),
+       st.sampled_from([1, 40, 9000, 10 ** 6]))
+@example(ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2), [[2 ** 20000] * 4], 1, 10 ** 6)
+@example(ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2), [[2 ** 20000] * 4], 1, 16384)
+@example(ProblemInstance(IntMatrix([[2, 10 ** 60], [0, 2]]), IntVector([0, 1]), 2), [[1, 1]], 2, 9000)
+@example(ProblemInstance(IntMatrix([[2, 10 ** 60], [0, 2]]), IntVector([0, 1]), 2), [[1, 1]], 2, 9460)
+def test_probes_are_priced_to_the_level_the_search_can_reach(inst, rows, den, j_max):
+    n = inst.m.n
+    points = [row[:n] for row in rows] + [[0] * n]
+    norm = max(sum(map(abs, a)) for a in points)
+    level = _priced_level(inst, norm, den, j_max)
+    # an explicit j_max is refused iff the probes up to min(j_max, J) pass
+    # the cap; the old price, up to j_max itself, refused any j_max > 16384
+    # at n = 1, d = 2, and j_max = 9000 on the cube fixture
+    if _probe_bits(inst, level) > fourier._PROBE_BITS_CAP:
+        with pytest.raises(TooLarge, match=f"certificates up to j_max = {j_max} need about"):
+            fourier._check_j_max(inst, j_max, norm, den)
+        return
+    fourier._check_j_max(inst, j_max, norm, den)
+    if level > 200:
+        return  # sound by the bound; too deep to search in a test
+    # no search passes J, and no certificate lies past it
+    fourier._probe_sequence.cache_clear()
+    got = fourier._vanishing_factors(inst, points, den, j_max)
+    assert len(fourier._probe_sequence(inst.m, inst.v)) - 1 <= level
+    fourier._probe_sequence.cache_clear()
+    assert got == [_oracle_vanishing_factor(inst, a, den, level) for a in points]
+
+
+def test_certify_orthogonal_prices_its_own_point():
+    # [[2]], q = 2: 2^k / 2^j is 1/2 mod 1 first at j = k + 1, so the search
+    # for 2^20000 needs 20001 probes, past the 16384 the cap allows at d = 2,
+    # while 2^10 certifies at j = 11 whatever j_max allows beyond it
+    inst = ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2)
+    with pytest.raises(TooLarge, match="certificates up to j_max = 1000000 need about"):
+        certify_orthogonal(inst, [0], [2 ** 20000], 10 ** 6)
+    cert = certify_orthogonal(inst, [0], [2 ** 10], 10 ** 6)
+    assert (cert.j, cert.phase) == (11, Fraction(1, 2))
 
 
 def test_a_clique_of_all_neighbours_of_zero_skips_the_search(monkeypatch):
