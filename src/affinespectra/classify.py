@@ -24,9 +24,10 @@ from __future__ import annotations
 import enum
 from math import gcd
 
+from ._record import _Record
 from .conjugation import leading_block
 from .errors import BadQ, InternalError, NotExpanding, ZeroVector
-from .fourier import Witness, construct_witness
+from .fourier import construct_witness
 from .hadamard import HadamardTriple, construct_dual_digits
 from .linalg import IntMatrix, IntPolynomial, IntVector, _no_root_in_closed_unit_disk
 
@@ -73,27 +74,13 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class Conditions:
+class Conditions(_Record):
     """The numeric facts the verdict is a function of."""
 
     __slots__ = ("r", "det_m1", "gcd_q_detm1", "q_divides_detm1", "pure_power_c")
 
-    def __init__(self, r, det_m1, gcd_q_detm1, q_divides_detm1, pure_power_c):
-        self.r = r
-        self.det_m1 = det_m1
-        self.gcd_q_detm1 = gcd_q_detm1
-        self.q_divides_detm1 = q_divides_detm1
-        self.pure_power_c = pure_power_c
 
-    def __repr__(self):
-        return (
-            f"Conditions(r={self.r}, det_m1={self.det_m1}, "
-            f"gcd={self.gcd_q_detm1}, q_divides={self.q_divides_detm1}, "
-            f"pure_power_c={self.pure_power_c})"
-        )
-
-
-class HadamardCertificate:
+class HadamardCertificate(_Record):
     """A verified Hadamard triple in the companion frame of the leading
     block, which records the block decomposition when dimension reduction
     was used.  Re-verifiable from its own data."""
@@ -101,42 +88,24 @@ class HadamardCertificate:
     kind = "hadamard"
     __slots__ = ("triple",)
 
-    def __init__(self, triple: HadamardTriple):
-        self.triple = triple
 
-
-class WitnessCertificate:
+class WitnessCertificate(_Record):
     """A verified witness frequency for an infinite orthogonal family."""
 
     kind = "witness"
     __slots__ = ("witness",)
 
-    def __init__(self, witness: Witness):
-        self.witness = witness
 
-
-class ConditionOnly:
+class ConditionOnly(_Record):
     """No constructive certificate; the verdict rests on the recorded
     arithmetic conditions alone."""
 
     kind = "condition-only"
     __slots__ = ("note",)
 
-    def __init__(self, note: str):
-        self.note = note
 
-
-class Classification:
+class Classification(_Record):
     __slots__ = ("verdict", "conditions", "certificate", "reasons")
-
-    def __init__(self, verdict, conditions, certificate, reasons):
-        self.verdict = verdict
-        self.conditions = conditions
-        self.certificate = certificate
-        self.reasons = list(reasons)
-
-    def __repr__(self):
-        return f"Classification({self.verdict.value}, {self.conditions!r})"
 
 
 def pure_power_form(p: IntPolynomial):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .classify import ProblemInstance, classify, leading_triple
 from .errors import InternalError, ParseError, PreconditionError
 from .evidence import chaos_game, completeness_defect, max_orthogonal_clique
-from .fourier import _check_j_max, _vanishing_factors, construct_witness
+from .fourier import _vanishing_factors, construct_witness
 from .hadamard import candidate_spectrum
 from .linalg import IntMatrix, IntVector, RatVector
 
@@ -99,32 +99,14 @@ def load_instance(path: str) -> ProblemInstance:
 
 
 def _decimal(x) -> str:
+    """An int or Fraction leaf of a result as its decimal string; a whole
+    Fraction prints as the int it equals."""
     try:
         return str(x)
     except ValueError:
         # an integer past the interpreter's digit limit has no str()
         raise PreconditionError(f"a result has an integer of more than "
                                 f"{sys.get_int_max_str_digits()} decimal digits") from None
-
-
-def _ser_int(x) -> str:
-    return _decimal(int(x))
-
-
-def _ser_frac(x) -> str:
-    return _decimal(Fraction(x))
-
-
-def _ser_ivec(v):
-    return [_ser_int(x) for x in v]
-
-
-def _ser_rvec(v):
-    return [_ser_frac(x) for x in v]
-
-
-def _ser_imat(m):
-    return [[_ser_int(x) for x in row] for row in m.rows]
 
 
 def _emit(args, obj, human_lines):
@@ -146,18 +128,18 @@ def _emit(args, obj, human_lines):
 
 def _triple_json(triple):
     return {
-        "matrix": _ser_imat(triple.m),
-        "digits": [_ser_ivec(d) for d in triple.digits],
-        "duals": [_ser_ivec(s) for s in triple.duals],
+        "matrix": [list(map(_decimal, row)) for row in triple.m.rows],
+        "digits": [list(map(_decimal, d)) for d in triple.digits],
+        "duals": [list(map(_decimal, s)) for s in triple.duals],
     }
 
 
 def _witness_json(w):
     return {
-        "alpha": _ser_rvec(w.alpha),
+        "alpha": list(map(_decimal, w.alpha)),
         "ell": w.ell,
-        "phase": _ser_frac(w.phase),
-        "image": _ser_rvec(w.image),
+        "phase": _decimal(w.phase),
+        "image": list(map(_decimal, w.image)),
     }
 
 
@@ -166,7 +148,7 @@ def _clique_json(rep):
         "lattice_denominator": rep.lattice_denominator,
         "box_radius": rep.box_radius,
         "max_clique_size": rep.max_clique_size,
-        "witness_set": [_ser_rvec(p) for p in rep.witness_set],
+        "witness_set": [list(map(_decimal, p)) for p in rep.witness_set],
         "certified": rep.certified,
     }
 
@@ -174,10 +156,12 @@ def _clique_json(rep):
 def _certificate_json(cert):
     if cert.kind == "hadamard":
         block = cert.triple.block
+        if block is not None:
+            block = {"b": [list(map(_decimal, row)) for row in block.b.rows], "r": block.r}
         return {
             "type": "hadamard",
             **_triple_json(cert.triple),
-            "block": None if block is None else {"b": _ser_imat(block.b), "r": block.r},
+            "block": block,
             "reverified": bool(cert.triple.verified),
         }
     if cert.kind == "witness":
@@ -194,10 +178,10 @@ def _report_json(classification):
         "verdict": classification.verdict.value,
         "conditions": {
             "r": cond.r,
-            "det_m1": _ser_int(cond.det_m1),
-            "gcd": _ser_int(cond.gcd_q_detm1),
+            "det_m1": _decimal(cond.det_m1),
+            "gcd": _decimal(cond.gcd_q_detm1),
             "q_divides": cond.q_divides_detm1,
-            "pure_power_c": None if cond.pure_power_c is None else _ser_int(cond.pure_power_c),
+            "pure_power_c": None if cond.pure_power_c is None else _decimal(cond.pure_power_c),
         },
         "certificate": _certificate_json(classification.certificate),
         "theorems_applied": classification.reasons,
@@ -265,7 +249,7 @@ def _evidence_json(args, inst, classification):
         "kind": "completeness",
         "depth": rep.depth,
         "tail_eps": rep.tail_eps,
-        "probes": [_ser_rvec(p) for p in rep.probes],
+        "probes": [list(map(_decimal, p)) for p in rep.probes],
         "defects": rep.defects,
     }
 
@@ -319,9 +303,9 @@ def cmd_decompose(args) -> int:
         obj = {
             "branch": "companion",
             "r": r,
-            "b": _ser_imat(conj.b),
-            "m_tilde": _ser_imat(conj.m_tilde),
-            "v_tilde": _ser_ivec(conj.v_tilde),
+            **{k: [list(map(_decimal, row)) for row in getattr(conj, k).rows]
+               for k in ("b", "m_tilde")},
+            "v_tilde": list(map(_decimal, conj.v_tilde)),
         }
         human = [
             "companion branch (Krylov vectors span the whole space)",
@@ -333,11 +317,9 @@ def cmd_decompose(args) -> int:
     obj = {
         "branch": "block",
         "r": r,
-        "b": _ser_imat(decomp.b),
-        "m1": _ser_imat(decomp.m1),
-        "c": _ser_imat(decomp.c),
-        "m2": _ser_imat(decomp.m2),
-        "x": _ser_ivec(decomp.x),
+        **{k: [list(map(_decimal, row)) for row in getattr(decomp, k).rows]
+           for k in ("b", "m1", "c", "m2")},
+        "x": list(map(_decimal, decomp.x)),
     }
     human = [
         "block branch (proper invariant subspace)",
@@ -357,10 +339,10 @@ def cmd_witness(args) -> int:
     ok = w.verified
     obj = {**_witness_json(w), "verified": ok}
     human = [
-        f"alpha: ({', '.join(_ser_rvec(w.alpha))})",
+        f"alpha: ({', '.join(map(_decimal, w.alpha))})",
         f"ell: {w.ell}",
         f"phase: {w.phase}",
-        f"image: ({', '.join(_ser_rvec(w.image))})",
+        f"image: ({', '.join(map(_decimal, w.image))})",
         f"verified: {str(ok).lower()}",
     ]
     return _emit(args, obj, human)
@@ -384,9 +366,6 @@ def cmd_spectrum(args) -> int:
     inst = load_instance(args.input)
     spectrum = candidate_spectrum(leading_triple(inst), args.depth)
     nonzero = [idx for idx, a in enumerate(spectrum.numerators) if any(a)]
-    if nonzero:
-        norm = max(sum(map(abs, spectrum.numerators[idx])) for idx in nonzero)
-        _check_j_max(inst, args.jmax, norm, spectrum.denominator)
     # one lockstep pass certifies every 0 - lambda = -a / den; j and the
     # reduced phase read only its rational value, not the denominator
     hits = _vanishing_factors(inst, [tuple(-x for x in spectrum.numerators[idx]) for idx in nonzero],
@@ -395,7 +374,7 @@ def cmd_spectrum(args) -> int:
         {
             "frequency_index": idx,
             "j": None if hit is None else hit[0],
-            "phase": None if hit is None else _ser_frac(Fraction(*hit[1:])),
+            "phase": None if hit is None else _decimal(Fraction(*hit[1:])),
         }
         for idx, hit in zip(nonzero, hits)
     ]

@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._record import _Record
 from .errors import FullRank, InternalError, InternalRankError, NotFullRank, Singular
 from .linalg import (
     IntMatrix,
@@ -38,7 +39,7 @@ from .linalg import (
 )
 
 
-class CompanionConjugation:
+class CompanionConjugation(_Record):
     """Exact conjugation M b = b m_tilde with m_tilde in companion form and
     b v_tilde = v, v_tilde the last standard basis vector.
 
@@ -48,39 +49,18 @@ class CompanionConjugation:
 
     __slots__ = ("b", "m_tilde", "v_tilde")
 
-    def __init__(self, b: IntMatrix, m_tilde: IntMatrix, v_tilde: IntVector):
-        self.b = b
-        self.m_tilde = m_tilde
-        self.v_tilde = v_tilde
 
-    def __repr__(self):
-        return f"CompanionConjugation(m_tilde={self.m_tilde!r})"
-
-
-class BlockDecomposition:
+class BlockDecomposition(_Record):
     """Unimodular b with b*M*b_inv = [[m1, c], [0, m2]] and b*v = (x, 0),
     with the char poly of m2."""
 
     __slots__ = ("b", "b_inv", "r", "m1", "c", "m2", "x", "m2_char_poly")
-
-    def __init__(self, b, b_inv, r, m1, c, m2, x, m2_char_poly):
-        self.b = b
-        self.b_inv = b_inv
-        self.r = r
-        self.m1 = m1
-        self.c = c
-        self.m2 = m2
-        self.x = x
-        self.m2_char_poly = m2_char_poly
 
     @property
     def block(self) -> IntMatrix:
         """b*M*b_inv, assembled from its blocks."""
         top = tuple(a + c for a, c in zip(self.m1.rows, self.c.rows))
         return IntMatrix._make(top + tuple((0,) * self.r + row for row in self.m2.rows))
-
-    def __repr__(self):
-        return f"BlockDecomposition(r={self.r}, m1={self.m1!r}, m2={self.m2!r})"
 
 
 def companion_matrix(f) -> IntMatrix:

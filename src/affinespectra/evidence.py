@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
+from ._record import _Record
 from .errors import TooLarge
 from .fourier import _check_j_max, _check_tail_eps, _contraction_data, _factor_bound, _transform_many
 from .fourier import _vanishing_factors
@@ -22,65 +23,31 @@ from .hadamard import CandidateSpectrum
 from .linalg import RatVector, _over_common_denominator
 
 _CANDIDATE_CAP = 5000
-# branch nodes of one maximum clique search: the cube fixture (x^3 + 36,
-# q = 6) takes 159, 6,090 and 1,075 at boxes 4, 5 and 6, every benchmark
-# task and test at most 159; box 7 would run for minutes or more
-_CLIQUE_NODES = 2**14
+# vertex colorings of one maximum clique search, the sum over its branch
+# nodes of the candidates each recolors: the cube fixture (x^3 + 36, q = 6)
+# takes 25,581, 1,463,141 and 539,609 at boxes 4, 5 and 6, every benchmark
+# task at most 307 and every test at most 25,581 but the sparse box of
+# test_clique_budget_counts_colorings_not_nodes, 2,119,539; box 7 would run
+# for minutes or more, and this budget stops it after about 3 s
+_CLIQUE_WORK = 3 * 2**20
 # completeness work: frequencies x probes x factors x (n^2 + 24), a factor
 # being n^2 multiply-adds plus a mask and tail bound costing about 24 more
 _COMPLETENESS_CAP = 2**25
 _SAMPLE_CAP = 2**25  # chaos game floats: iterations x (n + 5), 8 bytes each
 
 
-class CliqueReport:
+class CliqueReport(_Record):
     """Exact maximum certified-orthogonal clique through 0 on a lattice box."""
 
-    __slots__ = (
-        "lattice_denominator",
-        "box_radius",
-        "max_clique_size",
-        "witness_set",
-        "certified",
-    )
-
-    def __init__(self, lattice_denominator, box_radius, max_clique_size, witness_set, certified):
-        self.lattice_denominator = lattice_denominator
-        self.box_radius = box_radius
-        self.max_clique_size = max_clique_size
-        self.witness_set = witness_set
-        self.certified = certified
-
-    def __repr__(self):
-        return (
-            f"CliqueReport(L={self.lattice_denominator}, N={self.box_radius}, "
-            f"size={self.max_clique_size})"
-        )
+    __slots__ = ("lattice_denominator", "box_radius", "max_clique_size", "witness_set", "certified")
 
 
-class CompletenessReport:
+class CompletenessReport(_Record):
     __slots__ = ("depth", "tail_eps", "probes", "defects")
 
-    def __init__(self, depth, tail_eps, probes, defects):
-        self.depth = depth
-        self.tail_eps = tail_eps
-        self.probes = probes
-        self.defects = defects
 
-    def __repr__(self):
-        return f"CompletenessReport(depth={self.depth}, defects={self.defects})"
-
-
-class AttractorSample:
+class AttractorSample(_Record):
     __slots__ = ("points", "iterations", "seed", "radius")
-
-    def __init__(self, points, iterations, seed, radius):
-        self.points = points
-        self.iterations = iterations
-        self.seed = seed
-        self.radius = radius
-
-    def __repr__(self):
-        return f"AttractorSample(iterations={self.iterations}, seed={self.seed})"
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +63,10 @@ def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
     clique back.  Vertex sets are bitmasks, which keeps the search
     deterministic and cheap.  The vertices are the neighbours of 0 of an
     orthogonal clique search, which returns a complete graph without
-    calling this: past _CLIQUE_NODES branch nodes it raises TooLarge with
-    the best clique so far, counting 0."""
+    calling this.  Each branch node recolors its whole candidate set, so
+    the work is counted in vertex colorings, the candidates of each node
+    summed: past _CLIQUE_WORK of them it raises TooLarge with the best
+    clique so far, counting 0."""
     if n_vertices == 0:
         return []
     full = (1 << n_vertices) - 1
@@ -119,13 +88,13 @@ def _max_clique(n_vertices: int, adj_bits: list[int]) -> list[int]:
         if size > best_size:
             best_size, best_bits = size, bits
 
-    nodes = 0
+    work = 0
 
     def expand(rsize: int, rbits: int, cand: int):
-        nonlocal best_size, best_bits, nodes
-        nodes += 1
-        if nodes > _CLIQUE_NODES:
-            raise TooLarge(f"clique search stopped at its budget of {_CLIQUE_NODES} branch nodes; "
+        nonlocal best_size, best_bits, work
+        work += cand.bit_count()
+        if work > _CLIQUE_WORK:
+            raise TooLarge(f"clique search stopped at its budget of {_CLIQUE_WORK} vertex colorings; "
                            f"the largest orthogonal set through 0 found has {best_size + 1} points")
         if cand == 0:
             if rsize > best_size:
@@ -189,7 +158,7 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
     box, not a bound on orthogonal sets in general.  Raises TooLarge when
     the box has more than 5000 lattice points, when an explicit j_max
     needs more probe vectors than fourier._check_j_max allows, or when the
-    clique search passes its budget of branch nodes.
+    clique search passes its budget of 3 * 2^20 vertex colorings (_max_clique).
 
     Key sets are int bitmasks, bit k + top for key k, [-top, top] holding
     every difference of two box points: under 2^n * 5000 bits by the cap.
@@ -214,7 +183,9 @@ def max_orthogonal_clique(inst, lattice_denominator: int, box_radius: int, j_max
         raise TooLarge(
             f"{per_axis ** n} lattice points exceed the cap of {_CANDIDATE_CAP}"
         )
-    # key(a) - key(b) = key(a - b), whose coordinates lie in [-2 N L, 2 N L]
+    # key(a) - key(b) = key(a - b), whose coordinates lie in [-2 N L, 2 N L]:
+    # priced once here, before any work; _vanishing_factors prices each
+    # batch again at a norm no larger, so it never refuses one
     _check_j_max(inst, j_max, 2 * n * box_radius * ell, ell)
     half, radius = 2 * box_radius * ell, box_radius * ell
     top = _lattice_key((half,) * n, half)

@@ -28,6 +28,7 @@ from itertools import compress
 from math import gcd
 from operator import mul
 
+from ._record import _Record
 from .errors import GcdOne, InternalError, NonConvergent, TooLarge
 from .linalg import IntMatrix, IntVector, RatVector, _apply_power, _inverse_parts
 from .linalg import _over_common_denominator, _solve_parts, is_expanding, xgcd
@@ -39,52 +40,26 @@ _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 _ULP = 2.0 ** -53  # unit roundoff of a double
 
 
-class Witness:
+class Witness(_Record, verified=False):
     """A frequency alpha with vanishing mask whose image under (M*)^ell is
     an integer vector; the seed of an infinite orthogonal family.  The
-    verified flag is set only by construct_witness, from verify_witness."""
+    verified flag defaults to False; construct_witness sets it from
+    verify_witness."""
 
     __slots__ = ("alpha", "ell", "phase", "image", "verified")
 
-    def __init__(self, alpha: RatVector, ell: int, phase: Fraction, image: IntVector):
-        self.alpha = alpha
-        self.ell = ell
-        self.phase = phase
-        self.image = image
-        self.verified = False
 
-    def __repr__(self):
-        return f"Witness(alpha={self.alpha!r}, ell={self.ell})"
-
-
-class OrthogonalityCertificate:
+class OrthogonalityCertificate(_Record):
     """Exact proof that two exponentials are orthogonal: factor j of the
     transform product vanishes at the difference frequency."""
 
     __slots__ = ("lambda1", "lambda2", "j", "phase")
 
-    def __init__(self, lambda1: RatVector, lambda2: RatVector, j: int, phase: Fraction):
-        self.lambda1 = lambda1
-        self.lambda2 = lambda2
-        self.j = j
-        self.phase = phase
 
-    def __repr__(self):
-        return f"OrthogonalityCertificate(j={self.j}, phase={self.phase})"
-
-
-class MuHatValue:
+class MuHatValue(_Record):
     """Truncated transform value with a certified absolute error bound (_error_bound)."""
 
     __slots__ = ("value", "error", "factors")
-
-    def __init__(self, value: complex, error: float, factors: int):
-        self.value = value
-        self.error = error
-        self.factors = factors
-
-    def __repr__(self):
-        return f"MuHatValue({self.value:.6g}, error={self.error:.3g})"
 
 
 def _as_rat_vector(xi) -> RatVector:
@@ -413,7 +388,11 @@ def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
     data of _contraction_data, C = max(1, s) >= ||M^{-i}||_inf for all i, so
     |<a / den, M^{-j'} v>| <= |a|_1 C |n_j|_inf / (den d^j) for all j' >= j,
     and a point leaves with None at the first j where the bound is below
-    1 / q even with max(|a|_1, 1) for |a|_1: q |a|_1 C |n_j|_inf < den d^j."""
+    1 / q even with max(|a|_1, 1) for |a|_1: q |a|_1 C |n_j|_inf < den d^j.
+    An explicit j_max is priced by _check_j_max on the largest |a|_1 of
+    the points, before any probe is built."""
+    if j_max is not None and points:
+        _check_j_max(inst, j_max, max(sum(map(abs, a)) for a in points), den)
     seq = _probe_sequence(inst.m, inst.v)
     q, least = inst.q, 3 * inst.m.n
     c = max(Fraction(1), _contraction_data(inst.m)[4][2])
@@ -472,7 +451,6 @@ def certify_orthogonal(inst, lambda1, lambda2, j_max: int | None = None):
     if delta.is_zero():
         raise ValueError("frequencies must differ")
     a, den = _over_common_denominator(delta)
-    _check_j_max(inst, j_max, sum(map(abs, a)), den)
     hit = _vanishing_factors(inst, [a], den, j_max)[0]
     return None if hit is None else OrthogonalityCertificate(lambda1, lambda2, hit[0], Fraction(*hit[1:]))
 

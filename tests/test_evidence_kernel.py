@@ -718,6 +718,16 @@ def test_dense_boxes_finish_in_seconds(m, v, lattice_den, box, size):
     assert (report.max_clique_size, report.certified) == (size, True)
 
 
+def test_clique_budget_counts_colorings_not_nodes():
+    # a sparse search: 85,301 branch nodes, past the 16384 that a budget in
+    # nodes allowed (it refused after finding the clique of 15), but about
+    # 25 candidates at each, 2,119,539 vertex colorings in all
+    m = IntMatrix([[-38, 81, -121], [42, -96, 143], [40, -90, 134]])
+    inst = ProblemInstance(m, IntVector([1, 1, 0]), 6)
+    report = max_orthogonal_clique(inst, 2, 2, 40)
+    assert (report.max_clique_size, report.certified) == (15, True)
+
+
 def test_certificate_phase_is_reduced_fraction():
     inst = ProblemInstance(IntMatrix([[4]]), IntVector([1]), 2)
     cert = certify_orthogonal(inst, RatVector([0]), RatVector([2]))
