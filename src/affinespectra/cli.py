@@ -15,8 +15,10 @@ value outside its domain), 3 internal error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -109,11 +111,19 @@ def _decimal(x) -> str:
                                 f"{sys.get_int_max_str_digits()} decimal digits") from None
 
 
+def _write_file(path: str, what: str, chunks):
+    """Write text chunks to a file; one that cannot be written is exit 1."""
+    try:
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+    except OSError as e:
+        raise ParseError(f"cannot write {what} {path}: {e}") from None
+
+
 def _emit(args, obj, human_lines):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if getattr(args, "report", None):
-        with open(args.report, "w") as fh:
-            fh.write(text)
+        _write_file(args.report, "report", [text])
     if args.json:
         sys.stdout.write(text)
     else:
@@ -411,15 +421,12 @@ def cmd_clique(args) -> int:
 def cmd_sample(args) -> int:
     inst = load_instance(args.input)
     sample = chaos_game(inst, args.iters, args.seed)
-    n = inst.m.n
-    out = open(args.output, "w") if args.output else sys.stdout
-    try:
-        out.write(",".join(f"x{i + 1}" for i in range(n)) + "\n")
-        for row in sample.points:
-            out.write(",".join(f"{x:.12g}" for x in row) + "\n")
-    finally:
-        if args.output:
-            out.close()
+    header = ",".join(f"x{i + 1}" for i in range(inst.m.n)) + "\n"
+    lines = itertools.chain([header], (",".join(f"{x:.12g}" for x in row) + "\n" for row in sample.points))
+    if args.output:
+        _write_file(args.output, "output", lines)
+    else:
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -529,7 +536,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_options(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError as e:
+        # the reader of stdout has gone: point stdout at the null device,
+        # so that the interpreter's final flush of what is left is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {e}", file=sys.stderr)
+        return 1
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

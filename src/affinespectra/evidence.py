@@ -373,8 +373,11 @@ def chaos_game(inst, iterations: int, seed: int) -> AttractorSample:
     of the attractor radius; no float power of M^{-1} is iterated.  The
     digits are the stream of random.Random(seed).randrange(q), decoded in
     batches from getrandbits by _randrange_stream, so a seed keeps its
-    meaning; the first 100 iterates are discarded.  Raises TooLarge,
-    before any digit is drawn, when iterations x (n + 5) exceeds 2^25."""
+    meaning; the first 100 iterates are discarded.  Raises ValueError for
+    fewer than 0 iterations and TooLarge when iterations x (n + 5) exceeds
+    2^25, both before any digit is drawn."""
+    if iterations < 0:
+        raise ValueError("iterations must be at least 0")
     if iterations * (inst.m.n + 5) > _SAMPLE_CAP:
         raise TooLarge(f"{iterations} chaos game iterations in dimension {inst.m.n} need about "
                        f"{8 * iterations * (inst.m.n + 5)} bytes, over the cap of {8 * _SAMPLE_CAP}")

@@ -564,17 +564,26 @@ def construct_witness(inst) -> Witness:
 
 def verify_witness(inst, w: Witness) -> bool:
     """Exact re-check of both witness properties against the instance, on
-    the integers a of alpha = a / den: the mask vanishes iff t = <v, a> mod
-    den is nonzero with q t = 0 mod den, and (M*)^ell alpha is integral iff
-    (M^T)^ell a = 0 mod den, one vector power mod den: no matrix squaring
-    at ell = 1 and O(log ell) squarings for any ell."""
-    if len(w.alpha) != inst.m.n or w.ell < 1:
+    the integers a of alpha = a / den, den the lcm of the entries'
+    denominators: the mask vanishes iff t = <v, a> mod den is nonzero with
+    q t = 0 mod den, and (M*)^ell alpha is integral iff (M^T)^ell a = 0 mod
+    den.  The phase and image fields are not read.
+
+    Cost: alpha's entries are read once, then one vector power of M^T mod
+    den: n^2 multiplications per set bit of ell and n^3 per squaring, so
+    one matrix-vector product at ell = 1 and O(n^3 log ell) for any ell."""
+    alpha, rows = w.alpha, inst.m.rows
+    if len(alpha) != len(rows) or w.ell < 1:
         return False
-    a, den = _over_common_denominator(w.alpha)
+    if not isinstance(alpha, (IntVector, RatVector)):
+        raise TypeError(f"vector expected, got {type(alpha).__name__}")
+    ratios = [e.as_integer_ratio() for e in alpha.entries]
+    den = math.lcm(*(b for _, b in ratios))
+    a = [p * (den // b) for p, b in ratios]
     t = sum(map(mul, a, inst.v.entries)) % den
     if t == 0 or inst.q * t % den:
         return False
-    return not any(_apply_power(inst.m.transpose().rows, w.ell, a, den))
+    return not any(_apply_power(tuple(zip(*rows)), w.ell, a, den))
 
 
 __all__ = [

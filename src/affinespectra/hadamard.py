@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 
 from .conjugation import CompanionConjugation, _transport
 from .errors import DuplicateFrequency, InternalError, NotDivisible, PreconditionError, TooLarge
@@ -45,13 +45,13 @@ class HadamardTriple:
     @property
     def digits(self) -> list:
         if self._digits is None:
-            self._digits = list(map(IntVector._make, _progression(self.w, self.q)))
+            self._digits = list(map(IntVector._make, _progression(self.w.entries, self.q)))
         return self._digits
 
     @property
     def duals(self) -> list:
         if self._duals is None:
-            self._duals = list(map(IntVector._make, _progression(self.u, self.q)))
+            self._duals = list(map(IntVector._make, _progression(self.u.entries, self.q)))
         return self._duals
 
     def verify(self) -> bool:
@@ -64,9 +64,10 @@ class HadamardTriple:
         return f"HadamardTriple(q={self.q}, verified={self.verified})"
 
 
-def _progression(w: IntVector, q: int):
-    """The entries of 0, w, ..., (q-1) w, zipped from one range per coordinate."""
-    return zip(*(range(0, q * e, e) if e else itertools.repeat(0, q) for e in w.entries))
+def _progression(w: tuple, q: int):
+    """The entries of 0, w, ..., (q-1) w for the entries w of a vector,
+    zipped from one range per coordinate."""
+    return zip(*(range(0, q * e, e) if e else itertools.repeat(0, q) for e in w))
 
 
 class CandidateSpectrum:
@@ -122,28 +123,46 @@ def phase_matrix(m: IntMatrix, digits, duals) -> tuple[tuple[Fraction, ...], ...
 def verify_hadamard(m: IntMatrix, digits, duals) -> bool:
     """Exact unitarity of the phase matrix: H*H = qI.
 
-    The digits, as a set of q vectors in any order (H*H does not depend on
-    it), must be {0, w, ..., (q-1)w} with w the nonzero digit of least l1
-    norm; any other digit set raises PreconditionError.  Entry (j, l) of
-    H*H is then the geometric sum sum_k e^{2 pi i k (tau_l - tau_j)} with
-    tau_l = <m^{-1} w, s_l>, which vanishes iff q (tau_l - tau_j) is an
-    integer and tau_l - tau_j is not; so H is unitary iff the residues
-    (tau_l - tau_0) mod 1 are q distinct multiples of 1/q (Laba-Wang).
-    One exact solve for m^{-1} w (a substitution on a companion m) before
-    the digit set is compared, one pass over the duals; no tolerance.
+    The digits, q IntVectors in any order (H*H does not depend on it), must
+    be {0, w, ..., (q-1)w}.  Entry (j, l) of H*H is then the geometric sum
+    sum_k e^{2 pi i k (tau_l - tau_j)} with tau_l = <m^{-1} w, s_l>, which
+    vanishes iff q (tau_l - tau_j) is an integer and tau_l - tau_j is not;
+    so H is unitary iff the residues (tau_l - tau_0) mod 1 are q distinct
+    multiples of 1/q (Laba-Wang).  The duals are IntVectors or plain
+    sequences of one length.  Errors, in this order: ValueError for sizes
+    that differ or are 0; the solve's errors (a non-square or singular m,
+    or a wrong length of w0, the first nonzero digit of least l1 norm,
+    which is w on a progression); PreconditionError for any other digit
+    set; ValueError for a dual of the wrong length.
+
+    Cost: each digit's and each dual's entries are read once, O(q n) in
+    all, around one exact solve for m^{-1} w (an O(n) substitution on a
+    companion m, an elimination otherwise); no tolerance, no q x q matrix.
     """
     if not digits or len(digits) != len(duals):
         raise ValueError("digit and dual sets must have equal, nonzero size")
     q = len(digits)
-    w = min(digits, key=lambda d: (not any(d.entries), sum(map(abs, d.entries))))
-    # with m^{-1} w = x / d, d tau_l = <x, s_l> and the residues live mod d
-    x, d = _solve_parts(m, w)
-    digit_set = {e.entries for e in digits}
+    rows = [d.entries for d in digits]
+    digit_set = set(rows)
+    # {0, w, ..., (q-1)w} sums to q(q-1)/2 w, so the coordinate sums name
+    # the only w whose progression can be the digit set
+    half = q * (q - 1) // 2
+    w = tuple(s // half for s in map(sum, zip(*rows))) if q > 1 else rows[0]
     if len(digit_set) != q or digit_set != set(_progression(w, q)):
+        # a solve for the least digit would name a wrong length or a
+        # singular m before the digit set is refused
+        norms = [sum(map(abs, e)) for e in rows]
+        _solve_parts(m, rows[norms.index(min(filter(None, norms), default=0))])
         raise PreconditionError("hadamard digits are not consecutive multiples of one vector")
-    taus = [x.dot(s) for s in duals]
-    residues = {(t - taus[0]) % d for t in taus}
-    return len(residues) == q and all(q * r % d == 0 for r in residues)
+    # with m^{-1} w = x / d, d tau_l = <x, s_l> and the residues live mod d;
+    # q times them, mod q d, must be exactly the q multiples of d
+    x, d = _solve_parts(m, w)
+    x = x.entries
+    cols = [getattr(s, "entries", s) for s in duals]  # an IntVector's, or the sequence
+    if set(map(len, cols)) != {len(x)}:
+        raise ValueError("dimension mismatch")
+    qd, t0 = q * d, sum(map(mul, x, cols[0]))
+    return {q * (sum(map(mul, x, s)) - t0) % qd for s in cols} == set(range(0, qd, d))
 
 
 def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:

@@ -734,11 +734,15 @@ def _adjugate(rows) -> tuple[list[list[int]] | None, int]:
 
 def _solve_parts(m: IntMatrix, w) -> tuple[IntVector, int]:
     """(x, d) with m^{-1} w = x / d, x integral and d = |det m| > 0, from one
-    ``_solve`` of [m | w] (a substitution on a companion m), not the adjugate."""
-    m._require_square()
-    if len(w) != m.nrows:
+    ``_solve`` of [m | w] (a substitution on a companion m), not the adjugate.
+    w is an IntVector or a tuple of ints."""
+    rows = m.rows
+    n = len(rows)
+    if len(rows[0]) != n:
+        raise ValueError(f"square matrix required, got {n}x{len(rows[0])}")
+    if len(w) != n:
         raise ValueError("dimension mismatch")
-    cols, d = _solve(m.rows, [w])
+    cols, d = _solve(rows, [w])
     if d == 0:
         raise Singular("matrix is singular")
     return IntVector._make(tuple(cols[0]) if d > 0 else tuple(-e for e in cols[0])), abs(d)

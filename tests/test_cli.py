@@ -92,6 +92,39 @@ def test_missing_file_exits_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("classify", "--report"), "report"),
+    (("sample", "--iters", "20", "--output"), "output"),
+], ids=["classify --report", "sample --output"])
+def test_unwritable_output_file_exits_1_with_one_line(write, capsys, tmp_path, argv, what):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = _run(capsys, argv[0], "--input", write(M4), *argv[1:], str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {what} {path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
+def test_closed_stdout_exits_1_with_one_line(write):
+    # the reader of a 200,000-line CSV stops after one line, like `| head -1`
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "affinespectra.cli", "sample", "--input", write(M4), "--iters", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"x1\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err.startswith("error: cannot write standard output: ") and err.count("\n") == 1, err
+
+
 def test_string_integers_accepted(write, capsys):
     inst = {"matrix": [["4"]], "v": ["1"], "q": "2"}
     code, out, _ = _run(capsys, "classify", "--input", write(inst), "--json")

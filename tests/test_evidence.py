@@ -237,6 +237,17 @@ def test_chaos_game_past_its_cap_draws_no_digit(monkeypatch, m, v, iterations):
         chaos_game(inst, iterations, seed=0)
 
 
+@pytest.mark.parametrize("iterations", [-1, -5, -10**9])
+def test_chaos_game_negative_iterations_draw_no_digit(monkeypatch, iterations):
+    # refused where the cap is checked, not inside numpy after 100 - k digits
+    inst = _inst([[2]], [1], 2)
+    monkeypatch.setattr(random.Random, "getrandbits", lambda *a: pytest.fail("digits drawn"))
+    with pytest.raises(ValueError, match="^iterations must be at least 0$"):
+        chaos_game(inst, iterations, seed=0)
+    monkeypatch.undo()
+    assert chaos_game(inst, 0, seed=0).points.shape == (0, 1)
+
+
 def test_attractor_radius_unit_interval():
     # binary digits fill [0, 1]: dmax = 1 and sum of 2^{-j} bounds by 1
     inst = _inst([[2]], [1], 2)

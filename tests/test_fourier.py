@@ -589,6 +589,66 @@ def test_verify_witness_matches_exact_power():
     assert 0 < valid < len(cases)
 
 
+def _witness_properties(inst, w):
+    """Both witness properties over Fractions, from their definitions: the
+    mask vanishes at alpha (<v, alpha> is not an integer, q <v, alpha> is)
+    and (M^T)^ell alpha is integral, by ell matrix-vector products."""
+    rows, n = inst.m.rows, inst.m.n
+    alpha = [Fraction(e) for e in w.alpha]
+    if len(alpha) != n or w.ell < 1:
+        return False
+    phase = sum(a * b for a, b in zip(alpha, inst.v))
+    if phase.denominator == 1 or (inst.q * phase).denominator != 1:
+        return False
+    for _ in range(w.ell):
+        alpha = [sum(rows[j][i] * alpha[j] for j in range(n)) for i in range(n)]
+    return all(a.denominator == 1 for a in alpha)
+
+
+@st.composite
+def _witness_cases(draw):
+    """A constructed witness of a conjugated instance, as it is or with its
+    alpha (one entry shifted, scaled, cleared of denominators, of another
+    length, or moved by (M^T)^-k e_i for k <= ell, which keeps (M^T)^ell
+    alpha integral and moves only the mask's phase), ell, phase or image
+    corrupted."""
+    inst = _conjugated_witness_instance(draw(st.integers(0, 2**32)))
+    assume(inst is not None)
+    w = construct_witness(inst)
+    n = inst.m.n
+    alpha, ell, phase, image = w.alpha, w.ell, w.phase, w.image
+    kind = draw(st.sampled_from(["none", "shift", "scale", "integral", "length", "lattice", "ell", "phase",
+                                 "image"]))
+    if kind == "lattice":
+        i = draw(st.integers(0, n - 1))
+        e_i = RatVector([int(j == i) for j in range(n)])
+        alpha = alpha + (inverse(inst.m).transpose() ** draw(st.integers(1, ell))) * e_i
+    elif kind == "shift":
+        i = draw(st.integers(0, n - 1))
+        shift = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 12)))
+        alpha = RatVector(e + shift * (j == i) for j, e in enumerate(alpha))
+    elif kind == "scale":
+        alpha = alpha.scaled(draw(st.sampled_from([-1, 2, 3, Fraction(1, 2)])))
+    elif kind == "integral":
+        alpha = alpha.scaled(alpha.denominator_lcm()).to_int()
+    elif kind == "length":
+        alpha = RatVector(list(alpha) + [Fraction(1, 2)])
+    elif kind == "ell":
+        ell = draw(st.sampled_from([-1, 0, 1, ell - 1, ell + 1, 2 * ell + 3]))
+    elif kind == "phase":
+        phase += Fraction(1, draw(st.integers(2, 9)))
+    elif kind == "image":
+        image = image + IntVector([1] + [0] * (n - 1))
+    return inst, Witness(alpha, ell, phase, image)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_witness_cases())
+def test_verify_witness_matches_the_fraction_oracle(case):
+    inst, w = case
+    assert verify_witness(inst, w) is _witness_properties(inst, w)
+
+
 @pytest.mark.parametrize("ell, squarings", [(1, 0), (2, 1), (3, 1), (4, 2), (2**40, 40)])
 def test_verify_witness_squares_only_while_bits_remain(monkeypatch, ell, squarings):
     # (M*)^ell alpha is one vector power: no matrix-matrix product at

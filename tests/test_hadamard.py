@@ -26,6 +26,7 @@ from affinespectra.errors import (
 from affinespectra.fourier import certify_orthogonal
 from affinespectra.hadamard import (
     HadamardTriple,
+    _progression,
     candidate_spectrum,
     construct_dual_digits,
     phase_matrix,
@@ -38,6 +39,7 @@ from affinespectra.linalg import (
     RatVector,
     det,
     inverse,
+    _solve_parts,
     is_expanding,
 )
 
@@ -474,6 +476,91 @@ def test_progression_verify_matches_the_list_paths(case):
     assert triple.verify() is exact and triple.verified is exact
     shuffled = rng.sample(triple.digits, triple.q)
     assert verify_hadamard(triple.m, shuffled, triple.duals) is exact
+
+
+def _verify_hadamard_before(m, digits, duals):
+    # verify_hadamard as it read before its rewrite: w by a min key per
+    # digit, the solve before the digit set is compared, and the phases by
+    # IntVector.dot per dual
+    if not digits or len(digits) != len(duals):
+        raise ValueError("digit and dual sets must have equal, nonzero size")
+    q = len(digits)
+    w = min(digits, key=lambda d: (not any(d.entries), sum(map(abs, d.entries))))
+    x, d = _solve_parts(m, w)
+    digit_set = {e.entries for e in digits}
+    if len(digit_set) != q or digit_set != set(_progression(w.entries, q)):
+        raise PreconditionError("hadamard digits are not consecutive multiples of one vector")
+    taus = [x.dot(s) for s in duals]
+    residues = {(t - taus[0]) % d for t in taus}
+    return len(residues) == q and all(q * r % d == 0 for r in residues)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as e:  # the type is compared, not the message
+        return type(e)
+
+
+@st.composite
+def _hadamard_inputs(draw):
+    """A companion matrix with q | p(0) and its dual-digit triple, or a
+    unimodular conjugate of them (so m is not in companion form), or a
+    random and possibly singular m; a digit step w and a dual step u from
+    the triple or random; digits {0, w, ..., (q-1)w} in shuffled order,
+    with one digit corrupted, repeated, or of another length, or all zero;
+    duals as IntVectors or tuples, one of them of the wrong length."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 12))
+    entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    comp = companion_matrix(IntPolynomial(
+        [q * draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))] + [draw(st.integers(-2, 2)) for _ in range(n - 1)] + [1]))
+    built = construct_dual_digits(companion_conjugate(comp, IntVector([0] * (n - 1) + [1])), q)
+    m, w, u = built.m, built.w, built.u
+    frame = draw(st.sampled_from(["companion", "conjugate", "random"]))
+    if frame == "conjugate" and n > 1:
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows = [[int(a == b) for b in range(n)] for a in range(n)]
+        rows[i][j] = draw(st.sampled_from([-1, 1]))
+        g = IntMatrix(rows)
+        g_inv = inverse_unimodular(g)
+        m, w, u = g * m * g_inv, g * w, g_inv.transpose() * u
+    elif frame == "random":
+        m = IntMatrix([draw(entries) for _ in range(n)])
+    if draw(st.booleans()):
+        w = IntVector(draw(entries))
+    if draw(st.booleans()):
+        u = IntVector(draw(entries))
+    digits = draw(st.permutations([w.scaled(k) for k in range(q)]))
+    digit_kind = draw(st.sampled_from(["progression", "progression", "corrupted", "repeated",
+                                       "other length", "zero"]))
+    i = draw(st.integers(0, q - 1))
+    if digit_kind == "corrupted":
+        digits[i] = IntVector(draw(entries))
+    elif digit_kind == "repeated":
+        digits[i] = digits[draw(st.integers(0, q - 1))]
+    elif digit_kind == "other length":
+        # often of least norm, so that the refusal names its length first
+        digits[i] = IntVector(draw(st.sampled_from([[0] * n + [1], [-1] * (n + 1)] + [[1] * (n - 1)] * (n > 1))))
+    elif digit_kind == "zero":
+        digits = [w.scaled(0)] * q
+    duals = [u.scaled(k) for k in range(q)]
+    if draw(st.booleans()):
+        duals = draw(st.permutations(duals))
+    duals = [s if draw(st.booleans()) else tuple(s) for s in duals]
+    if draw(st.integers(0, 4)) == 0:
+        duals[draw(st.integers(0, q - 1))] = (1,) * draw(st.sampled_from([n - 1, n + 1]))
+    return m, digits, duals
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_hadamard_inputs())
+def test_one_pass_verify_hadamard_keeps_results_and_errors(case):
+    m, digits, duals = case
+    got = _outcome(verify_hadamard, m, digits, duals)
+    assert got == _outcome(_verify_hadamard_before, m, digits, duals)
+    if type(got) is bool:
+        assert got == _gram_is_scaled_identity(m, digits, duals)
 
 
 def test_classify_cost_does_not_grow_with_q():
