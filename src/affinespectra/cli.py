@@ -20,6 +20,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -111,10 +112,14 @@ def _decimal(x) -> str:
                                 f"{sys.get_int_max_str_digits()} decimal digits") from None
 
 
-def _write_file(path: str, what: str, chunks):
-    """Write text chunks to a file; one that cannot be written is exit 1."""
+def _write_file(path: str, what: str, make_chunks):
+    """Write make_chunks()'s text to a file opened first: an unwritable one is
+    exit 1 before any work, and a refusal in make_chunks keeps its bytes."""
     try:
-        with open(path, "w") as fh:
+        with open(path, "a") as fh:
+            chunks = make_chunks()
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate(0)
             fh.writelines(chunks)
     except OSError as e:
         raise ParseError(f"cannot write {what} {path}: {e}") from None
@@ -123,7 +128,7 @@ def _write_file(path: str, what: str, chunks):
 def _emit(args, obj, human_lines):
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if getattr(args, "report", None):
-        _write_file(args.report, "report", [text])
+        _write_file(args.report, "report", lambda: [text])
     if args.json:
         sys.stdout.write(text)
     else:
@@ -420,13 +425,16 @@ def cmd_clique(args) -> int:
 
 def cmd_sample(args) -> int:
     inst = load_instance(args.input)
-    sample = chaos_game(inst, args.iters, args.seed)
-    header = ",".join(f"x{i + 1}" for i in range(inst.m.n)) + "\n"
-    lines = itertools.chain([header], (",".join(f"{x:.12g}" for x in row) + "\n" for row in sample.points))
+
+    def lines():
+        sample = chaos_game(inst, args.iters, args.seed)
+        header = ",".join(f"x{i + 1}" for i in range(inst.m.n)) + "\n"
+        return itertools.chain([header], (",".join(f"{x:.12g}" for x in row) + "\n" for row in sample.points))
+
     if args.output:
         _write_file(args.output, "output", lines)
     else:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(lines())
     return 0
 
 

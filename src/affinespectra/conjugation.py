@@ -2,12 +2,13 @@
 
 Two conjugations are provided.  When the iterates v, Mv, M^2 v, ... span
 the whole space, M is conjugated to the companion matrix of its
-characteristic polynomial by the basis of those iterates.  When they span
-a proper subspace, a unimodular change of basis exhibits M as a block
-upper-triangular matrix whose leading block acts on that subspace; the
-classification problem then reduces to the leading block in lower
-dimension.  ``leading_block`` is the one place that chooses between the
-two.
+characteristic polynomial by the basis of those iterates; the check
+f(M) v = 0 on them proves M b = b M~ (``_companion_conjugate``).  When
+they span a proper subspace, a unimodular change of basis exhibits M as
+a block upper-triangular matrix whose leading block acts on that
+subspace; the classification problem then reduces to the leading block
+in lower dimension.  ``leading_block`` is the one place that chooses
+between the two.
 
 Frequency sets transport through a conjugation by the transpose of the
 basis matrix, never the matrix itself, on integer numerators over one
@@ -33,7 +34,6 @@ from .linalg import (
     _hnf_unimodular,
     _krylov_relation,
     _over_common_denominator,
-    _product_is,
     char_poly,
     det,
 )
@@ -72,14 +72,9 @@ def companion_matrix(f) -> IntMatrix:
     n = f.degree
     if n == 0:
         raise ValueError("constant polynomial has no companion matrix")
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[0] = -f.coeffs[n - 1 - i]
-        if i + 1 < n:
-            row[i + 1] = 1
-        rows.append(tuple(row))
-    return IntMatrix._make(tuple(rows))  # IntPolynomial coefficients are ints
+    # IntPolynomial coefficients are ints; row i has its 1 in column i + 1
+    ones = [tuple(int(j == i) for j in range(n - 1)) for i in range(n)]
+    return IntMatrix._make(tuple((-f.coeffs[n - 1 - i],) + ones[i] for i in range(n)))
 
 
 def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
@@ -91,23 +86,19 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
     n = m.n
     vecs, r, f = _krylov_relation(m, v)
     if r < n:
-        raise NotFullRank(
-            f"iterates of v span a {r}-dimensional subspace of dimension {n}"
-        )
-    return _companion_conjugate(m, vecs[:n], f)
+        raise NotFullRank(f"iterates of v span a {r}-dimensional subspace of dimension {n}")
+    return _companion_conjugate(vecs[:n], f)
 
 
-def _companion_conjugate(m: IntMatrix, vecs, f: IntPolynomial) -> CompanionConjugation:
-    n = m.n  # vecs = [v, Mv, ..., M^{n-1}v] of full rank, f = char_poly(m)
+def _companion_conjugate(vecs, f: IntPolynomial) -> CompanionConjugation:
+    """The frame b = [M^{n-1}v, ..., v] of vecs = [v, ..., M^{n-1}v], each
+    built as M times the one before, where f(M) v = 0 was checked on
+    v, ..., M^n v (``_krylov_relation``, or ``leading_block`` at r < n).
+    That proves M b = b m_tilde: column 0 of b m_tilde is -sum c_k M^k v,
+    which is M^n v, and columns 1 to n-1 of both sides are M^{n-1}v, ..., Mv."""
+    n = len(vecs)
     b = IntMatrix._from_columns(reversed(vecs))
-    m_tilde = companion_matrix(f)
-    # M b = b m_tilde is b^{-1} M b = m_tilde for b invertible, and b's last
-    # column is v; row k of b m_tilde is (<b_k, m_tilde[:, 0]>, b_k[:-1])
-    first = b * IntVector._make(tuple(row[0] for row in m_tilde.rows))
-    target = [(x,) + row[:-1] for x, row in zip(first, b.rows)]
-    if not _product_is(m.rows, b.rows, target):
-        raise InternalError("iterate basis does not conjugate to the companion matrix")
-    return CompanionConjugation(b, m_tilde, IntVector._make((0,) * (n - 1) + (1,)))
+    return CompanionConjugation(b, companion_matrix(f), IntVector._make((0,) * (n - 1) + (1,)))
 
 
 def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
@@ -162,7 +153,7 @@ class LeadingBlock(NamedTuple):
 
     def companion(self) -> CompanionConjugation:
         """companion_conjugate(m1, v1) from the recorded iterates and char poly."""
-        return _companion_conjugate(self.m1, self.krylov, self.char_poly)
+        return _companion_conjugate(self.krylov, self.char_poly)
 
 
 def leading_block(m: IntMatrix, v: IntVector) -> LeadingBlock:

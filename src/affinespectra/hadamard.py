@@ -21,7 +21,7 @@ from math import gcd
 from operator import add, mul
 
 from .conjugation import CompanionConjugation, _transport
-from .errors import DuplicateFrequency, InternalError, NotDivisible, PreconditionError, TooLarge
+from .errors import DuplicateFrequency, NotDivisible, PreconditionError, TooLarge
 from .errors import UnverifiedTriple
 from .linalg import IntMatrix, IntVector, RatVector, _inverse_parts, _solve_parts
 
@@ -188,7 +188,8 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
     # is the transpose of b's first r rows, so op is injective and the sums
     # collide where the companion sums do.  level holds the sums over the
     # first i digits in itertools.product order (first digit slowest); their
-    # entries are ints the package built, so no sum is re-validated
+    # entries are ints the package built, so no sum is re-validated.  Each
+    # layer starts at 0, as the duals do (``_progression``), so level[0] is 0
     q, mt = triple.q, triple.m.transpose()
     layers = [triple.duals]
     while len(layers) < depth:
@@ -208,8 +209,6 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
             choice = tuple(index // q ** (depth - 1 - j) % q for j in range(depth))
             raise DuplicateFrequency(f"expansion collision at digits {choice}")
         seen.add(key)
-    if any(level[0]):
-        raise InternalError("candidate spectrum must start at 0")
     return CandidateSpectrum(depth, level, den)
 
 

@@ -9,8 +9,8 @@ expanding property that keeps each reduced polynomial content-free.  The
 unimodular echelon form runs its Euclid on the work rows alone and
 replays the recorded steps on packed ints, one per row of b and per
 column of b^-1, in fields the steps' magnitude bounds prove wide enough.
-Exact products that are only checked (b b^-1 = I, b a = h, M b = b M~),
-and the block b M b^-1 from 5 rows on, run on packed rows: each row one
+Exact products that are only checked (b b^-1 = I, b a = h), and the
+block b M b^-1 from 5 rows on, run on packed rows: each row one
 int of balanced fields wide enough for every entry (Kronecker
 substitution), so a product takes n^2 big-int operations.  A solve
 against a companion matrix is a substitution, not an elimination.

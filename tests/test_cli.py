@@ -104,6 +104,26 @@ def test_unwritable_output_file_exits_1_with_one_line(write, capsys, tmp_path, a
     assert not path.parent.exists()
 
 
+def test_unwritable_sample_output_exits_1_before_sampling(write, capsys, monkeypatch, tmp_path):
+    # 5000000 iterations would take about a second; none may run
+    monkeypatch.setattr(cli, "chaos_game", lambda *a: pytest.fail("sampled before opening --output"))
+    path = tmp_path / "missing" / "pts.csv"
+    code, out, err = _run(capsys, "sample", "--input", write(M4), "--iters", "5000000", "--output", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write output {path}: ") and err.count("\n") == 1
+
+
+def test_refused_sample_keeps_the_output_file_bytes(write, capsys, tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"x1\n0.5\n")
+    code, out, err = _run(capsys, "sample", "--input", write(M4), "--iters", "5592406", "--output", str(path))
+    assert (code, out) == (2, "") and "over the cap" in err
+    assert path.read_bytes() == b"x1\n0.5\n"
+    # a sample that is drawn replaces them
+    code, _, _ = _run(capsys, "sample", "--input", write(M4), "--iters", "3", "--output", str(path))
+    assert code == 0 and path.read_text().splitlines()[0] == "x1" and len(path.read_text().splitlines()) == 4
+
+
 def test_closed_stdout_exits_1_with_one_line(write):
     # the reader of a 200,000-line CSV stops after one line, like `| head -1`
     src = Path(__file__).resolve().parents[1] / "src"

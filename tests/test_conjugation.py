@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affinespectra import conjugation
-from affinespectra.classify import ProblemInstance
+from affinespectra.classify import ProblemInstance, classify
 from affinespectra.conjugation import (
     BlockDecomposition,
     _companion_conjugate,
@@ -17,7 +17,7 @@ from affinespectra.conjugation import (
     leading_block,
     map_spectrum,
 )
-from affinespectra.errors import FullRank, InternalError, InternalRankError, NotFullRank, Singular
+from affinespectra.errors import FullRank, InternalRankError, NotFullRank, Singular
 from affinespectra.linalg import (
     IntMatrix,
     IntPolynomial,
@@ -28,6 +28,9 @@ from affinespectra.linalg import (
     inverse,
     krylov,
     rank,
+    _annihilates,
+    _krylov_relation,
+    _mat_mul,
 )
 
 from oracles import inverse_unimodular
@@ -139,15 +142,57 @@ def test_companion_conjugate_already_companion():
 
 
 def test_companion_identities_are_checked_in_integers():
-    # a char poly or iterates that do not belong to (M, v) fail M b = b M~
-    vecs, _ = krylov(M_CUBE, V_CUBE)
-    assert _companion_conjugate(M_CUBE, vecs, char_poly(M_CUBE)).m_tilde == companion_matrix(
-        IntPolynomial([36, 0, 0, 1])
-    )
-    with pytest.raises(InternalError, match="companion matrix"):
-        _companion_conjugate(M_CUBE, vecs, IntPolynomial([-36, 0, 0, 1]))
-    with pytest.raises(InternalError, match="companion matrix"):
-        _companion_conjugate(M_CUBE, [vecs[0], vecs[2], vecs[1]], char_poly(M_CUBE))
+    # M b = b M~ rests on f(M) v = 0 over the iterates v, ..., M^3 v, which
+    # a char poly that is not v's fails
+    vecs, r, f = _krylov_relation(M_CUBE, V_CUBE)
+    assert r == 3 and f == char_poly(M_CUBE) and _annihilates(f, vecs)
+    assert _companion_conjugate(vecs[:3], f).m_tilde == companion_matrix(IntPolynomial([36, 0, 0, 1]))
+    assert not _annihilates(IntPolynomial([-36, 0, 0, 1]), vecs)
+
+
+@st.composite
+def _spectral_frames(draw, reduced):
+    """The instance (u B u^-1, u (e_r, 0), q), B = [[C(f), c], [0, m2]], whose
+    Krylov rank is r, r < n when ``reduced``: C(f) the companion matrix of
+    f, whose constant term q (1 + sum |a_k|) puts its roots outside the
+    closed unit disk and makes q divide det C(f); m2 upper triangular with
+    diagonal entries of modulus 2 or 3, so the instance is expanding and
+    spectral."""
+    n = draw(st.integers(2, 6) if reduced else st.integers(1, 5))
+    r = draw(st.integers(1, n - 1)) if reduced else n
+    q = draw(st.sampled_from([2, 3, 6]))
+    a = draw(st.lists(st.integers(-2, 2), min_size=r - 1, max_size=r - 1))
+    sign = draw(st.sampled_from([-1, 1]))
+    f = IntPolynomial([sign * q * (1 + sum(map(abs, a)))] + a + [1])
+    small = st.integers(-3, 3)
+    rows = [list(row) + draw(st.lists(small, min_size=n - r, max_size=n - r))
+            for row in companion_matrix(f).rows]
+    for i in range(r, n):
+        diag = draw(st.sampled_from([-3, -2, 2, 3]))
+        rows.append([0] * i + [diag] + draw(st.lists(small, min_size=n - 1 - i, max_size=n - 1 - i)))
+    u = _random_unimodular(draw(st.randoms(use_true_random=False)), n)
+    x = IntVector([int(i == r - 1) for i in range(n)])
+    return ProblemInstance(u * IntMatrix(rows) * inverse_unimodular(u), u * x, q)
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["r=n", "r<n"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_companion_frames_conjugate_with_plain_products(reduced, data):
+    # no product checks M1 b = b M~ at run time: f(M1) v1 = 0 on the
+    # iterates proves it; plain products confirm it and b e_r = v1, for the
+    # public constructor and for the frame a certificate carries
+    inst = data.draw(_spectral_frames(reduced))
+    triple = classify(inst).certificate.triple
+    m1, v1 = (inst.m, inst.v) if triple.block is None else (triple.block.m1, triple.block.x)
+    r = m1.n
+    assert (r < inst.m.n) == reduced
+    e_r = [(int(i == r - 1),) for i in range(r)]
+    for frame in (companion_conjugate(m1, v1), triple.coordinate_frame):
+        b = frame.b.rows
+        assert _mat_mul(m1.rows, b) == _mat_mul(b, frame.m_tilde.rows)
+        assert _mat_mul(b, e_r) == tuple((x,) for x in v1)
+        assert frame.v_tilde == IntVector(x for (x,) in e_r)
 
 
 def test_companion_conjugate_rejects_deficient():
