@@ -1,11 +1,14 @@
 """Command-line surface.
 
-Subcommands are thin drivers over the library: classify, decompose,
-witness, hadamard, spectrum, clique, sample.  Instances arrive as JSON
-files; reports leave as JSON with sorted keys, two-space indent, and a
-trailing newline, with big integers as decimal strings so nothing is
-clipped to a native number range.  classify --verify-certificate checks a
-report by rebuilding it for the instance and comparing the two.
+main is the one driver: it checks the options, loads the instance file and
+maps exceptions to exit codes.  The subcommands (classify, decompose,
+witness, hadamard, spectrum, clique, sample) only build their output over
+the library and write it.  Instances arrive as JSON files; reports leave as
+JSON with sorted keys, two-space indent, and a trailing newline, with big
+integers as decimal strings so nothing is clipped to a native number
+range.  That text is made only for --json or --report: human mode makes
+none.  classify --verify-certificate checks a report by rebuilding it for
+the instance and comparing the two.
 
 Exit codes: 0 success, 1 malformed input, 2 violated precondition
 (including a report that differs from the rebuilt one, and an option
@@ -112,6 +115,15 @@ def _decimal(x) -> str:
                                 f"{sys.get_int_max_str_digits()} decimal digits") from None
 
 
+def _decimals(xs) -> list:
+    return list(map(_decimal, xs))
+
+
+def _rows(rows) -> list:
+    """Rows of a matrix, or a list of vectors, as lists of decimal strings."""
+    return [_decimals(row) for row in rows]
+
+
 def _write_file(path: str, what: str, make_chunks):
     """Write make_chunks()'s text to a file opened first: an unwritable one is
     exit 1 before any work, and a refusal in make_chunks keeps its bytes."""
@@ -126,14 +138,15 @@ def _write_file(path: str, what: str, make_chunks):
 
 
 def _emit(args, obj, human_lines):
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if getattr(args, "report", None):
-        _write_file(args.report, "report", lambda: [text])
+    report = getattr(args, "report", None)
+    if report or args.json:
+        text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    if report:
+        _write_file(report, "report", lambda: [text])
     if args.json:
         sys.stdout.write(text)
     else:
         sys.stdout.write("\n".join(human_lines) + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +156,18 @@ def _emit(args, obj, human_lines):
 
 def _triple_json(triple):
     return {
-        "matrix": [list(map(_decimal, row)) for row in triple.m.rows],
-        "digits": [list(map(_decimal, d)) for d in triple.digits],
-        "duals": [list(map(_decimal, s)) for s in triple.duals],
+        "matrix": _rows(triple.m.rows),
+        "digits": _rows(triple.digits),
+        "duals": _rows(triple.duals),
     }
 
 
 def _witness_json(w):
     return {
-        "alpha": list(map(_decimal, w.alpha)),
+        "alpha": _decimals(w.alpha),
         "ell": w.ell,
         "phase": _decimal(w.phase),
-        "image": list(map(_decimal, w.image)),
+        "image": _decimals(w.image),
     }
 
 
@@ -163,7 +176,7 @@ def _clique_json(rep):
         "lattice_denominator": rep.lattice_denominator,
         "box_radius": rep.box_radius,
         "max_clique_size": rep.max_clique_size,
-        "witness_set": [list(map(_decimal, p)) for p in rep.witness_set],
+        "witness_set": _rows(rep.witness_set),
         "certified": rep.certified,
     }
 
@@ -172,7 +185,7 @@ def _certificate_json(cert):
     if cert.kind == "hadamard":
         block = cert.triple.block
         if block is not None:
-            block = {"b": [list(map(_decimal, row)) for row in block.b.rows], "r": block.r}
+            block = {"b": _rows(block.b.rows), "r": block.r}
         return {
             "type": "hadamard",
             **_triple_json(cert.triple),
@@ -256,7 +269,7 @@ def _evidence_json(args, inst, classification):
         return {"kind": "clique", **_clique_json(rep)}
     # completeness needs a candidate spectrum, hence a hadamard verdict
     cert = classification.certificate
-    if cert is None or cert.kind != "hadamard":
+    if cert.kind != "hadamard":
         raise PreconditionError("completeness evidence requires a spectral verdict")
     spectrum = candidate_spectrum(cert.triple, args.depth)
     rep = completeness_defect(inst, spectrum, _default_probes(inst.m.n), args.tail_eps)
@@ -264,7 +277,7 @@ def _evidence_json(args, inst, classification):
         "kind": "completeness",
         "depth": rep.depth,
         "tail_eps": rep.tail_eps,
-        "probes": [list(map(_decimal, p)) for p in rep.probes],
+        "probes": _rows(rep.probes),
         "defects": rep.defects,
     }
 
@@ -274,12 +287,11 @@ def _evidence_json(args, inst, classification):
 # ---------------------------------------------------------------------------
 
 
-def cmd_classify(args) -> int:
-    inst = load_instance(args.input)
+def cmd_classify(args, inst):
     if args.verify_certificate:
         report = _read_json(args.verify_certificate, "report")
         sys.stdout.write(_verify_report(inst, report) + "\n")
-        return 0
+        return
     start = time.perf_counter()
     classification = classify(inst)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -301,7 +313,7 @@ def cmd_classify(args) -> int:
     ]
     if report["evidence"] is not None:
         human.append(f"evidence: {report['evidence']['kind']} attached")
-    return _emit(args, report, human)
+    _emit(args, report, human)
 
 
 def _describe_cert(cert_json) -> str:
@@ -310,75 +322,53 @@ def _describe_cert(cert_json) -> str:
     return f"{cert_json['type']} (verified: {str(cert_json['reverified']).lower()})"
 
 
-def cmd_decompose(args) -> int:
-    inst = load_instance(args.input)
-    r, decomp = inst.leading.r, inst.leading.decomp
-    if decomp is None:
-        conj = inst.leading.companion()
-        obj = {
-            "branch": "companion",
-            "r": r,
-            **{k: [list(map(_decimal, row)) for row in getattr(conj, k).rows]
-               for k in ("b", "m_tilde")},
-            "v_tilde": list(map(_decimal, conj.v_tilde)),
-        }
-        human = [
-            "companion branch (Krylov vectors span the whole space)",
-            f"r: {r}",
-            f"b: {conj.b.rows}",
-            f"companion form: {conj.m_tilde.rows}",
-        ]
-        return _emit(args, obj, human)
+def cmd_decompose(args, inst):
+    leading = inst.leading
+    if leading.decomp is None:
+        branch, note, record = "companion", "Krylov vectors span the whole space", leading.companion()
+        labels, vector = {"b": "b", "m_tilde": "companion form"}, "v_tilde"
+    else:
+        branch, note, record = "block", "proper invariant subspace", leading.decomp
+        labels, vector = {k: k for k in ("b", "m1", "c", "m2")}, "x"
     obj = {
-        "branch": "block",
-        "r": r,
-        **{k: [list(map(_decimal, row)) for row in getattr(decomp, k).rows]
-           for k in ("b", "m1", "c", "m2")},
-        "x": list(map(_decimal, decomp.x)),
+        "branch": branch,
+        "r": leading.r,
+        **{k: _rows(getattr(record, k).rows) for k in labels},
+        vector: _decimals(getattr(record, vector)),
     }
-    human = [
-        "block branch (proper invariant subspace)",
-        f"r: {r}",
-        f"b: {decomp.b.rows}",
-        f"m1: {decomp.m1.rows}",
-        f"c: {decomp.c.rows}",
-        f"m2: {decomp.m2.rows}",
-        f"x: {tuple(decomp.x)}",
-    ]
-    return _emit(args, obj, human)
+    human = [f"{branch} branch ({note})", f"r: {leading.r}"]
+    human += [f"{label}: {getattr(record, k).rows}" for k, label in labels.items()]
+    if branch == "block":
+        human.append(f"x: {tuple(record.x)}")
+    _emit(args, obj, human)
 
 
-def cmd_witness(args) -> int:
-    inst = load_instance(args.input)
+def cmd_witness(args, inst):
     w = construct_witness(inst)
-    ok = w.verified
-    obj = {**_witness_json(w), "verified": ok}
+    obj = {**_witness_json(w), "verified": w.verified}
     human = [
         f"alpha: ({', '.join(map(_decimal, w.alpha))})",
         f"ell: {w.ell}",
         f"phase: {w.phase}",
         f"image: ({', '.join(map(_decimal, w.image))})",
-        f"verified: {str(ok).lower()}",
+        f"verified: {str(w.verified).lower()}",
     ]
-    return _emit(args, obj, human)
+    _emit(args, obj, human)
 
 
-def cmd_hadamard(args) -> int:
-    inst = load_instance(args.input)
+def cmd_hadamard(args, inst):
     triple = leading_triple(inst)
-    ok = triple.verified
-    obj = {"reduced_to_rank": inst.leading.r, **_triple_json(triple), "verified": ok}
+    obj = {"reduced_to_rank": inst.leading.r, **_triple_json(triple), "verified": triple.verified}
     human = [
         f"companion matrix: {triple.m.rows}",
         f"digits: {[tuple(d) for d in triple.digits]}",
         f"duals: {[tuple(s) for s in triple.duals]}",
-        f"verified: {str(ok).lower()}",
+        f"verified: {str(triple.verified).lower()}",
     ]
-    return _emit(args, obj, human)
+    _emit(args, obj, human)
 
 
-def cmd_spectrum(args) -> int:
-    inst = load_instance(args.input)
+def cmd_spectrum(args, inst):
     spectrum = candidate_spectrum(leading_triple(inst), args.depth)
     nonzero = [idx for idx, a in enumerate(spectrum.numerators) if any(a)]
     # one lockstep pass certifies every 0 - lambda = -a / den; j and the
@@ -406,13 +396,11 @@ def cmd_spectrum(args) -> int:
         human.append(f"  lambda[{idx}] = ({', '.join(f)})")
     certified = sum(1 for c in certificates if c["j"] is not None)
     human.append(f"certified against 0: {certified}/{len(certificates)}")
-    return _emit(args, obj, human)
+    _emit(args, obj, human)
 
 
-def cmd_clique(args) -> int:
-    inst = load_instance(args.input)
+def cmd_clique(args, inst):
     rep = max_orthogonal_clique(inst, args.lattice_den, args.box, args.jmax)
-    obj = _clique_json(rep)
     human = [
         f"lattice denominator: {rep.lattice_denominator}",
         f"box radius: {rep.box_radius}",
@@ -420,12 +408,10 @@ def cmd_clique(args) -> int:
         f"witness set: {[tuple(str(x) for x in p) for p in rep.witness_set]}",
         f"all pairs certified: {str(rep.certified).lower()}",
     ]
-    return _emit(args, obj, human)
+    _emit(args, _clique_json(rep), human)
 
 
-def cmd_sample(args) -> int:
-    inst = load_instance(args.input)
-
+def cmd_sample(args, inst):
     def lines():
         sample = chaos_game(inst, args.iters, args.seed)
         header = ",".join(f"x{i + 1}" for i in range(inst.m.n)) + "\n"
@@ -435,7 +421,6 @@ def cmd_sample(args) -> int:
         _write_file(args.output, "output", lines)
     else:
         sys.stdout.writelines(lines())
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", help="CSV file (default: stdout)")
-    p.set_defaults(func=cmd_sample, json=False, human=True)
+    p.set_defaults(func=cmd_sample)
 
     return parser
 
@@ -544,9 +529,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_options(args)
-        code = args.func(args)
+        args.func(args, load_instance(args.input))
         sys.stdout.flush()  # a closed stdout raises here, not at exit
-        return code
+        return 0
     except BrokenPipeError as e:
         # the reader of stdout has gone: point stdout at the null device,
         # so that the interpreter's final flush of what is left is silent

@@ -705,6 +705,30 @@ def test_16_dimensional_reports_are_pinned(write, capsys, command):
     assert out == (Path(__file__).parent / "data" / f"dim16_{command}.json").read_text()
 
 
+# every subcommand in human and --json mode on CUBE (full rank) and DIAG
+# (rank-deficient): argv, with the instance's name for its file, mapped to
+# stdout less timings_ms and the exit code
+CLI_OUTPUTS = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_OUTPUTS))
+def test_subcommand_outputs_are_pinned(write, capsys, argv):
+    instances = {"CUBE": CUBE, "DIAG": DIAG}
+    real = [write(instances[a], a) if a in instances else a for a in argv.split()]
+    code, out, _ = _run(capsys, *real)
+    out = re.sub(r'  "timings_ms": \{\n(?:    .*\n)*  \},\n', "", out)
+    assert {"exit_code": code, "stdout": out} == CLI_OUTPUTS[argv]
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["spectrum", "--depth", "2"]], ids=lambda a: a[0])
+def test_human_mode_makes_no_json_text(write, capsys, monkeypatch, argv):
+    key = " ".join([argv[0], "--input", "CUBE", *argv[1:]])
+    path = write(CUBE)  # before the patch: json is one module, shared with write
+    monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: pytest.fail("JSON text made in human mode"))
+    code, out, _ = _run(capsys, argv[0], "--input", path, *argv[1:])
+    assert {"exit_code": code, "stdout": out} == CLI_OUTPUTS[key]
+
+
 # -- thin drivers -------------------------------------------------------------
 
 
