@@ -1,18 +1,20 @@
 """Command-line surface.
 
-main is the one driver: it checks the options, loads the instance file and
-maps exceptions to exit codes.  The subcommands (classify, decompose,
-witness, hadamard, spectrum, clique, sample) only build their output over
-the library and write it.  Instances arrive as JSON files; reports leave as
-JSON with sorted keys, two-space indent, and a trailing newline, with big
-integers as decimal strings so nothing is clipped to a native number
-range.  That text is made only for --json or --report: human mode makes
-none.  classify --verify-certificate checks a report by rebuilding it for
-the instance and comparing the two.
+The parser declares each option once, with its domain, and refuses a
+malformed command line or a value outside a domain with one error line.
+main is the one driver: it parses the command line, loads the instance
+file and maps exceptions to exit codes.  The subcommands (classify,
+decompose, witness, hadamard, spectrum, clique, sample) only build their
+output over the library and write it.  Instances arrive as JSON files;
+reports leave as JSON with sorted keys, two-space indent, and a trailing
+newline, with big integers as decimal strings so nothing is clipped to a
+native number range.  That text is made only for --json or --report: human
+mode makes none.  classify --verify-certificate checks a report by
+rebuilding it for the instance and comparing the two.
 
 Exit codes: 0 success, 1 malformed input, 2 violated precondition
-(including a report that differs from the rebuilt one, and an option
-value outside its domain), 3 internal error.
+(including a report that differs from the rebuilt one, a malformed command
+line, and an option value outside its domain), 3 internal error.
 """
 
 from __future__ import annotations
@@ -289,6 +291,10 @@ def _evidence_json(args, inst, classification):
 
 def cmd_classify(args, inst):
     if args.verify_certificate:
+        # it prints one status line, and would drop a report, evidence or JSON
+        if args.json or args.report or args.evidence != "none":
+            raise PreconditionError("--verify-certificate reads only --input and the report "
+                                    "file: it takes no --json, --report or --evidence")
         report = _read_json(args.verify_certificate, "report")
         sys.stdout.write(_verify_report(inst, report) + "\n")
         return
@@ -433,102 +439,91 @@ _JMAX_HELP = ("deepest factor searched for a certificate (default: 3n plus the b
               "bound shows that no later factor can vanish")
 
 
-def _add_common(p, report=False, evidence=False, depth=False, clique=False):
-    p.add_argument("--input", required=True, help="instance JSON file")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine-readable output")
-    fmt.add_argument("--human", action="store_true", help="aligned text output (default)")
-    if report:
-        p.add_argument("--report", help="also write the JSON report to this file")
-    if evidence:
-        p.add_argument(
-            "--evidence",
-            choices=("none", "clique", "completeness"),
-            default="none",
-            help="attach a brute-force evidence section",
-        )
-    if depth:
-        p.add_argument("--depth", type=int, default=3, help="spectrum truncation depth")
-        p.add_argument("--tail-eps", type=float, default=1e-9, dest="tail_eps")
-    if clique:
-        p.add_argument("--lattice-den", type=int, default=1, dest="lattice_den")
-        p.add_argument("--box", type=int, default=10)
-        p.add_argument("--jmax", type=int, default=None, help=_JMAX_HELP)
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is a violated precondition: one error line
+    and exit 2 from main, not usage text.  Subparsers are of this class."""
+
+    def error(self, message):
+        raise PreconditionError(f"{self.prog}: {message}")
+
+
+def _bounded(flag, convert, ok, domain):
+    """The type= of a numeric option: a malformed value keeps argparse's
+    "invalid int value" wording, and one outside the domain is a violated
+    precondition, which argparse passes through as it is."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise PreconditionError(f"{flag} must be {domain}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# every option once, with add_argument's keywords; the type of a bounded
+# number is made by _bounded from its domain, a test and its wording
+_OPTIONS = {
+    "--report": {"help": "also write the JSON report to this file"},
+    "--evidence": {"choices": ("none", "clique", "completeness"), "default": "none",
+                   "help": "attach a brute-force evidence section"},
+    "--depth": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "default": 3,
+                "help": "spectrum truncation depth"},
+    "--tail-eps": {"type": float, "domain": (lambda x: 0 < x < math.inf, "finite and positive"), "default": 1e-9},
+    "--lattice-den": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "default": 1},
+    "--box": {"type": int, "domain": (lambda x: x >= 0, "at least 0"), "default": 10},
+    "--jmax": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "help": _JMAX_HELP},
+    "--verify-certificate": {
+        "metavar": "REPORT",
+        "help": "check a report file against the report rebuilt for the instance "
+        "(verdict, conditions, certificate, theorems_applied) and exit",
+    },
+    "--iters": {"type": int, "domain": (lambda x: x >= 0, "at least 0"), "default": 100000},
+    "--seed": {"type": int, "default": 0},
+    "--output": {"help": "CSV file (default: stdout)"},
+}
+
+# each subcommand's function, help and the options it reads besides --input
+_COMMANDS = {
+    "classify": (cmd_classify, "run the decision tree and emit a report",
+                 ("--report", "--evidence", "--depth", "--tail-eps", "--lattice-den", "--box", "--jmax",
+                  "--verify-certificate")),
+    "decompose": (cmd_decompose, "print the Krylov block decomposition", ()),
+    "witness": (cmd_witness, "construct an orthogonality witness", ()),
+    "hadamard": (cmd_hadamard, "construct and verify the dual digit set", ()),
+    "spectrum": (cmd_spectrum, "candidate spectrum truncation", ("--depth", "--jmax")),
+    "clique": (cmd_clique, "maximum orthogonal clique on a lattice box", ("--lattice-den", "--box", "--jmax")),
+    "sample": (cmd_sample, "chaos-game point cloud as CSV", ("--iters", "--seed", "--output")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="affinespectra",
         description="Classify spectrality of self-affine measures with "
         "consecutive collinear digit sets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", help="run the decision tree and emit a report")
-    _add_common(p, report=True, evidence=True, depth=True, clique=True)
-    p.add_argument(
-        "--verify-certificate",
-        metavar="REPORT",
-        help="check a report file against the report rebuilt for the instance "
-        "(verdict, conditions, certificate, theorems_applied) and exit",
-    )
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("decompose", help="print the Krylov block decomposition")
-    _add_common(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("witness", help="construct an orthogonality witness")
-    _add_common(p)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("hadamard", help="construct and verify the dual digit set")
-    _add_common(p)
-    p.set_defaults(func=cmd_hadamard)
-
-    p = sub.add_parser("spectrum", help="candidate spectrum truncation")
-    _add_common(p, depth=True)
-    p.add_argument("--jmax", type=int, default=None, help=_JMAX_HELP)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("clique", help="maximum orthogonal clique on a lattice box")
-    _add_common(p, clique=True)
-    p.set_defaults(func=cmd_clique)
-
-    p = sub.add_parser("sample", help="chaos-game point cloud as CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--iters", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", help="CSV file (default: stdout)")
-    p.set_defaults(func=cmd_sample)
-
+    for name, (func, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--input", required=True, help="instance JSON file")
+        if name != "sample":  # which writes CSV only
+            fmt = p.add_mutually_exclusive_group()
+            fmt.add_argument("--json", action="store_true", help="machine-readable output")
+            fmt.add_argument("--human", action="store_true", help="aligned text output (default)")
+        for flag in flags:
+            kwargs = dict(_OPTIONS[flag])
+            if "domain" in kwargs:
+                kwargs["type"] = _bounded(flag, kwargs["type"], *kwargs.pop("domain"))
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-# the domain of each numeric option, checked wherever a subcommand has it
-_OPTION_DOMAINS = {
-    "lattice_den": (lambda x: x >= 1, "--lattice-den must be at least 1"),
-    "box": (lambda x: x >= 0, "--box must be at least 0"),
-    "jmax": (lambda x: x >= 1, "--jmax must be at least 1"),
-    "depth": (lambda x: x >= 1, "--depth must be at least 1"),
-    "tail_eps": (lambda x: 0 < x < math.inf, "--tail-eps must be finite and positive"),
-    "iters": (lambda x: x >= 0, "--iters must be at least 0"),
-}
-
-
-def _check_options(args):
-    """A well-formed option value outside its domain is a violated
-    precondition (exit 2), reported before any work starts."""
-    for name, (ok, message) in _OPTION_DOMAINS.items():
-        value = getattr(args, name, None)
-        if value is not None and not ok(value):
-            raise PreconditionError(f"{message}, got {value}")
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        _check_options(args)
+        args = build_parser().parse_args(argv)
         args.func(args, load_instance(args.input))
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return 0

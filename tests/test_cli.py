@@ -237,6 +237,21 @@ def test_verify_witness_certificate_round_trip(write, capsys, tmp_path):
     assert "witness certificate re-verified" in out
 
 
+@pytest.mark.parametrize("extra", [["--json"], ["--report", "never.json"], ["--evidence", "clique"]],
+                         ids=lambda extra: extra[0])
+def test_verify_certificate_refuses_what_it_would_drop(write, capsys, tmp_path, monkeypatch, extra):
+    # it prints its status line only: no JSON, no report file, no evidence
+    monkeypatch.chdir(tmp_path)
+    report_path = str(tmp_path / "report.json")
+    instance = write(CUBE)
+    _run(capsys, "classify", "--input", instance, "--report", report_path)
+    code, out, err = _run(capsys, "classify", "--input", instance, "--verify-certificate", report_path, *extra)
+    assert (code, out) == (2, "")
+    assert err == ("error: --verify-certificate reads only --input and the report file: "
+                   "it takes no --json, --report or --evidence\n")
+    assert not (tmp_path / "never.json").exists()
+
+
 def test_tampered_certificate_exits_2(write, capsys, tmp_path):
     report_path = tmp_path / "report.json"
     instance = write(CUBE)
@@ -924,14 +939,30 @@ def test_completeness_beyond_its_budget_exits_2_quickly(write, capsys, inst):
         ["sample", "--iters", "-5"],
         ["classify", "--evidence", "completeness", "--tail-eps", "-1"],
         ["classify", "--evidence", "completeness", "--tail-eps", "nan"],
+        ["classify", "--box", "-1", "--box", "3"],
+        # malformed command lines, refused by the parser
+        ["classify", "--bogus"],
+        ["classify", "--depth", "x"],
+        ["classify", "--tail-eps", "x"],
+        ["classify", "--json", "--human"],
+        ["spectrum", "--tail-eps", "1e-3"],
+        # these go without the --input the test adds after a subcommand
+        ["classify", "NO-INPUT"],
+        ["bogus", "NO-INPUT"],
+        ["NO-INPUT"],
     ],
     ids=lambda argv: " ".join(argv),
 )
 def test_option_outside_its_domain_exits_2_with_one_line(write, capsys, argv):
-    code, out, err = _run(capsys, argv[0], "--input", write(M4), *argv[1:])
+    if argv[-1] == "NO-INPUT":
+        argv = argv[:-1]
+    else:
+        argv = [argv[0], "--input", write(M4), *argv[1:]]
+    code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "usage:" not in err
 
 
 @pytest.mark.parametrize("command", ["clique", "spectrum"])
