@@ -34,7 +34,7 @@ from .classify import ProblemInstance, classify, leading_triple
 from .errors import InternalError, ParseError, PreconditionError
 from .evidence import chaos_game, completeness_defect, max_orthogonal_clique
 from .fourier import _vanishing_factors, construct_witness
-from .hadamard import candidate_spectrum
+from .hadamard import _progression, candidate_spectrum
 from .linalg import IntMatrix, IntVector, RatVector
 
 
@@ -128,7 +128,9 @@ def _rows(rows) -> list:
 
 def _write_file(path: str, what: str, make_chunks):
     """Write make_chunks()'s text to a file opened first: an unwritable one is
-    exit 1 before any work, and a refusal in make_chunks keeps its bytes."""
+    exit 1 before any work, and a refusal in make_chunks keeps an existing
+    file's bytes and removes a file that this call created."""
+    created = not os.path.lexists(path)
     try:
         with open(path, "a") as fh:
             chunks = make_chunks()
@@ -137,6 +139,10 @@ def _write_file(path: str, what: str, make_chunks):
             fh.writelines(chunks)
     except OSError as e:
         raise ParseError(f"cannot write {what} {path}: {e}") from None
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _emit(args, obj, human_lines):
@@ -159,8 +165,8 @@ def _emit(args, obj, human_lines):
 def _triple_json(triple):
     return {
         "matrix": _rows(triple.m.rows),
-        "digits": _rows(triple.digits),
-        "duals": _rows(triple.duals),
+        "digits": _rows(_progression(triple.w.entries, triple.q)),
+        "duals": _rows(_progression(triple.u.entries, triple.q)),
     }
 
 
@@ -367,8 +373,8 @@ def cmd_hadamard(args, inst):
     obj = {"reduced_to_rank": inst.leading.r, **_triple_json(triple), "verified": triple.verified}
     human = [
         f"companion matrix: {triple.m.rows}",
-        f"digits: {[tuple(d) for d in triple.digits]}",
-        f"duals: {[tuple(s) for s in triple.duals]}",
+        f"digits: {list(_progression(triple.w.entries, triple.q))}",
+        f"duals: {list(_progression(triple.u.entries, triple.q))}",
         f"verified: {str(triple.verified).lower()}",
     ]
     _emit(args, obj, human)

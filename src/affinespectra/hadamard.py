@@ -30,29 +30,24 @@ _SPECTRUM_CAP = 2**16  # frequencies a candidate spectrum may hold
 
 class HadamardTriple:
     """Matrix m, digits {0, w, ..., (q-1)w} and duals {0, u, ..., (q-1)u}, listed
-    on first read.  verify() alone sets ``verified``: with m^{-1} w = x / d and
-    T = <x, u>, H is unitary iff q T = 0 mod d and gcd(q T / d, q) = 1.
+    afresh on each read.  verify() alone sets ``verified``: with m^{-1} w = x / d
+    and T = <x, u>, H is unitary iff q T = 0 mod d and gcd(q T / d, q) = 1.
     ``coordinate_frame`` is m's companion conjugation, and ``block`` the
     block decomposition whose leading block it conjugates, or None."""
 
-    __slots__ = ("m", "w", "u", "q", "coordinate_frame", "block", "verified", "_digits", "_duals")
+    __slots__ = ("m", "w", "u", "q", "coordinate_frame", "block", "verified")
 
     def __init__(self, m: IntMatrix, w: IntVector, u: IntVector, q: int, coordinate_frame=None):
         self.m, self.w, self.u, self.q = m, w, u, q
         self.coordinate_frame, self.block, self.verified = coordinate_frame, None, False
-        self._digits = self._duals = None
 
     @property
     def digits(self) -> list:
-        if self._digits is None:
-            self._digits = list(map(IntVector._make, _progression(self.w.entries, self.q)))
-        return self._digits
+        return list(map(IntVector._make, _progression(self.w.entries, self.q)))
 
     @property
     def duals(self) -> list:
-        if self._duals is None:
-            self._duals = list(map(IntVector._make, _progression(self.u.entries, self.q)))
-        return self._duals
+        return list(map(IntVector._make, _progression(self.u.entries, self.q)))
 
     def verify(self) -> bool:
         x, d = _solve_parts(self.m, self.w)
@@ -75,22 +70,19 @@ class CandidateSpectrum:
     triple, in the instance's n coordinates, also when the triple lives on
     a leading block of rank r < n: the frequencies a / denominator held as
     their integer numerators a over one positive denominator.
-    ``frequencies`` lists them as RatVectors on first read."""
+    ``frequencies`` lists them as RatVectors afresh on each read."""
 
-    __slots__ = ("depth", "numerators", "denominator", "_frequencies")
+    __slots__ = ("depth", "numerators", "denominator")
 
     def __init__(self, depth: int, numerators, denominator: int):
         self.depth = depth
         self.numerators = list(numerators)
         self.denominator = denominator
-        self._frequencies = None
 
     @property
     def frequencies(self) -> list:
-        if self._frequencies is None:
-            den = self.denominator
-            self._frequencies = [RatVector(Fraction(x, den) for x in a) for a in self.numerators]
-        return self._frequencies
+        den = self.denominator
+        return [RatVector(Fraction(x, den) for x in a) for a in self.numerators]
 
     def __repr__(self):
         return f"CandidateSpectrum(depth={self.depth}, size={len(self.numerators)})"
@@ -183,26 +175,27 @@ def candidate_spectrum(triple: HadamardTriple, depth: int) -> CandidateSpectrum:
         raise ValueError("depth must be at least 1")
     if triple.q ** min(depth, _SPECTRUM_CAP.bit_length()) > _SPECTRUM_CAP:  # q >= 2 passes it by then
         raise TooLarge(f"{triple.q}^{depth} frequencies exceed the cap of {_SPECTRUM_CAP}")
-    # layers[i] is (M*)^i applied to each dual, carried to the instance's
-    # coordinates as op s over den before any sum; zero padding, then b^T,
+    # layer i is the progression {0, ..., q-1} g_i of g_i = (M*)^i u carried
+    # to the instance's coordinates as op g_i over den: M* and op are linear,
+    # so one product per layer carries all q duals.  Zero padding, then b^T,
     # is the transpose of b's first r rows, so op is injective and the sums
-    # collide where the companion sums do.  level holds the sums over the
-    # first i digits in itertools.product order (first digit slowest); their
-    # entries are ints the package built, so no sum is re-validated.  Each
-    # layer starts at 0, as the duals do (``_progression``), so level[0] is 0
+    # collide where the companion sums do.  level holds the sums over the first
+    # i digits in itertools.product order (first digit slowest) of ints the
+    # package built, so none is re-validated; each layer starts at 0, so level[0] is 0
     q, mt = triple.q, triple.m.transpose()
-    layers = [triple.duals]
-    while len(layers) < depth:
-        layers.append([mt * s for s in layers[-1]])
+    gens = [triple.u]
+    while len(gens) < depth:
+        gens.append(mt * gens[-1])
     den = 1
     if triple.coordinate_frame is not None:
         op, den = _transport(triple.coordinate_frame.b, "inverse")
         if triple.block is not None:
             op = IntMatrix._make(tuple(zip(*triple.block.b.rows[:triple.block.r]))) * op
-        layers = [[op * s for s in layer] for layer in layers]
-    level = [s.entries for s in layers[0]]
-    for layer in layers[1:]:
-        level = [tuple(map(add, acc, s.entries)) for acc in level for s in layer]
+        gens = [op * g for g in gens]
+    level = list(_progression(gens[0].entries, q))
+    for g in gens[1:]:
+        layer = list(_progression(g.entries, q))
+        level = [tuple(map(add, acc, s)) for acc in level for s in layer]
     seen = set()
     for index, key in enumerate(level):
         if key in seen:

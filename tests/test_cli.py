@@ -16,6 +16,7 @@ from affinespectra import cli
 from affinespectra.classify import WitnessCertificate, leading_triple
 from affinespectra.cli import _certificate_json, load_instance, main
 from affinespectra.fourier import Witness, certify_orthogonal
+from affinespectra.hadamard import HadamardTriple, candidate_spectrum
 from affinespectra.linalg import IntVector, RatVector
 
 from oracles import oracle_spectrum
@@ -114,11 +115,15 @@ def test_unwritable_sample_output_exits_1_before_sampling(write, capsys, monkeyp
 
 
 def test_refused_sample_keeps_the_output_file_bytes(write, capsys, tmp_path):
+    # the file is opened before the cap refuses the sample: one that did
+    # not exist is removed again, and one that did keeps its bytes
     path = tmp_path / "pts.csv"
-    path.write_bytes(b"x1\n0.5\n")
-    code, out, err = _run(capsys, "sample", "--input", write(M4), "--iters", "5592406", "--output", str(path))
-    assert (code, out) == (2, "") and "over the cap" in err
-    assert path.read_bytes() == b"x1\n0.5\n"
+    for before in (None, b"x1\n0.5\n"):
+        if before is not None:
+            path.write_bytes(before)
+        code, out, err = _run(capsys, "sample", "--input", write(M4), "--iters", "5592406", "--output", str(path))
+        assert (code, out) == (2, "") and "over the cap" in err
+        assert (path.read_bytes() if path.exists() else None) == before
     # a sample that is drawn replaces them
     code, _, _ = _run(capsys, "sample", "--input", write(M4), "--iters", "3", "--output", str(path))
     assert code == 0 and path.read_text().splitlines()[0] == "x1" and len(path.read_text().splitlines()) == 4
@@ -633,9 +638,14 @@ def test_integer_literal_past_the_digit_limit_exits_1(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: invalid JSON in instance file")
 
 
-@pytest.mark.parametrize("argv", [["classify", "--json"], ["spectrum", "--depth", "1"]], ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--json"], ["spectrum", "--depth", "1"], ["classify"], ["hadamard"], ["decompose"],
+    ["witness"], ["hadamard", "--json"], ["decompose", "--json"],
+], ids=["classify", "spectrum", "classify human", "hadamard human", "decompose human", "witness human",
+        "hadamard json", "decompose json"])
 def test_result_past_the_digit_limit_exits_2(write, capsys, argv):
-    # each entry has 2200 digits, under the limit; det m1 has 4400
+    # each entry has 2200 digits, under the limit; det m1 has 4400; human
+    # mode refuses too, before any line is written
     inst = {"matrix": [["7" * 2200, "1"], ["0", "7" * 2200]], "v": ["0", "1"], "q": 7}
     code, out, err = _run(capsys, argv[0], "--input", write(inst), *argv[1:])
     assert (code, out) == (2, "")
@@ -742,6 +752,37 @@ def test_human_mode_makes_no_json_text(write, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli.json, "dumps", lambda *a, **k: pytest.fail("JSON text made in human mode"))
     code, out, _ = _run(capsys, argv[0], "--input", path, *argv[1:])
     assert {"exit_code": code, "stdout": out} == CLI_OUTPUTS[key]
+
+
+def test_hadamard_outputs_read_only_the_progressions(write, capsys, monkeypatch, tmp_path):
+    # reports, human lines and candidate spectra are built from (w, u, q):
+    # with the triple's lists unreadable they keep their bytes; DIAG at
+    # q = 4 is a Hadamard triple on a leading block of rank 1
+    paths = {"CUBE": write(CUBE, "CUBE"), "DIAG": write(DIAG, "DIAG"), "BLOCK": write({**DIAG, "q": 4})}
+    timings = re.compile(r'  "timings_ms": \{\n(?:    .*\n)*  \},\n')
+    block_argv = [[command, "--input", paths["BLOCK"], *fmt] for command in ("hadamard", "classify")
+                  for fmt in ([], ["--json"])]
+    block_outputs = [(code, timings.sub("", out)) for code, out, _ in (_run(capsys, *a) for a in block_argv)]
+    spectra = [candidate_spectrum(leading_triple(load_instance(paths[name])), 2) for name in ("CUBE", "BLOCK")]
+    for name in ("digits", "duals"):
+        monkeypatch.setattr(HadamardTriple, name, property(lambda self: pytest.fail("a triple's list was read")))
+    for key in sorted(CLI_OUTPUTS):
+        argv = key.split()
+        if argv[0] in ("hadamard", "spectrum") or "--json" in argv or "completeness" in argv:
+            code, out, _ = _run(capsys, *[paths.get(a, a) for a in argv])
+            assert {"exit_code": code, "stdout": timings.sub("", out)} == CLI_OUTPUTS[key], key
+    for argv, before in zip(block_argv, block_outputs):
+        code, out, _ = _run(capsys, *argv)
+        assert (code, timings.sub("", out)) == before and code == 0
+    report = tmp_path / "report.json"
+    code, out, _ = _run(capsys, "classify", "--input", paths["CUBE"], "--report", str(report))
+    assert {"exit_code": code, "stdout": out} == CLI_OUTPUTS["classify --input CUBE"]
+    assert timings.sub("", report.read_text()) == CLI_OUTPUTS["classify --input CUBE --json"]["stdout"]
+    code, out, _ = _run(capsys, "classify", "--input", paths["CUBE"], "--verify-certificate", str(report))
+    assert (code, out) == (0, "hadamard certificate re-verified\n")
+    for name, before in zip(("CUBE", "BLOCK"), spectra):
+        after = candidate_spectrum(leading_triple(load_instance(paths[name])), 2)
+        assert (after.numerators, after.denominator) == (before.numerators, before.denominator)
 
 
 # -- thin drivers -------------------------------------------------------------

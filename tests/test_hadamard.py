@@ -70,7 +70,8 @@ def test_construct_dual_digits_fixture():
 
 
 def test_progressions_are_the_scaled_lists():
-    # the lazy lists are the k v~ and l u of the companion pair, built once
+    # the lists are the k v~ and l u of the companion pair, built afresh on
+    # each read from (w, u, q)
     conj = companion_conjugate(COMPANION_CUBE, IntVector([0, 0, 1]))
     for q in (2, 3, 6, 12, 36):
         triple = construct_dual_digits(conj, q)
@@ -78,7 +79,8 @@ def test_progressions_are_the_scaled_lists():
         assert (triple.w, triple.u, triple.q) == (conj.v_tilde, u, q)
         assert triple.digits == [conj.v_tilde.scaled(k) for k in range(q)]
         assert triple.duals == [u.scaled(k) for k in range(q)]
-        assert triple.digits is triple.digits and triple.duals is triple.duals
+        assert triple.digits == triple.digits and triple.digits is not triple.digits
+        assert triple.duals == triple.duals and triple.duals is not triple.duals
     mixed = HadamardTriple(IntMatrix([[2, 0], [0, 3]]), IntVector([-2, 0]), IntVector([0, 5]), 4)
     assert mixed.digits == [IntVector([-2 * k, 0]) for k in range(4)]
     assert mixed.duals == [IntVector([0, 5 * k]) for k in range(4)]
