@@ -296,6 +296,14 @@ def _evidence_json(args, inst, classification):
 
 
 def cmd_classify(args, inst):
+    # an option given to a mode that never reads it is refused, not dropped;
+    # one not given takes its default here (build_parser leaves it None)
+    for flag, spec in _OPTIONS.items():
+        dest, kind = flag[2:].replace("-", "_"), spec.get("evidence")
+        if kind and getattr(args, dest) is None:
+            setattr(args, dest, spec.get("default"))
+        elif kind and (args.verify_certificate or args.evidence != kind):
+            raise PreconditionError(f"{flag} is read only with --evidence {kind}")
     if args.verify_certificate:
         # it prints one status line, and would drop a report, evidence or JSON
         if args.json or args.report or args.evidence != "none":
@@ -469,17 +477,19 @@ def _bounded(flag, convert, ok, domain):
 
 
 # every option once, with add_argument's keywords; the type of a bounded
-# number is made by _bounded from its domain, a test and its wording
+# number is made by _bounded from its domain, a test and its wording, and
+# "evidence" names the one --evidence kind of classify that reads it
 _OPTIONS = {
     "--report": {"help": "also write the JSON report to this file"},
     "--evidence": {"choices": ("none", "clique", "completeness"), "default": "none",
                    "help": "attach a brute-force evidence section"},
     "--depth": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "default": 3,
-                "help": "spectrum truncation depth"},
-    "--tail-eps": {"type": float, "domain": (lambda x: 0 < x < math.inf, "finite and positive"), "default": 1e-9},
-    "--lattice-den": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "default": 1},
-    "--box": {"type": int, "domain": (lambda x: x >= 0, "at least 0"), "default": 10},
-    "--jmax": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "help": _JMAX_HELP},
+                "help": "spectrum truncation depth", "evidence": "completeness"},
+    "--tail-eps": {"type": float, "domain": (lambda x: 0 < x < math.inf, "finite and positive"), "default": 1e-9,
+                   "evidence": "completeness"},
+    "--lattice-den": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "default": 1, "evidence": "clique"},
+    "--box": {"type": int, "domain": (lambda x: x >= 0, "at least 0"), "default": 10, "evidence": "clique"},
+    "--jmax": {"type": int, "domain": (lambda x: x >= 1, "at least 1"), "help": _JMAX_HELP, "evidence": "clique"},
     "--verify-certificate": {
         "metavar": "REPORT",
         "help": "check a report file against the report rebuilt for the instance "
@@ -523,6 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
             kwargs = dict(_OPTIONS[flag])
             if "domain" in kwargs:
                 kwargs["type"] = _bounded(flag, kwargs["type"], *kwargs.pop("domain"))
+            if kwargs.pop("evidence", None) and name == "classify":
+                kwargs["default"] = None  # so that cmd_classify sees whether it was given
             p.add_argument(flag, **kwargs)
     return parser
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from ._record import _Record
 from .errors import TooLarge
 from .fourier import _check_j_max, _check_tail_eps, _contraction_data, _factor_bound, _transform_many
-from .fourier import _vanishing_factors
+from .fourier import _iterate, _vanishing_factors
 from .hadamard import CandidateSpectrum
 from .linalg import RatVector, _over_common_denominator
 
@@ -279,7 +279,9 @@ def completeness_defect(inst, spectrum, probes, tail_eps: float = 1e-9) -> Compl
     differences, summed in frequency order.  Raises ValueError unless tail_eps is finite and
     positive, and TooLarge, before any transform, when frequencies x probes
     x factors (bounded by fourier._factor_bound) x (n^2 + 24) exceeds
-    2^25, a few seconds of work at any dimension.
+    2^25.  The count ignores the size of the integers: at small entries
+    that is a few seconds of work at most, but the companion of x^64 - 6
+    10^2000 at depth 1 passes it and takes about 13 s (ROADMAP item 6).
     """
     _check_tail_eps(tail_eps)
     n, probes = inst.m.n, list(probes)
@@ -322,18 +324,18 @@ def attractor_radius(inst) -> float:
 
 
 def _chaos_taps(inst) -> list[list[float]]:
-    """Taps M^{-j} v = n_j / d^j for j = 1, ..., J, each rounded once from
-    its exact value, with J the first j where |M^{-j} v| < 2^-60 |v|.
-    Every later tap is M^{-i} M^{-J} v, and the contraction data bound the
-    sum of the norms of the M^{-i} by s / (1 - rho), so the taps left out
-    sum to less than 2^-60 of the attractor radius."""
-    adj, _, d, _, _ = _contraction_data(inst.m)
+    """Taps M^{-j} v = n_j / d_j for j = 1, ..., J, each rounded once from
+    its exact value in the shared sequence of fourier._iterate, with J the
+    first j where |M^{-j} v| < 2^-60 |v|.  Every later tap is M^{-i}
+    M^{-J} v, and the contraction data bound the sum of the norms of the
+    M^{-i} by s / (1 - rho), so the taps left out sum to less than 2^-60 of
+    the attractor radius."""
     vmax = max(abs(e) for e in inst.v)
-    taps, x, scale = [], inst.v, 1
-    while True:
-        x, scale = adj * x, scale * d
-        taps.append([e / scale for e in x])
-        if max(map(abs, x)) << 60 < vmax * scale:
+    taps = []
+    for j in itertools.count(1):
+        n_j, d_j = _iterate(inst.m, inst.v, j)
+        taps.append([e / d_j for e in n_j])
+        if max(map(abs, n_j)) << 60 < vmax * d_j:
             return taps
 
 

@@ -6,10 +6,12 @@ normalized exponential sum over the digits.  Because the digits are
 consecutive multiples of one vector, the mask is a geometric sum and its
 zero set has an exact rational description: the phase <v, xi> must be a
 non-integer multiple of 1/q.  Everything decision-grade here is exact:
-with M^{-1} = adj / d, the factor phases are <a, n_j> mod L d^j for
-xi = a / L and M^{-j} v = n_j / d^j, all Python ints.  Floats appear only
-in reported numeric values and error bounds, each rounded once from an
-exact rational.
+with M^{-1} = adj / d, the factor phases are <a, n_j> mod L d_j for
+xi = a / L and M^{-j} v = n_j / d_j, all Python ints, d_j a divisor of
+d^j: every power of M^{-1}, iterate of v and lockstep level is stepped
+from the last by adj and d and, once its denominator passes 53 bits, put
+in lowest terms (_lowest_terms).  Floats appear only in reported numeric
+values and error bounds, each rounded once from an exact rational.
 
 Orthogonality of two exponentials is certified by exhibiting a factor
 index j with an exactly vanishing mask; absence of a certificate proves
@@ -117,17 +119,67 @@ def mask_is_zero_exact(inst, xi) -> bool:
     return t != 0 and (inst.q * t).denominator == 1
 
 
+# Past 53 bits a denominator leaves CPython's exact double path for int /
+# int, and a gcd a level keeps the integers at the size of the reduced
+# fractions; below it a gcd rarely pays, so small instances take none
+_EXACT_BITS = 53
+
+
+def _lowest_terms(den: int, rows: list) -> tuple:
+    """(den, rows) divided by g = gcd(den, every entry of rows) once den has
+    more than _EXACT_BITS bits.  The values x / den do not move, so neither
+    do their zero tests nor the floats int / int rounds them to."""
+    if den.bit_length() > _EXACT_BITS:
+        g = gcd(den, *itertools.chain.from_iterable(rows))
+        if g > 1:
+            return den // g, [[x // g for x in row] for row in rows]
+    return den, rows
+
+
+@lru_cache(maxsize=None)
+def _linear_map(a: tuple):
+    """xs -> for each row of a, the list of sum c * xs[k] over its nonzero
+    c = row[k], entry by entry: one comprehension a row with its terms
+    written out, as _record writes an __init__, and xs[k] itself for a row
+    that is a unit vector e_k."""
+    coeffs, body = [], []
+    for row in a:
+        terms = [(f"y{k}", k, c) for k, c in enumerate(row) if c]
+        if len(terms) == 1 and terms[0][2] == 1:
+            body.append(f"xs[{terms[0][1]}]")
+            continue
+        expr = [f"c{len(coeffs) + i} * {y}" for i, (y, _, _) in enumerate(terms)]
+        coeffs += [c for _, _, c in terms]
+        names = ", ".join(y for y, _, _ in terms)
+        lists = ", ".join(f"xs[{k}]" for _, k, _ in terms)
+        source = f"{names} in zip({lists})" if len(terms) > 1 else f"{names} in {lists}"
+        body.append(f"[{' + '.join(expr)} for {source}]")
+    params = "".join(f", c{i}=coeffs[{i}]" for i in range(len(coeffs)))
+    namespace = {"coeffs": coeffs}
+    exec(f"def apply(xs{params}):\n return [{', '.join(body)}]", namespace)
+    return namespace["apply"]
+
+
+def _inverse_powers(adj: IntMatrix, d: int):
+    """(rows, den) with M^{-k} = rows / den for k = 1, 2, ..., M^{-1} =
+    adj / d: each power is adj times the last, in lowest terms."""
+    step, rows, den = _linear_map(adj.rows), [list(row) for row in adj.rows], d
+    while True:
+        yield rows, den
+        den, rows = _lowest_terms(den * d, step(rows))
+
+
 @lru_cache(maxsize=None)
 def _contraction_data(m: IntMatrix):
     """(adj, adj^T, d, col, row) with M^{-1} = adj / d, d = |det M|, and
     (k, rho, s) for (M*)^{-k} (col) and M^{-k} (row): the least k whose inf
-    norm rho, the column or row sums of adj^k over d^k, is below 1, and the
-    sum s of the first k norms, exact.  A non-expanding M raises NonConvergent."""
+    norm rho, the column or row sums of the powers of _inverse_powers, is
+    below 1, and the sum s of the first k norms, exact.  A non-expanding M
+    raises NonConvergent."""
     adj, d = _inverse_parts(m)
-    power, scale, k = adj, d, 1
     sums, found = [Fraction(0), Fraction(0)], [None, None]
-    while True:
-        for i, rows in enumerate((zip(*power.rows), power.rows)):
+    for k, (power, scale) in enumerate(_inverse_powers(adj, d), 1):
+        for i, rows in enumerate((zip(*power), power)):
             if found[i] is None:
                 rho = Fraction(max(sum(map(abs, row)) for row in rows), scale)
                 sums[i] += rho
@@ -138,7 +190,26 @@ def _contraction_data(m: IntMatrix):
         # an expanding M contracts eventually, after however many powers
         if k == 10 * m.n and not is_expanding(m):
             raise NonConvergent("matrix is not expanding: no power of its inverse contracts")
-        power, scale, k = power * adj, scale * d, k + 1
+
+
+@lru_cache(maxsize=None)
+def _probe_sequence(m: IntMatrix, v: IntVector) -> list:
+    """[(n_j, d_j) for j = 0, 1, ...] with M^{-j} v = n_j / d_j, grown on
+    demand by _iterate.  <(M*)^{-j} delta, v> = <delta, M^{-j} v>, so one
+    sequence serves every pair ever certified against (M, v), and the
+    chaos game's taps too."""
+    return [(v.entries, 1)]
+
+
+def _iterate(m: IntMatrix, v: IntVector, j: int) -> tuple:
+    """(n_j, d_j) of _probe_sequence, a new level adj times the last in lowest terms."""
+    seq = _probe_sequence(m, v)
+    while j >= len(seq):
+        adj, _, d, _, _ = _contraction_data(m)
+        n, den = seq[-1]
+        den, (n,) = _lowest_terms(den * d, [[sum(map(mul, row, n)) for row in adj.rows]])
+        seq.append((tuple(n), den))
+    return seq[j]
 
 
 def _check_tail_eps(tail_eps):
@@ -163,12 +234,12 @@ def _log(x: Fraction) -> float:
 def _power_norms(m: IntMatrix):
     """([], more): more yields ||P^i||_inf for i = 0, 1, ... in floats,
     where P = (M*)^{-k} for the first contracting power k of
-    _contraction_data has each entry of (adj^T)^k / d^k rounded once; the
-    list keeps what _factor_bound has drawn, so each matrix pays once."""
+    _contraction_data has each entry of M^{-k} of _inverse_powers rounded
+    once; the list keeps what _factor_bound has drawn, so each matrix pays once."""
     def more():
-        _, adj_t, d, (k, _, _), _ = _contraction_data(m)
-        scale = d ** k
-        cols = list(zip(*([x / scale for x in row] for row in (adj_t ** k).rows)))
+        adj, _, d, (k, _, _), _ = _contraction_data(m)
+        rows, scale = next(itertools.islice(_inverse_powers(adj, d), k - 1, None))
+        cols = [[x / scale for x in row] for row in rows]  # the columns of P
         power = [[float(i == j) for j in range(m.n)] for i in range(m.n)]
         while True:
             yield max(sum(map(abs, row)) for row in power)
@@ -218,16 +289,16 @@ def _transform_many(inst, numerators, den: int, tail_eps: float) -> list:
     """(value, error, factors) of mu_hat at each point a / den, in order.
 
     The points share one denominator, so they step through (adj^T)^j in
-    lockstep over den d^j, with no gcd taken: the zero test, the mask
-    phase and the tail bound read only the rational values t / den and
-    max|a| / den, and int / int rounds each once, as the float of the
-    reduced Fraction would.  A point leaves at its first exact mask zero,
-    with value 0, or once its tail bound is below tail_eps; the zero point
-    takes no factor.  Each product is multiplied in factor order.  Fewer
-    live points than twice the most nonzero entries of a row of adj^T
-    step row-major, a dot product per point (mu_hat's one point, or a few
-    against a dense adj^T); more step column-major, where a pass per
-    entry over all points costs less."""
+    lockstep over den d^j, in lowest terms past 53 bits (_lowest_terms):
+    the zero test, the mask phase and the tail bound read only the rational
+    values t / den and max|a| / den, and int / int rounds each once, as the
+    float of the reduced Fraction would.  A point leaves at its first exact
+    mask zero, with value 0, or once its tail bound is below tail_eps; the
+    zero point takes no factor.  Each product is multiplied in factor
+    order.  Fewer live points than twice the most nonzero entries of a row
+    of adj^T step row-major, a dot product per point (mu_hat's one point,
+    or a few against a dense adj^T); more step column-major, where a pass
+    per entry over all points costs less."""
     out = [(complex(1.0), 0.0, 0)] * len(numerators)
     live = [(i, a) for i, a in enumerate(numerators) if any(a)]
     if live:
@@ -248,11 +319,10 @@ def _rows_lockstep(inst, live, den: int, tail_eps: float, out: list):
     while live:
         if j > _MU_HAT_FACTOR_CAP:
             raise InternalError("transform truncation failed to converge")
-        den *= d
         j += 1
+        den, points = _lowest_terms(den * d, [[sum(map(mul, row, a)) for row in rows] for _, a, _ in live])
         scale = c_den * den
         stepped = []
-        points = [[sum(map(mul, row, a)) for row in rows] for _, a, _ in live]
         phases = [sum(map(mul, a, v)) % den for a in points]
         masks = _masks(q, phases, den)
         for (i, _, product), a, t in zip(live, points, phases):
@@ -269,27 +339,25 @@ def _rows_lockstep(inst, live, den: int, tail_eps: float, out: list):
         live = stepped
 
 
-def _combine(terms, cols) -> list:
-    """The sum of c * cols[k] over the (c, k) of terms, entry by entry."""
-    (c, k), *rest = terms
-    out = [c * x for x in cols[k]]
-    for c, k in rest:
-        out = [y + c * x for y, x in zip(out, cols[k])]
-    return out
-
-
 def _columns_lockstep(inst, live, den: int, tail_eps: float, out: list):
     """_transform_many on the points (i, a) held column-major, one list per
-    coordinate: a step is one comprehension per nonzero entry of adj^T and
-    a few over all points, each distinct phase takes one mask and zero
+    coordinate: a step is one comprehension per coordinate (_linear_map)
+    and a few over all points, each distinct phase takes one mask and zero
     test, and the points that leave are dropped in one pass.  When v is a
-    unit vector e_k, the phase is coordinate k itself."""
+    unit vector e_k, the phase is coordinate k itself.  With h a double,
+    pi h >= tail_eps, a sup numerator s with c_num s / (c_den den) >= h has,
+    rounding being monotone, a float tail of at least tail_eps: only points
+    below that integer floor, or at 2^1000 and past, where the float may
+    overflow, compute it, and a level with neither and no mask zero keeps
+    every point as it is."""
     _, adj_t, d, _, _ = _contraction_data(inst.m)
     coeff = _tail_coefficient(inst.m, inst.v, inst.q)
     c_num, c_den, q = coeff.numerator, coeff.denominator, inst.q
-    rows = [[(c, k) for k, c in enumerate(row) if c] for row in adj_t.rows]
-    phase = [(c, k) for k, c in enumerate(inst.v.entries) if c]
-    unit = len(phase) == 1 and phase[0][0] == 1
+    step, phase = _linear_map(adj_t.rows), _linear_map((inst.v.entries,))
+    h = tail_eps / math.pi
+    while math.pi * h < tail_eps:
+        h = math.nextafter(h, math.inf)
+    h_num, h_den = h.as_integer_ratio()
     index = [i for i, _ in live]
     cols = [list(col) for col in zip(*(a for _, a in live))]
     products = [complex(1.0)] * len(index)
@@ -297,20 +365,22 @@ def _columns_lockstep(inst, live, den: int, tail_eps: float, out: list):
     while index:
         if j > _MU_HAT_FACTOR_CAP:
             raise InternalError("transform truncation failed to converge")
-        den *= d
         j += 1
-        scale = c_den * den
-        cols = [_combine(terms, cols) for terms in rows]
-        phases = [t % den for t in (cols[phase[0][1]] if unit else _combine(phase, cols))]
+        den, cols = _lowest_terms(den * d, step(cols))
+        phases = [t % den for t in phase(cols)[0]]
         masks = _masks(q, phases, den)
         # a point at an exact zero leaves with value 0, whatever its product
-        zeros = {t for t, value in masks.items() if value is None}
+        zeros = {t for t, value in masks.items() if value is None} if None in masks.values() else ()
         masks.update(dict.fromkeys(zeros, complex(0.0)))
         products = [product * masks[t] for product, t in zip(products, phases)]
-        sup = map(abs, cols[0])
-        for col in cols[1:]:
-            sup = map(max, sup, map(abs, col))
-        tails = [math.pi * (c_num * s / scale) for s in sup]
+        sup = list(map(max, *(map(abs, col) for col in cols)) if len(cols) > 1 else map(abs, cols[0]))
+        scale = c_den * den
+        # c_num s / scale is at least h from s = floor on, and below 2^1000 up to top
+        floor = -(-h_num * scale // (c_num * h_den))
+        top = 1 << max(0, scale.bit_length() + 999 - c_num.bit_length())
+        if not zeros and floor <= min(sup) and max(sup) < top:
+            continue
+        tails = [math.inf if floor <= s < top else math.pi * (c_num * s / scale) for s in sup]
         keep = [tail >= tail_eps and t not in zeros for t, tail in zip(phases, tails)]
         if all(keep):
             continue
@@ -329,8 +399,9 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     and geometric decay of the exact power norms.  If any factor is an
     exact rational zero the product short-circuits to exactly 0.  The
     error field bounds |true - value|, float rounding included.  The iterate
-    (M*)^{-j} xi is kept exactly as (adj^T)^j a over L d^j, by the kernel
-    that evidence.completeness_defect runs on many points at once.
+    (M*)^{-j} xi is kept exactly as (adj^T)^j a over L d^j, in lowest terms
+    past 53 bits, by the kernel that evidence.completeness_defect runs on
+    many points at once.
     Raises ValueError unless tail_eps is finite and positive.
     """
     _check_tail_eps(tail_eps)
@@ -341,25 +412,18 @@ def mu_hat(inst, xi, tail_eps: float = 1e-9) -> MuHatValue:
     return MuHatValue(*_transform_many(inst, [a], den, tail_eps)[0])
 
 
-@lru_cache(maxsize=None)
-def _probe_sequence(m: IntMatrix, v: IntVector) -> list:
-    """[(n_j, d^j) for j = 0, 1, ...] with M^{-j} v = n_j / d^j, grown on
-    demand by _vanishing_factors.  <(M*)^{-j} delta, v> = <delta, M^{-j} v>,
-    so one sequence serves every pair ever certified against (M, v)."""
-    return [(v.entries, 1)]
-
-
 def _check_j_max(inst, j_max: int | None, norm: int, den: int):
     """Raise TooLarge, before any probe is built, if a search to an explicit
     j_max over points a / den, |a|_1 <= norm, builds n_j (kept by
-    _probe_sequence, n entries of about j log2(d) bits each) worth over
-    2^28 bits, n J^2 log2(d) / 2 up to level J.  It builds them up to
-    min(j_max, J), J = max(1, k m) for the least m with q max(norm, 1) C^2
-    rho^m |v|_inf < den, (k, rho, s) the row data of _contraction_data and
-    C = max(1, s): as |M^{-j} v|_inf <= C rho^floor(j / k) |v|_inf, the
-    decay bound of _vanishing_factors has dropped every point by level J.
-    One integer test at m = (the deepest level within the cap) // k
-    decides; the level in the message is a float estimate."""
+    _probe_sequence, n entries of at most about j log2(d) bits each: in
+    lowest terms they may take fewer) worth over 2^28 bits, n J^2 log2(d)
+    / 2 up to level J, an upper bound.  It builds them up to min(j_max, J),
+    J = max(1, k m) for the least m with q max(norm, 1) C^2 rho^m |v|_inf <
+    den, (k, rho, s) the row data of _contraction_data and C = max(1, s):
+    as |M^{-j} v|_inf <= C rho^floor(j / k) |v|_inf, the decay bound of
+    _vanishing_factors has dropped every point by level J.  One integer
+    test at m = (the deepest level within the cap) // k decides; the level
+    in the message is a float estimate."""
     if j_max is None:
         return
     _, _, d, _, (k, rho, s) = _contraction_data(inst.m)
@@ -379,21 +443,21 @@ def _check_j_max(inst, j_max: int | None, norm: int, den: int):
 def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
     """For each point a / den, (j, r, modulus) for the first j <= j_max whose
     mask vanishes at (M*)^{-j} (a / den), with phase r / modulus = <a, n_j> /
-    (den d^j) mod 1, or None.  The points step through j = 1, 2, ... in
-    lockstep.  The default j_max, 3n + bitlen(max reduced den * max reduced
-    num) of a / den, exceeds 3n, so it is computed only if j < 3n fail.
+    (den d_j) mod 1 over the n_j / d_j of _iterate, or None.  The points
+    step through j = 1, 2, ... in lockstep.  The default j_max, 3n +
+    bitlen(max reduced den * max reduced num) of a / den, exceeds 3n, so
+    it is computed only if j < 3n fail.
 
     Both depths are upper limits.  A mask vanishes only at a phase t with
     q t an integer and t not, so |t| >= 1 / q.  With (k, rho, s) the row
     data of _contraction_data, C = max(1, s) >= ||M^{-i}||_inf for all i, so
-    |<a / den, M^{-j'} v>| <= |a|_1 C |n_j|_inf / (den d^j) for all j' >= j,
+    |<a / den, M^{-j'} v>| <= |a|_1 C |n_j|_inf / (den d_j) for all j' >= j,
     and a point leaves with None at the first j where the bound is below
-    1 / q even with max(|a|_1, 1) for |a|_1: q |a|_1 C |n_j|_inf < den d^j.
+    1 / q even with max(|a|_1, 1) for |a|_1: q |a|_1 C |n_j|_inf < den d_j.
     An explicit j_max is priced by _check_j_max on the largest |a|_1 of
     the points, before any probe is built."""
     if j_max is not None and points:
         _check_j_max(inst, j_max, max(sum(map(abs, a)) for a in points), den)
-    seq = _probe_sequence(inst.m, inst.v)
     q, least = inst.q, 3 * inst.m.n
     c = max(Fraction(1), _contraction_data(inst.m)[4][2])
     qc = q * c.numerator
@@ -402,11 +466,7 @@ def _vanishing_factors(inst, points, den: int, j_max: int | None) -> list:
     norms = None
     while live:
         j += 1
-        if j == len(seq):
-            adj, _, d, _, _ = _contraction_data(inst.m)
-            prev, scale = seq[-1]
-            seq.append((tuple(sum(map(mul, row, prev)) for row in adj.rows), scale * d))
-        n_j, d_j = seq[j]
+        n_j, d_j = _iterate(inst.m, inst.v, j)
         modulus = den * d_j
         # the least |a|_1 the bound keeps; the sort waits until it can drop
         # a point with |a|_1 >= 1, as every nonzero point has

@@ -257,6 +257,43 @@ def test_verify_certificate_refuses_what_it_would_drop(write, capsys, tmp_path, 
     assert not (tmp_path / "never.json").exists()
 
 
+_UNREAD = [
+    (["--depth", "2"], "--depth is read only with --evidence completeness"),
+    (["--tail-eps", "0.5"], "--tail-eps is read only with --evidence completeness"),
+    (["--box", "3"], "--box is read only with --evidence clique"),
+    (["--lattice-den", "2"], "--lattice-den is read only with --evidence clique"),
+    (["--jmax", "4"], "--jmax is read only with --evidence clique"),
+    (["--evidence", "clique", "--depth", "1"], "--depth is read only with --evidence completeness"),
+    (["--evidence", "completeness", "--box", "1"], "--box is read only with --evidence clique"),
+    (["--evidence", "completeness", "--jmax", "4"], "--jmax is read only with --evidence clique"),
+    (["VERIFY", "--depth", "2"], "--depth is read only with --evidence completeness"),
+    (["VERIFY", "--box", "1"], "--box is read only with --evidence clique"),
+]
+
+
+@pytest.mark.parametrize("extra, message", _UNREAD, ids=[" ".join(extra) for extra, _ in _UNREAD])
+def test_classify_refuses_an_option_its_mode_never_reads(write, capsys, tmp_path, extra, message):
+    # each of these once exited 0 and dropped the option, the --verify-certificate
+    # ones after printing the plain status line
+    instance = write(CUBE)
+    if extra[0] == "VERIFY":
+        report_path = str(tmp_path / "report.json")
+        _run(capsys, "classify", "--input", instance, "--report", report_path)
+        extra = ["--verify-certificate", report_path, *extra[1:]]
+    assert _run(capsys, "classify", "--input", instance, *extra) == (2, "", f"error: {message}\n")
+
+
+def test_classify_evidence_options_keep_their_defaults(write, capsys):
+    # not given, each reads as given at its default
+    instance = write({"matrix": [[4]], "v": [1], "q": 2})
+    for kind, defaults in (("completeness", ["--depth", "3", "--tail-eps", "1e-9"]),
+                           ("clique", ["--lattice-den", "1", "--box", "10"])):
+        plain = _run(capsys, "classify", "--input", instance, "--evidence", kind, "--json")
+        given = _run(capsys, "classify", "--input", instance, "--evidence", kind, *defaults, "--json")
+        assert plain[0] == given[0] == 0
+        assert json.loads(plain[1])["evidence"] == json.loads(given[1])["evidence"]
+
+
 def test_tampered_certificate_exits_2(write, capsys, tmp_path):
     report_path = tmp_path / "report.json"
     instance = write(CUBE)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinespectra import evidence, fourier
+from affinespectra import evidence, fourier, linalg
 from affinespectra.classify import ProblemInstance, classify
 from affinespectra.cli import _default_probes
 from affinespectra.errors import DuplicateFrequency, TooLarge
@@ -54,6 +54,15 @@ BASES = [
     (IntMatrix([[1, -3, 3], [3, -5, 3], [6, -6, 4]]), IntVector([1, 1, 2]), 4),
     (IntMatrix([[0, 0, 0, -6], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]), IntVector([1, 0, 0, 0]), 6),
     (M_X4, IntVector([19, 12, -42, -10]), 6),
+]
+# large det M: the denominators pass 53 bits within two levels, where the
+# kernels put each level in lowest terms; the companion of x^3 - 7 10^30,
+# a unimodular conjugate of the companion of x^2 + 10^20, and [[10^18 + 3]]
+LARGE_DET = [
+    (IntMatrix([[0, 1, 0], [0, 0, 1], [7 * 10**30, 0, 0]]), IntVector([0, 0, 1]), 10),
+    (IntMatrix([[2, 1], [1, 1]]) * IntMatrix([[0, 1], [-10**20, 0]]) * IntMatrix([[1, -1], [-1, 2]]),
+     IntVector([1, 1]), 10),
+    (IntMatrix([[10**18 + 3]]), IntVector([1]), 2),
 ]
 # rank-deficient: the iterates of v span a proper subspace, whose leading
 # block, [[4]] and the companion of x^2 + 6, carries the spectrum
@@ -174,11 +183,11 @@ def _frequencies(n):
 
 
 @st.composite
-def _problems(draw):
+def _problems(draw, bases=BASES):
     """(inst, spectrum, probes): random frequencies, with each probe itself
     (0 factors), integer and half-integer shifts of it (frequent exact
     zeros) and integer vectors mixed into the spectrum."""
-    inst = draw(_instances())
+    inst = draw(_instances(bases))
     n = inst.m.n
     probes = draw(st.lists(_frequencies(n), min_size=1, max_size=3))
     freqs = draw(st.lists(_frequencies(n), max_size=6))
@@ -197,6 +206,27 @@ def _problems(draw):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_problems(), st.sampled_from([1e-9, 1e-4]))
 def test_kernel_matches_the_per_frequency_loop_bit_for_bit(problem, tail_eps):
+    inst, freqs, probes = problem
+    for xi in probes:
+        diffs = [xi - lam for lam in freqs]
+        points, den = evidence._differences(xi, *_lambda_parts(freqs), inst.m.n)
+        got = fourier._transform_many(inst, points, den, tail_eps)
+        assert got == [_oracle_mu_hat(inst, delta, tail_eps) for delta in diffs]
+        assert [_transform(inst, delta, tail_eps) for delta in diffs] == got
+    assert _defects(inst, freqs, probes, tail_eps) == _oracle_defects(inst, freqs, probes, tail_eps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_problems(LARGE_DET), st.sampled_from([1e-9, 1e-4]))
+def test_kernel_in_lowest_terms_matches_the_per_frequency_loop_bit_for_bit(problem, tail_eps):
+    # the oracle reduces every level by its gcd, the kernels past 53 bits
+    _check_kernel(problem, tail_eps)
+
+
+def _check_kernel(problem, tail_eps):
+    """The body of test_kernel_matches_the_per_frequency_loop_bit_for_bit,
+    which keeps its own copy, as a derandomized test draws its examples
+    from a hash of its source."""
     inst, freqs, probes = problem
     for xi in probes:
         diffs = [xi - lam for lam in freqs]
@@ -238,12 +268,12 @@ def test_wrong_dimension_raises_the_same_error_at_the_same_pair(problem, where, 
 
 
 @st.composite
-def _batches(draw):
+def _batches(draw, bases=BASES):
     """(inst, points, den): over 100 points a / den for one kernel call,
     leaving at many different steps: the zero point, integer and
     half-integer points (exact zeros at early factors) and numerators
     spread over twelve orders of magnitude (tails of different sizes)."""
-    inst = draw(_instances())
+    inst = draw(_instances(bases))
     n = inst.m.n
     den = draw(st.sampled_from([1, 2, 6, 20, 63]))
     small = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
@@ -274,6 +304,29 @@ def test_one_call_on_many_points_matches_the_loop_and_mu_hat(batch, tail_eps):
     # the same points one at a time, through mu_hat's row-major steps
     assert _bits(_transform(inst, xi, tail_eps) for xi in xis) == expected
     assert len({factors for _, _, factors in got}) >= 3
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_batches(LARGE_DET), st.sampled_from([1e-9, 1e-4]))
+def test_one_call_in_lowest_terms_matches_the_loop_and_mu_hat(batch, tail_eps):
+    inst, points, den = batch
+    _check_batch(inst, points, den, tail_eps)
+    # the first level's denominator has more than 53 bits already
+    assert (den * fourier._contraction_data(inst.m)[2]).bit_length() > fourier._EXACT_BITS
+
+
+def _check_batch(inst, points, den, tail_eps):
+    """_transform_many on the points, and mu_hat on each, against the
+    oracle: the body of test_one_call_on_many_points_matches_the_loop_and_mu_hat,
+    which keeps its own copy, as a derandomized test draws its examples from
+    a hash of its source."""
+    xis = [RatVector(Fraction(x, den) for x in a) for a in points]
+    expected = _bits(_oracle_mu_hat(inst, xi, tail_eps) for xi in xis)
+    got = fourier._transform_many(inst, points, den, tail_eps)
+    assert _bits(got) == expected
+    # the same points one at a time, through mu_hat's row-major steps
+    assert _bits(_transform(inst, xi, tail_eps) for xi in xis) == expected
+    return got
 
 
 @pytest.mark.parametrize("m, q", [([[4]], 2), ([[-3]], 3)])
@@ -444,3 +497,107 @@ def test_a_spectrum_and_its_frequency_list_give_identical_defects(inst, data):
     got = _defects(inst, spectrum, probes)
     assert repr(got) == repr(_defects(inst, frequencies, probes))
     assert repr(got) == repr(_oracle_defects(inst, frequencies, probes))
+
+
+# ---------------------------------------------------------------------------
+# inverse powers in lowest terms
+# ---------------------------------------------------------------------------
+
+
+def _oracle_tails(inst, a, den, levels):
+    """The float tail pi c |a_j|_inf / den_j that _oracle_mu_hat tests at
+    each level j <= levels of a / den, up to its first exact zero."""
+    _, adj_t, d, (_, rho, norm_sum), _ = fourier._contraction_data(inst.m)
+    v = inst.v.entries
+    coeff = Fraction(norm_sum, 1) / (1 - rho) * sum(abs(e) for e in v) * (inst.q - 1)
+    tails = []
+    for _ in range(levels):
+        a = [sum(map(mul, row, a)) for row in adj_t.rows]
+        den *= d
+        t = sum(map(mul, a, v)) % den
+        if t and inst.q * t % den == 0:
+            break
+        tails.append(math.pi * (coeff.numerator * max(map(abs, a)) / (coeff.denominator * den)))
+    return tails
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.one_of(_batches(), _batches(LARGE_DET)), st.data())
+def test_a_tolerance_at_a_tail_the_points_take_matches_the_loop(batch, data):
+    # tail_eps is the float tail of one point at one level, or a neighbour
+    # of it: that point is exactly at the kernels' integer floor there
+    inst, points, den = batch
+    point = data.draw(st.sampled_from([a for a in points if any(a)]))
+    tails = [t for t in _oracle_tails(inst, list(point), den, 12) if t < 1]
+    tail = data.draw(st.sampled_from(tails)) if tails else 1e-9
+    near = [tail, math.nextafter(tail, 0.0), math.nextafter(tail, math.inf)]
+    tail_eps = data.draw(st.sampled_from([eps for eps in near if 0 < eps < math.inf]))
+    _check_batch(inst, points, den, tail_eps)
+
+
+def _unreduced_contraction_data(m):
+    """_contraction_data stepping adj^k over d^k with no gcd taken."""
+    adj, d = linalg._inverse_parts(m)
+    power, scale, k = adj, d, 1
+    sums, found = [Fraction(0), Fraction(0)], [None, None]
+    while None in found:
+        for i, rows in enumerate((zip(*power.rows), power.rows)):
+            if found[i] is None:
+                rho = Fraction(max(sum(map(abs, row)) for row in rows), scale)
+                sums[i] += rho
+                if rho < 1:
+                    found[i] = (k, rho, sums[i])
+        power, scale, k = power * adj, scale * d, k + 1
+    return adj, adj.transpose(), d, found[0], found[1]
+
+
+def _unreduced_power_norms(m, count):
+    """||P^i||_inf for i < count, P = (adj^T)^k / d^k rounded entrywise."""
+    _, adj_t, d, (k, _, _), _ = _unreduced_contraction_data(m)
+    scale = d ** k
+    cols = list(zip(*([x / scale for x in row] for row in (adj_t ** k).rows)))
+    power, norms = [[float(i == j) for j in range(m.n)] for i in range(m.n)], []
+    for _ in range(count):
+        norms.append(max(sum(map(abs, row)) for row in power))
+        power = [[sum(map(mul, row, col)) for col in cols] for row in power]
+    return norms
+
+
+def _unreduced_chaos_taps(inst):
+    """_chaos_taps stepping adj x over d^j with no gcd taken."""
+    adj, _, d, _, _ = _unreduced_contraction_data(inst.m)
+    vmax = max(abs(e) for e in inst.v)
+    taps, x, scale = [], inst.v, 1
+    while True:
+        x, scale = adj * x, scale * d
+        taps.append([e / scale for e in x])
+        if max(map(abs, x)) << 60 < vmax * scale:
+            return taps
+
+
+@pytest.mark.parametrize("m, v, q", LARGE_DET + BASES[:4] + [(M_X4, IntVector([19, 12, -42, -10]), 6)])
+def test_inverse_powers_in_lowest_terms_equal_the_unreduced_ones(m, v, q):
+    inst = ProblemInstance(m, v, q)
+    fourier._contraction_data.cache_clear()
+    fourier._power_norms.cache_clear()
+    fourier._probe_sequence.cache_clear()
+    assert fourier._contraction_data(m) == _unreduced_contraction_data(m)
+    norms, more = fourier._power_norms(m)
+    while len(norms) < 12:
+        norms.append(next(more))
+    assert norms == _unreduced_power_norms(m, 12)
+    assert repr(evidence._chaos_taps(inst)) == repr(_unreduced_chaos_taps(inst))
+    # the shared sequence is in lowest terms once its denominator passes 53 bits
+    for n_j, d_j in fourier._probe_sequence(m, v):
+        assert d_j.bit_length() <= fourier._EXACT_BITS or math.gcd(d_j, *n_j) == 1
+
+
+@pytest.mark.parametrize("count", [1, 40], ids=["row-major", "column-major"])
+def test_a_tail_past_the_float_range_raises_as_before(count):
+    # c |a| / den past the largest double: int / int raises OverflowError,
+    # in both kernels, on a level where no mask vanishes and every point is
+    # past the integer floor, rather than the large point stepping on
+    inst = ProblemInstance(IntMatrix([[2]]), IntVector([1]), 2)
+    points = [(1,)] * (count - 1) + [(3 * 10**400 + 1,)]
+    with pytest.raises(OverflowError):
+        fourier._transform_many(inst, points, 3, 1e-9)

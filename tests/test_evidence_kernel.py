@@ -613,6 +613,11 @@ def _priced_level(inst, norm, den, last):
     return min(max(1, k * m), last)
 
 
+def _reduced(hit):
+    """(j, r / modulus) of a hit of _vanishing_factors, or None."""
+    return None if hit is None else (hit[0], Fraction(*hit[1:]))
+
+
 def _probe_bits(inst, level):
     return inst.m.n * level * level * fourier._contraction_data(inst.m)[2].bit_length() // 2
 
@@ -644,7 +649,10 @@ def test_probes_are_priced_to_the_level_the_search_can_reach(inst, rows, den, j_
     got = fourier._vanishing_factors(inst, points, den, j_max)
     assert len(fourier._probe_sequence(inst.m, inst.v)) - 1 <= level
     fourier._probe_sequence.cache_clear()
-    assert got == [_oracle_vanishing_factor(inst, a, den, level) for a in points]
+    # past 53 bits the probes are in lowest terms, so a phase may come over a
+    # smaller modulus than the oracle's: compare the rational phase
+    assert [_reduced(hit) for hit in got] == [_reduced(_oracle_vanishing_factor(inst, a, den, level))
+                                              for a in points]
 
 
 def test_certify_orthogonal_prices_its_own_point():
