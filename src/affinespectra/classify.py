@@ -25,19 +25,21 @@ import enum
 from math import gcd
 
 from ._record import _Record
-from .conjugation import leading_block
+from .conjugation import companion_matrix, leading_block
 from .errors import BadQ, InternalError, NotExpanding, ZeroVector
 from .fourier import construct_witness
-from .hadamard import HadamardTriple, construct_dual_digits
+from .hadamard import HadamardTriple, _dual_digits
 from .linalg import IntMatrix, IntPolynomial, IntVector, _no_root_in_closed_unit_disk
 
 
 class ProblemInstance:
     """Validated input triple: expanding integer matrix, nonzero digit
     direction, digit count q >= 2.  ``leading`` is built first and decides
-    the expanding test: char_poly(m) is the char poly of m1, read off the
-    Krylov elimination, times the char poly of the trailing block m2 that
-    the block decomposition records."""
+    the expanding test: one Krylov elimination factors char_poly(m) into
+    the char poly f of m1 and, at r < n, the trailing polynomials of the
+    chains that continue it to rank n, and each factor must have every
+    root outside the closed unit disk.  No block decomposition is built
+    here; ``leading`` builds it when a reader asks for it."""
 
     __slots__ = ("m", "v", "q", "leading")
 
@@ -50,10 +52,7 @@ class ProblemInstance:
         if not isinstance(q, int) or isinstance(q, bool) or q < 2:
             raise BadQ(f"q must be an integer >= 2, got {q!r}")
         lead = leading_block(m, v)
-        expanding = _no_root_in_closed_unit_disk(lead.char_poly.coeffs) and (
-            lead.decomp is None or _no_root_in_closed_unit_disk(lead.decomp.m2_char_poly.coeffs)
-        )
-        if not expanding:
+        if not all(_no_root_in_closed_unit_disk(p.coeffs) for p in (lead.char_poly, *lead.trailing)):
             raise NotExpanding(
                 "matrix is not expanding: all eigenvalues must exceed 1 in modulus"
             )
@@ -82,8 +81,8 @@ class Conditions(_Record):
 
 class HadamardCertificate(_Record):
     """A verified Hadamard triple in the companion frame of the leading
-    block, which records the block decomposition when dimension reduction
-    was used.  Re-verifiable from its own data."""
+    block, which reads the block decomposition, when dimension reduction
+    was used, on demand.  Re-verifiable from its own data."""
 
     kind = "hadamard"
     __slots__ = ("triple",)
@@ -120,10 +119,13 @@ def pure_power_form(p: IntPolynomial):
 
 def leading_triple(inst: ProblemInstance) -> HadamardTriple:
     """Dual digit triple of the leading block in its companion frame, with
-    exact unitarity checked (``triple.verified``) and the block decomposition
-    recorded (``triple.block``).  Raises NotDivisible when q does not divide |det m1|."""
-    triple = construct_dual_digits(inst.leading.companion(), inst.q)
-    triple.block = inst.leading.decomp
+    exact unitarity checked (``triple.verified``).  The triple is built from
+    companion_matrix(f) alone; its companion frame (``coordinate_frame``)
+    and block decomposition (``block``) are read off ``inst.leading`` on
+    demand.  Raises NotDivisible when q does not divide |det m1|."""
+    lead = inst.leading
+    w = IntVector._make((0,) * (lead.r - 1) + (1,))
+    triple = _dual_digits(companion_matrix(lead.char_poly), w, inst.q, leading=lead)
     triple.verify()
     return triple
 
@@ -137,7 +139,7 @@ def classify(inst: ProblemInstance) -> Classification:
     verdicts carry the conditions record only.
     """
     lead = inst.leading
-    reasons = [] if lead.decomp is None else ["rank-reduction"]
+    reasons = [] if lead.r == len(inst.v) else ["rank-reduction"]
     d1 = lead.det_m1
     g = gcd(inst.q, abs(d1))
     pure_c = pure_power_form(lead.char_poly)

@@ -8,7 +8,10 @@ they span a proper subspace, a unimodular change of basis exhibits M as
 a block upper-triangular matrix whose leading block acts on that
 subspace; the classification problem then reduces to the leading block
 in lower dimension.  ``leading_block`` is the one place that chooses
-between the two.
+between the two.  What decides a verdict, the rank r, the char poly f of
+the leading block and the char poly of the trailing block, comes from one
+Krylov elimination (``_krylov_chains``); the decomposition itself, a
+proof device, is built only when a reader asks for it.
 
 Frequency sets transport through a conjugation by the transpose of the
 basis matrix, never the matrix itself, on integer numerators over one
@@ -19,7 +22,6 @@ and ``map_spectrum`` is its public form on rational vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
 
 from ._record import _Record
 from .errors import FullRank, InternalError, InternalRankError, NotFullRank, Singular
@@ -32,9 +34,8 @@ from .linalg import (
     _annihilates,
     _conjugate,
     _hnf_unimodular,
-    _krylov_relation,
+    _krylov_chains,
     _over_common_denominator,
-    char_poly,
     det,
 )
 
@@ -52,7 +53,8 @@ class CompanionConjugation(_Record):
 
 class BlockDecomposition(_Record):
     """Unimodular b with b*M*b_inv = [[m1, c], [0, m2]] and b*v = (x, 0),
-    with the char poly of m2."""
+    with the char poly of m2 (the product of the trailing polynomials of
+    the Krylov chains)."""
 
     __slots__ = ("b", "b_inv", "r", "m1", "c", "m2", "x", "m2_char_poly")
 
@@ -84,7 +86,7 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
     otherwise.  The returned m_tilde is integer even though b^{-1} is not.
     """
     n = m.n
-    vecs, r, f = _krylov_relation(m, v)
+    vecs, r, f, _ = _krylov_chains(m, v, complete=False)
     if r < n:
         raise NotFullRank(f"iterates of v span a {r}-dimensional subspace of dimension {n}")
     return _companion_conjugate(vecs[:n], f)
@@ -93,7 +95,7 @@ def companion_conjugate(m: IntMatrix, v: IntVector) -> CompanionConjugation:
 def _companion_conjugate(vecs, f: IntPolynomial) -> CompanionConjugation:
     """The frame b = [M^{n-1}v, ..., v] of vecs = [v, ..., M^{n-1}v], each
     built as M times the one before, where f(M) v = 0 was checked on
-    v, ..., M^n v (``_krylov_relation``, or ``leading_block`` at r < n).
+    v, ..., M^n v (``_krylov_chains``, or ``LeadingBlock`` at r < n).
     That proves M b = b m_tilde: column 0 of b m_tilde is -sum c_k M^k v,
     which is M^n v, and columns 1 to n-1 of both sides are M^{n-1}v, ..., Mv."""
     n = len(vecs)
@@ -110,13 +112,27 @@ def block_decompose(m: IntMatrix, v: IntVector) -> BlockDecomposition:
     b*v has only its first r entries nonzero.  Raises FullRank when r = n,
     where the companion conjugation is the right tool.
     """
-    vecs, r, f = _krylov_relation(m, v)
-    return _block_decompose(m, v, vecs, r, f)
+    return _block_decompose(m, v, *_krylov_chains(m, v))
 
 
-def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial) -> BlockDecomposition:
+def _poly_product(polys) -> IntPolynomial:
+    """The product of integer polynomials (1 for none), by schoolbook."""
+    coeffs = [1]
+    for p in polys:
+        out = [0] * (len(coeffs) + p.degree)
+        for i, a in enumerate(coeffs):
+            for j, c in enumerate(p.coeffs):
+                out[i + j] += a * c
+        coeffs = out
+    return IntPolynomial(coeffs)
+
+
+def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial,
+                     trailing) -> BlockDecomposition:
     # vecs[:r] = [v, Mv, ..., M^{r-1}v], independent; f, the minimal
-    # polynomial of v, is the char poly of m1, so det m1 = (-1)^r f(0)
+    # polynomial of v, is the char poly of m1, so det m1 = (-1)^r f(0); the
+    # trailing chain polynomials multiply to the char poly of M on the
+    # quotient, which m2 represents
     n = m.n
     if r == n:
         raise FullRank(f"iterates of v already span dimension {n}")
@@ -132,24 +148,68 @@ def _block_decompose(m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial)
     if any(bv[i] != 0 for i in range(r, n)):
         raise InternalRankError("b*v has nonzero trailing entries")
     x = IntVector(bv[i] for i in range(r))
-    f2 = char_poly(m2)
+    f2 = _poly_product(trailing)
     if (-1) ** n * det(m) != f.constant_term() * f2.constant_term():
         raise InternalError("block determinants do not multiply to det M")
+    if (-1) ** (n - r) * det(m2) != f2.constant_term():
+        raise InternalError("trailing block determinant disagrees with its char poly")
     return BlockDecomposition(b, b_inv, r, m1, c, m2, x, f2)
 
 
-class LeadingBlock(NamedTuple):
-    """Leading block (m1, v1) with the Krylov rank r, the decomposition
-    (None when r = n and m1, v1 are M, v), char poly and det of m1, and
-    the iterates v1, m1 v1, ..., m1^{r-1} v1."""
+class LeadingBlock:
+    """Leading block (m1, v1) with the Krylov rank r, the char poly
+    ``char_poly`` and the determinant ``det_m1`` of m1, and the trailing
+    polynomials of the Krylov chains, whose product is the char poly of
+    the trailing block m2.  Those four come from one elimination, at once.
 
-    r: int
-    decomp: BlockDecomposition | None
-    m1: IntMatrix
-    v1: IntVector
-    char_poly: IntPolynomial
-    det_m1: int
-    krylov: tuple
+    At r = n, m1 and v1 are M and v, ``decomp`` is None and ``krylov`` the
+    iterates v, Mv, ..., M^{n-1} v.  At r < n the block decomposition is
+    built on the first read of ``decomp``, ``m1``, ``v1`` or ``krylov``,
+    and only then: m1 and v1 are its leading block and reduced vector, and
+    ``krylov`` holds v1, m1 v1, ..., m1^{r-1} v1, on which f(m1) v1 = 0 is
+    checked in the same build."""
+
+    __slots__ = ("r", "char_poly", "det_m1", "trailing", "_m", "_v", "_vecs", "_decomp", "_krylov")
+
+    def __init__(self, m: IntMatrix, v: IntVector, vecs, r: int, f: IntPolynomial, trailing):
+        self.r, self.char_poly, self.trailing = r, f, trailing
+        # det(xI - m1) at x = 0 is (-1)^r det m1
+        self.det_m1 = (-1) ** r * f.constant_term()
+        self._m, self._v, self._vecs = m, v, vecs
+        # _krylov stays None until the pair (m1, v1) is known: at once when
+        # r = n, after _build otherwise
+        self._decomp = None
+        self._krylov = tuple(vecs[:r]) if r == len(v) else None
+
+    def _build(self) -> None:
+        decomp = _block_decompose(self._m, self._v, self._vecs, self.r, self.char_poly, self.trailing)
+        # m1^k v1 is the head of b M^k v, so the first r are independent
+        vecs = [decomp.x]
+        for _ in range(self.r):
+            vecs.append(decomp.m1 * vecs[-1])
+        if not _annihilates(self.char_poly, vecs):
+            raise InternalRankError("minimal polynomial of v does not annihilate the reduced vector")
+        self._decomp, self._krylov = decomp, tuple(vecs[:self.r])
+
+    @property
+    def decomp(self) -> BlockDecomposition | None:
+        if self._krylov is None:
+            self._build()
+        return self._decomp
+
+    @property
+    def m1(self) -> IntMatrix:
+        return self._m if self.decomp is None else self._decomp.m1
+
+    @property
+    def v1(self) -> IntVector:
+        return self._v if self.decomp is None else self._decomp.x
+
+    @property
+    def krylov(self) -> tuple:
+        if self._krylov is None:
+            self._build()
+        return self._krylov
 
     def companion(self) -> CompanionConjugation:
         """companion_conjugate(m1, v1) from the recorded iterates and char poly."""
@@ -159,22 +219,10 @@ class LeadingBlock(NamedTuple):
 def leading_block(m: IntMatrix, v: IntVector) -> LeadingBlock:
     """The one place that decides between the full pair (r = n) and the
     reduced pair of the block decomposition (r < n).  One Krylov
-    elimination gives r and the minimal polynomial f of v, which is the
-    char poly of m1; r < n adds the block decomposition."""
-    vecs, r, f = _krylov_relation(m, v)
-    if r == m.n:
-        decomp, m1, v1 = None, m, v
-    else:
-        decomp = _block_decompose(m, v, vecs, r, f)
-        m1, v1 = decomp.m1, decomp.x
-        # m1^k v1 is the head of b M^k v, so the first r are independent
-        vecs = [v1]
-        for _ in range(r):
-            vecs.append(m1 * vecs[-1])
-        if not _annihilates(f, vecs):
-            raise InternalRankError("minimal polynomial of v does not annihilate the reduced vector")
-    # det(xI - m1) at x = 0 is (-1)^r det m1
-    return LeadingBlock(r, decomp, m1, v1, f, (-1) ** r * f.constant_term(), tuple(vecs[:r]))
+    elimination gives r, the minimal polynomial f of v, which is the char
+    poly of m1, and at r < n the trailing chain polynomials; the
+    decomposition waits for its first reader."""
+    return LeadingBlock(m, v, *_krylov_chains(m, v))
 
 
 def _transport(b: IntMatrix, direction: str) -> tuple[IntMatrix, int]:

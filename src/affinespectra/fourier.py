@@ -571,11 +571,13 @@ def construct_witness(inst) -> Witness:
     kind exists.
     """
     n = inst.m.n
-    r, decomp, m1, v1, _, d1, _ = inst.leading
+    lead = inst.leading
+    r, d1 = lead.r, lead.det_m1
     if gcd(inst.q, abs(d1)) == 1:
         raise GcdOne(
             f"gcd(q={inst.q}, |det m1|={abs(d1)}) = 1: no vanishing-denominator witness"
         )
+    decomp, m1, v1 = lead.decomp, lead.m1, lead.v1
     # all in integers: m1^{-ell} v1 = a / den with gcd(den, a) = 1, so den
     # is the lcm of the entry denominators; each step is one solve on m1
     a, den = v1, 1

@@ -33,13 +33,26 @@ class HadamardTriple:
     afresh on each read.  verify() alone sets ``verified``: with m^{-1} w = x / d
     and T = <x, u>, H is unitary iff q T = 0 mod d and gcd(q T / d, q) = 1.
     ``coordinate_frame`` is m's companion conjugation, and ``block`` the
-    block decomposition whose leading block it conjugates, or None."""
+    block decomposition whose leading block it conjugates, or None.  A
+    triple built on an instance's leading block (``leading``) reads both
+    off that block on demand, so neither is built unless it is read."""
 
-    __slots__ = ("m", "w", "u", "q", "coordinate_frame", "block", "verified")
+    __slots__ = ("m", "w", "u", "q", "verified", "_frame", "_leading")
 
-    def __init__(self, m: IntMatrix, w: IntVector, u: IntVector, q: int, coordinate_frame=None):
-        self.m, self.w, self.u, self.q = m, w, u, q
-        self.coordinate_frame, self.block, self.verified = coordinate_frame, None, False
+    def __init__(self, m: IntMatrix, w: IntVector, u: IntVector, q: int, coordinate_frame=None,
+                 leading=None):
+        self.m, self.w, self.u, self.q, self.verified = m, w, u, q, False
+        self._frame, self._leading = coordinate_frame, leading
+
+    @property
+    def coordinate_frame(self):
+        if self._frame is None and self._leading is not None:
+            self._frame = self._leading.companion()
+        return self._frame
+
+    @property
+    def block(self):
+        return None if self._leading is None else self._leading.decomp
 
     @property
     def digits(self) -> list:
@@ -95,13 +108,20 @@ def construct_dual_digits(conj: CompanionConjugation, q: int) -> HadamardTriple:
     |a_n| = |det M|; q must divide it (NotDivisible otherwise).  The
     resulting phases are k*l/q and the triple verifies unitarily.
     """
-    n = conj.m_tilde.n
+    return _dual_digits(conj.m_tilde, conj.v_tilde, q, coordinate_frame=conj)
+
+
+def _dual_digits(m_tilde: IntMatrix, w: IntVector, q: int, **frame) -> HadamardTriple:
+    """The triple of ``construct_dual_digits`` on the companion matrix
+    m_tilde with digits along w, its frame given as HadamardTriple's
+    ``coordinate_frame`` or ``leading``."""
+    n = m_tilde.n
     # the companion matrix carries -a_n at the foot of its first column
-    a_n = -conj.m_tilde.rows[n - 1][0]
+    a_n = -m_tilde.rows[n - 1][0]
     if a_n % q != 0:
         raise NotDivisible(f"q={q} does not divide |det| = {abs(a_n)}")
     u = IntVector._make((-a_n // q,) + (0,) * (n - 1))
-    return HadamardTriple(conj.m_tilde, conj.v_tilde, u, q, coordinate_frame=conj)
+    return HadamardTriple(m_tilde, w, u, q, **frame)
 
 
 def phase_matrix(m: IntMatrix, digits, duals) -> tuple[tuple[Fraction, ...], ...]:

@@ -2,10 +2,14 @@
 
 Small dense matrices (n <= 16 in the benchmark).  The kernels run on lists
 of Python ints and make Fractions only at the end: fraction-free (Bareiss)
-elimination for determinants, ranks, inverses and, on the iterates
-v, Mv, ..., the minimal polynomial of v; Faddeev-LeVerrier for other
-characteristic polynomials; and an exact Schur-Cohn test for the
-expanding property that keeps each reduced polynomial content-free.  The
+elimination for determinants, ranks and inverses, and one Bareiss
+elimination of Krylov chains, v, Mv, ... first and then the chains of
+unit vectors, that gives the Krylov rank of v, its minimal polynomial f
+and the trailing factors of the characteristic polynomial (the
+Frobenius route); an exact Schur-Cohn test decides the expanding
+property on those factors and keeps each reduced polynomial
+content-free.  Faddeev-LeVerrier, char_poly, is the public reference for
+characteristic polynomials that no decision path reads.  The
 unimodular echelon form runs its Euclid on the work rows alone and
 replays the recorded steps on packed ints, one per row of b and per
 column of b^-1, in fields the steps' magnitude bounds prove wide enough.
@@ -446,48 +450,83 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     return IntPolynomial(list(reversed(a)) + [1])
 
 
-def _krylov_relation(m: IntMatrix, v: IntVector) -> tuple[list[IntVector], int, IntPolynomial]:
-    """(vecs, r, f): the iterates [v, Mv, ..., M^r v], their rank r and the
-    minimal polynomial f of v, monic of degree r.
+def _reduce(col: list[int], steps) -> list[int]:
+    """col reduced in place by the Bareiss steps (prow, pivot column, rows
+    below prow, previous pivot) of ``_krylov_chains``.  Each entry below a
+    pivot row becomes a minor of the columns so far bordered by col, so
+    every division is exact (checked)."""
+    for prow, piv, below, last in steps:
+        p, y = piv[prow], col[prow]
+        for i in below:
+            col[i], rem = divmod(p * col[i] - piv[i] * y, last)
+            if rem:
+                raise InternalError("Bareiss division must be exact")
+    return col
 
-    Bareiss elimination of the iterates as columns, each reduced by the
-    earlier steps on arrival; the first with no pivot left is M^r v, and
-    back-substitution over the r pivot rows solves sum c_k M^k v = -M^r v.
-    f divides the char poly of M, so every division is exact (checked), and
-    f(M) v = 0 is checked on the iterates."""
+
+def _krylov_chains(m: IntMatrix, v: IntVector, complete: bool = True):
+    """(vecs, r, f, trailing): the iterates [v, Mv, ..., M^r v], their rank
+    r, the minimal polynomial f of v, monic of degree r, and the trailing
+    polynomials g_1, g_2, ... whose product is the char poly of M on the
+    quotient by the span of the iterates, so that char_poly(M) = f g_1 g_2 ...
+    (an empty tuple at r = n, or without ``complete``).
+
+    One Bareiss elimination of Krylov chains as columns, each iterate
+    reduced by the earlier steps on arrival.  The chain of v comes first:
+    the first iterate with no pivot left is M^r v.  With ``complete``, the
+    elimination goes on with the chain of e_i for the least row i with no
+    pivot yet (never in the span, whose pivot rows carry a nonsingular
+    minor) until every row has a pivot.  A chain w, Mw, ..., M^d w ends at
+    the first iterate in the span of all columns so far, and
+    back-substitution over the chain's own pivot rows solves
+    M^d w + sum c_k M^k w = (a vector of the earlier span): g = x^d +
+    sum c_k x^k is the minimal polynomial of w on the quotient by the
+    earlier span, an integer polynomial by Gauss's lemma (the quotient of
+    Z^n by a saturated invariant sublattice is a free M-module), so every
+    division is exact (checked).  Each relation is re-checked on the raw
+    iterates: g(M) w, reduced by the earlier steps, must vanish off their
+    pivot rows, which for v's chain is f(M) v = 0."""
     n = m.n
     if len(v) != n:
         raise ValueError("dimension mismatch")
     if v.is_zero():
         raise ZeroVector("krylov: v must be nonzero")
-    vecs, steps, rest, prev = [v], [], list(range(n)), 1
+    steps, rest, prev, polys, w = [], list(range(n)), 1, [], v
     while True:
-        col = list(vecs[-1])
-        for prow, piv, below, last in steps:  # rows below the pivot row prow
-            p, y = piv[prow], col[prow]
-            for i in below:
-                col[i], rem = divmod(p * col[i] - piv[i] * y, last)
-                if rem:
-                    raise InternalError("Bareiss division must be exact")
-        prow = next((i for i in rest if col[i]), None)
-        if prow is None:
-            break
-        rest = [i for i in rest if i != prow]
-        steps.append((prow, col, rest, prev))
-        prev = col[prow]
-        vecs.append(m * vecs[-1])
-    r, coeffs = len(steps), []
-    for k in reversed(range(r)):  # the pivot row of step k, solved for c_k
-        prow, piv = steps[k][:2]
-        num = -col[prow] - sum(steps[l][1][prow] * c for l, c in zip(range(k + 1, r), coeffs))
-        c, rem = divmod(num, piv[prow])
-        if rem:
-            raise InternalError("minimal polynomial of v must be integral")
-        coeffs.insert(0, c)
-    f = IntPolynomial(coeffs + [1])
-    if not _annihilates(f, vecs):
-        raise InternalError("minimal polynomial does not annihilate v")
-    return vecs, r, f
+        vecs, start = [w], len(steps)
+        while True:
+            col = _reduce(list(vecs[-1]), steps)
+            prow = next((i for i in rest if col[i]), None)
+            if prow is None:
+                break
+            rest = [i for i in rest if i != prow]
+            steps.append((prow, col, rest, prev))
+            prev = col[prow]
+            vecs.append(m * vecs[-1])
+        end, coeffs = len(steps), []
+        if end == start:  # each chain adds a pivot, so the loop ends by rank n
+            raise InternalError("a Krylov chain must start off the span")
+        for k in reversed(range(start, end)):  # the pivot row of step k, solved for c_k
+            prow, piv = steps[k][:2]
+            num = -col[prow] - sum(steps[l][1][prow] * c for l, c in zip(range(k + 1, end), coeffs))
+            c, rem = divmod(num, piv[prow])
+            if rem:
+                raise InternalError("minimal polynomial of a Krylov chain must be integral")
+            coeffs.insert(0, c)
+        g = IntPolynomial(coeffs + [1])
+        relation = [sum(map(mul, g.coeffs, row)) for row in zip(*vecs)]
+        if start:  # in the earlier span iff zero off its pivot rows once reduced by its steps
+            relation = _reduce(relation, steps[:start])
+            relation = [relation[i] for i in steps[start - 1][2]]
+        if any(relation):
+            raise InternalError("minimal polynomial does not annihilate its Krylov chain")
+        if not start:
+            head, r, f = vecs, end, g
+        else:
+            polys.append(g)
+        if not (complete and rest):
+            return head, r, f, tuple(polys)
+        w = IntVector._make(tuple(int(i == rest[0]) for i in range(n)))
 
 
 def _annihilates(f: IntPolynomial, vecs) -> bool:
@@ -499,8 +538,8 @@ def _annihilates(f: IntPolynomial, vecs) -> bool:
 
 def krylov(m: IntMatrix, v: IntVector) -> tuple[list[IntVector], int]:
     """Return ([v, Mv, ..., M^{n-1}v], rank of their span), the rank read
-    off the elimination of ``_krylov_relation``."""
-    vecs, r, _ = _krylov_relation(m, v)
+    off the elimination of v's chain in ``_krylov_chains``."""
+    vecs, r, _, _ = _krylov_chains(m, v, complete=False)
     while len(vecs) < m.n:
         vecs.append(m * vecs[-1])
     return vecs[:m.n], r
@@ -816,6 +855,9 @@ def _no_root_in_closed_unit_disk(coeffs: list[int]) -> bool:
 def is_expanding(m: IntMatrix) -> bool:
     """True iff every eigenvalue of m has modulus strictly greater than 1.
 
-    Decided exactly from the characteristic polynomial; no root finding.
+    Decided exactly, with no root finding, on the factors f g_1 g_2 ... of
+    the characteristic polynomial that the Krylov chains from e_0 give
+    (``_krylov_chains``): the roots of the product are those of the factors.
     """
-    return _no_root_in_closed_unit_disk(list(char_poly(m).coeffs))
+    _, _, f, trailing = _krylov_chains(m, IntVector._make((1,) + (0,) * (m.n - 1)))
+    return all(_no_root_in_closed_unit_disk(p.coeffs) for p in (f, *trailing))

@@ -6,7 +6,7 @@ import itertools
 from fractions import Fraction
 
 from affinespectra.errors import DuplicateFrequency
-from affinespectra.linalg import IntMatrix, RatVector, inverse
+from affinespectra.linalg import IntMatrix, IntPolynomial, RatVector, inverse
 
 
 def inverse_unimodular(u: IntMatrix) -> IntMatrix:
@@ -24,6 +24,18 @@ def eval_matrix(p, m: IntMatrix) -> IntMatrix:
     for c in reversed(p.coeffs):
         acc = acc * m + IntMatrix.identity(m.n).scaled(c)
     return acc
+
+
+def poly_product(polys) -> IntPolynomial:
+    """The product of integer polynomials, by schoolbook multiplication."""
+    out = [1]
+    for p in polys:
+        prod = [0] * (len(out) + p.degree)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p.coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return IntPolynomial(out)
 
 
 def oracle_sums(triple, depth):

@@ -17,7 +17,7 @@ from affinespectra.conjugation import (
     leading_block,
     map_spectrum,
 )
-from affinespectra.errors import FullRank, InternalRankError, NotFullRank, Singular
+from affinespectra.errors import FullRank, InternalRankError, NotExpanding, NotFullRank, Singular
 from affinespectra.linalg import (
     IntMatrix,
     IntPolynomial,
@@ -26,14 +26,16 @@ from affinespectra.linalg import (
     char_poly,
     det,
     inverse,
+    is_expanding,
     krylov,
     rank,
     _annihilates,
-    _krylov_relation,
+    _krylov_chains,
     _mat_mul,
+    _no_root_in_closed_unit_disk,
 )
 
-from oracles import inverse_unimodular
+from oracles import inverse_unimodular, poly_product
 
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
 V_CUBE = IntVector([0, 0, 1])
@@ -144,7 +146,7 @@ def test_companion_conjugate_already_companion():
 def test_companion_identities_are_checked_in_integers():
     # M b = b M~ rests on f(M) v = 0 over the iterates v, ..., M^3 v, which
     # a char poly that is not v's fails
-    vecs, r, f = _krylov_relation(M_CUBE, V_CUBE)
+    vecs, r, f, _ = _krylov_chains(M_CUBE, V_CUBE)
     assert r == 3 and f == char_poly(M_CUBE) and _annihilates(f, vecs)
     assert _companion_conjugate(vecs[:3], f).m_tilde == companion_matrix(IntPolynomial([36, 0, 0, 1]))
     assert not _annihilates(IntPolynomial([-36, 0, 0, 1]), vecs)
@@ -288,8 +290,70 @@ def test_leading_block_guards_the_reduced_vector(monkeypatch):
         m2_char_poly=IntPolynomial([-5, 1]),
     )
     monkeypatch.setattr(conjugation, "_block_decompose", lambda *args: bad)
+    lead = leading_block(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]), IntVector([1, 1, 0]))
     with pytest.raises(InternalRankError, match="annihilate"):
-        leading_block(IntMatrix([[2, 0, 0], [0, 3, 0], [0, 0, 5]]), IntVector([1, 1, 0]))
+        lead.decomp
+
+
+@st.composite
+def _chain_instances(draw, max_n=6):
+    """(u B u^-1, u (x, 0)) with B = [[B1, C], [0, B2]] block upper
+    triangular and u a product of elementary +-1 row operations.  B1 is
+    r x r, with entries in -3..3 or upper triangular with its diagonal
+    there; B2 is the scalar k I (derogatory from 2 x 2 on) or upper
+    triangular, its diagonal in -3..3 too, so that trailing eigenvalues
+    +-1 and 0 come up as well as expanding blocks.  r = n now and then."""
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(1, n))
+    diag, small = st.integers(-3, 3), st.integers(-2, 2)
+    triangular, scalar = draw(st.booleans()), draw(st.booleans())
+    k = draw(diag)
+    rows = []
+    for i in range(n):
+        if i < r:
+            head = [draw(diag) if j == i or (j < i and not triangular) else draw(small) if j > i else 0
+                    for j in range(r)]
+            rows.append(head + [draw(small) for _ in range(n - r)])
+        else:
+            rows.append([0] * i + [k if scalar else draw(diag)]
+                        + [0 if scalar else draw(small) for _ in range(n - 1 - i)])
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from([-1, 1]))
+    for i, j, c in draw(st.lists(ops, max_size=2 * n)):
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    u = IntMatrix(u)
+    x = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r).filter(any))
+    return u * IntMatrix(rows) * inverse_unimodular(u), u * IntVector(x + [0] * (n - r))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_chain_instances())
+def test_krylov_chains_factor_the_char_poly(pair):
+    # f g_1 g_2 ... is char_poly(M), from v and from e_0 alike; at r < n
+    # the trailing factors are the char poly of the decomposition's m2;
+    # and an instance is refused as not expanding exactly when the
+    # Faddeev-LeVerrier char poly has a root in the closed unit disk
+    m, v = pair
+    n = m.n
+    whole = char_poly(m)
+    vecs, r, f, trailing = _krylov_chains(m, v)
+    assert poly_product((f, *trailing)) == whole
+    assert (trailing == ()) == (r == n) and f.degree == r
+    assert vecs == [(m ** k) * v for k in range(r + 1)]
+    _, _, f0, trailing0 = _krylov_chains(m, IntVector([1] + [0] * (n - 1)))
+    assert poly_product((f0, *trailing0)) == whole
+    if r < n:
+        d = block_decompose(m, v)
+        assert poly_product(trailing) == d.m2_char_poly == char_poly(d.m2)
+    expanding = is_expanding(m)
+    assert expanding == _no_root_in_closed_unit_disk(whole.coeffs)
+    if expanding:
+        lead = ProblemInstance(m, v, 2).leading
+        assert (lead.r, lead.char_poly, lead.trailing) == (r, f, trailing)
+    else:
+        with pytest.raises(NotExpanding):
+            ProblemInstance(m, v, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,8 @@ def _witness_over_fractions(inst):
     matrix arithmetic: inverse iterates of v1, powers of the rational
     inverse transpose and the rational inverse of the trailing block."""
     n = inst.m.n
-    r, decomp, m1, v1 = inst.leading[:4]
+    lead = inst.leading
+    r, decomp, m1, v1 = lead.r, lead.decomp, lead.m1, lead.v1
     m1_inv = inverse(m1)
     cur, ell = v1.to_rat(), 0
     while True:

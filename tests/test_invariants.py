@@ -149,30 +149,62 @@ def test_classify_decomposes_a_reduced_witness_instance_once(monkeypatch):
 
 
 RANK_ONE = {"matrix": [[1, -3, 3], [3, -5, 3], [6, -6, 4]], "v": [1, 1, 2], "q": 4}
+RANK_TWO = {"matrix": [[4, 0, 0, 0], [0, 3, 0, 1], [0, 0, 5, 0], [0, 0, 0, 7]],
+            "v": [1, 1, 0, 0], "q": 8}
+
+
+@pytest.mark.parametrize("inst, verdict, decompositions", [
+    (RANK_ONE, "spectral", 0),
+    ({**RANK_TWO, "q": 12}, "spectral", 0),
+    ({**RANK_ONE, "q": 3}, "not_spectral_finitely_many", 0),
+    ({**RANK_TWO, "q": 5}, "unknown", 0),
+    ({**RANK_ONE, "q": 8}, "not_spectral_infinite_orthogonals", 1),
+    (RANK_TWO, "infinite_orthogonals_spectrality_unknown", 1),
+], ids=["hadamard-1", "hadamard-2", "finitely-many", "unknown", "witness-1", "witness-2"])
+def test_classify_builds_the_decomposition_only_for_a_witness(monkeypatch, inst, verdict, decompositions):
+    # at r < n the Hadamard and condition-only verdicts read r, f and det m1
+    # alone; the witness reads m1, c, m2 and b, and builds them once
+    blocks = _count_calls(monkeypatch, conjugation, "_block_decompose")
+    hnfs = _count_calls(monkeypatch, linalg, "_hnf_unimodular")
+    c = classify(ProblemInstance(IntMatrix(inst["matrix"]), IntVector(inst["v"]), inst["q"]))
+    assert c.verdict.value == verdict and "rank-reduction" in c.reasons
+    assert (len(blocks), len(hnfs)) == (decompositions, decompositions)
+
+
+def test_classify_report_builds_the_decomposition_once(monkeypatch, tmp_path, capsys):
+    # the report's certificate carries block.b: one decomposition, read by
+    # both the report and the human summary
+    path, report = tmp_path / "rank-one.json", tmp_path / "report.json"
+    path.write_text(json.dumps(RANK_ONE))
+    blocks = _count_calls(monkeypatch, conjugation, "_block_decompose")
+    hnfs = _count_calls(monkeypatch, linalg, "_hnf_unimodular")
+    assert main(["classify", "--input", str(path), "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert json.loads(report.read_text())["certificate"]["block"]["r"] == 1
+    assert (len(blocks), len(hnfs)) == (1, 1)
 
 
 @pytest.mark.parametrize("inst, verdict, char_polys, krylovs, relations", [
     # full rank: the Krylov elimination gives r and the char poly of M,
     # which decides the expanding test (1 char poly and 1 krylov before)
     (CUBE, "spectral", 0, 0, 1),
-    # rank 1: the elimination gives r and the char poly of m1, Faddeev runs
-    # on the trailing block m2 only (2 char polys and 2 krylovs before)
-    (RANK_ONE, "spectral", 1, 0, 1),
+    # rank 1: the same elimination, continued by the chains of unit
+    # vectors, gives r, the char poly of m1 and that of the trailing block
+    # (2 char polys and 2 krylovs before, then Faddeev on m2 only)
+    (RANK_ONE, "spectral", 0, 0, 1),
 ], ids=["full-rank", "rank-1"])
 def test_classify_computes_each_char_poly_and_krylov_basis_once(
     monkeypatch, inst, verdict, char_polys, krylovs, relations
 ):
     char_poly_calls = _count_calls(monkeypatch, linalg, "char_poly")
     krylov_calls = _count_calls(monkeypatch, linalg, "krylov")
-    relation_calls = _count_calls(monkeypatch, linalg, "_krylov_relation")
+    relation_calls = _count_calls(monkeypatch, linalg, "_krylov_chains")
     c = classify(ProblemInstance(IntMatrix(inst["matrix"]), IntVector(inst["v"]), inst["q"]))
     assert c.verdict.value == verdict and c.certificate.triple.verified
     counts = (len(char_poly_calls), len(krylov_calls), len(relation_calls))
     assert counts == (char_polys, krylovs, relations)
 
 
-RANK_TWO = {"matrix": [[4, 0, 0, 0], [0, 3, 0, 1], [0, 0, 5, 0], [0, 0, 0, 7]],
-            "v": [1, 1, 0, 0], "q": 8}
 
 
 @pytest.mark.parametrize("inst, verdict", [
@@ -182,14 +214,16 @@ RANK_TWO = {"matrix": [[4, 0, 0, 0], [0, 3, 0, 1], [0, 0, 5, 0], [0, 0, 0, 7]],
     ({"matrix": [[4, 0], [0, 5]], "v": [1, 0], "q": 6}, "not_spectral_infinite_orthogonals"),
 ], ids=["rank-1-spectral", "rank-1-witness", "rank-2-witness", "diagonal"])
 def test_rank_deficient_instance_computes_two_determinants(monkeypatch, inst, verdict):
-    # det M for the block check, and det m2 once, inside the char poly of
-    # m2 that the expanding test reads; det m1 is (-1)^r f(0) (4 before)
+    # the witness builds the decomposition, which checks det M and det m2
+    # against the chain polynomials; det m1 is (-1)^r f(0) (4 before).  The
+    # Hadamard verdict builds no decomposition, so it takes no determinant
     det_calls = _count_calls(monkeypatch, linalg, "det")
     c = classify(ProblemInstance(IntMatrix(inst["matrix"]), IntVector(inst["v"]), inst["q"]))
     assert c.verdict.value == verdict and "rank-reduction" in c.reasons
     assert len(det_calls) <= 2
     n = len(inst["matrix"])
-    assert sorted(len(args[0].rows) for args in det_calls) == sorted([n, n - c.conditions.r])
+    want = [] if c.certificate.kind == "hadamard" else [n, n - c.conditions.r]
+    assert sorted(len(args[0].rows) for args in det_calls) == sorted(want)
 
 
 @pytest.mark.parametrize("inst", [
@@ -211,11 +245,13 @@ def test_reduced_witness_solves_only_on_the_blocks(monkeypatch, inst):
 
 
 def test_block_determinant_check_still_fires(monkeypatch):
-    # det M == det m1 * det m2 is still checked, with det m1 read off f
+    # det M == det m1 * det m2 is still checked, with det m1 read off f,
+    # when the decomposition is built: on its first read
     original = linalg.det
     monkeypatch.setattr(conjugation, "det", lambda m: original(m) + 1)
+    inst = ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), RANK_ONE["q"])
     with pytest.raises(InternalError, match="block determinants"):
-        ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), RANK_ONE["q"])
+        inst.leading.decomp
 
 
 def test_hnf_checks_fire_on_corrupted_fields(monkeypatch):
@@ -245,11 +281,11 @@ def test_block_checks_fire_on_corrupted_products(monkeypatch, n):
     # product) and n = 8 (packed)
     m = IntMatrix([[(i + 2) * (i == j) for j in range(n)] for i in range(n)])
     v = IntVector([1, 1] + [0] * (n - 2))
-    vecs, r, f = linalg._krylov_relation(m, v)
+    vecs, r, f, trailing = linalg._krylov_chains(m, v)
     assert r == 2
     w = IntVector([1, 1, 1] + [0] * (n - 3))  # off the span of the iterates of v
     with pytest.raises(InternalRankError, match="nonzero trailing entries"):
-        conjugation._block_decompose(m, w, vecs, r, f)
+        conjugation._block_decompose(m, w, vecs, r, f, trailing)
     conjugate = linalg._conjugate
 
     def corner_off(*args):
@@ -258,7 +294,7 @@ def test_block_checks_fire_on_corrupted_products(monkeypatch, n):
 
     monkeypatch.setattr(conjugation, "_conjugate", corner_off)
     with pytest.raises(InternalRankError, match="lower-left block"):
-        conjugation._block_decompose(m, v, vecs, r, f)
+        conjugation._block_decompose(m, v, vecs, r, f, trailing)
 
 
 @pytest.mark.parametrize("part, i, j", [("m1", 0, 1), ("c", 1, 1), ("m2", 1, 1)])
@@ -271,7 +307,6 @@ def test_reduced_witness_fails_verification_on_a_corrupted_block(part, i, j):
     block = getattr(decomp, part)
     setattr(decomp, part, block + IntMatrix([[int((k, l) == (i, j)) for l in range(block.ncols)]
                                              for k in range(block.nrows)]))
-    problem.leading = problem.leading._replace(m1=decomp.m1)
     with pytest.raises(InternalError, match="constructed witness failed verification"):
         fourier.construct_witness(problem)
 
@@ -302,8 +337,9 @@ def test_reduced_pair_must_satisfy_the_minimal_polynomial(monkeypatch):
         return d
 
     monkeypatch.setattr(conjugation, "_block_decompose", shifted)
+    inst = ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), RANK_ONE["q"])
     with pytest.raises(InternalRankError, match="minimal polynomial"):
-        ProblemInstance(IntMatrix(RANK_ONE["matrix"]), IntVector(RANK_ONE["v"]), RANK_ONE["q"])
+        inst.leading.decomp
 
 
 def test_completeness_evidence_verifies_the_triple_once(monkeypatch, tmp_path, capsys):

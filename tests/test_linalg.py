@@ -38,7 +38,7 @@ from affinespectra.linalg import (
     _hnf_unimodular,
     _inverse_parts,
     _is_companion,
-    _krylov_relation,
+    _krylov_chains,
     _mat_mul,
     _no_root_in_closed_unit_disk,
     _product_is,
@@ -47,7 +47,7 @@ from affinespectra.linalg import (
     _solve_parts,
 )
 
-from oracles import eval_matrix, inverse_by_fraction_gauss_jordan, inverse_unimodular
+from oracles import eval_matrix, inverse_by_fraction_gauss_jordan, inverse_unimodular, poly_product
 
 # char poly x^3 + 36; v generates a full Krylov basis
 M_CUBE = IntMatrix([[2, 6, 4], [-1, 2, 2], [-1, -1, -4]])
@@ -519,7 +519,7 @@ def _companion_16():
         e = [[int(a == b) + (rng.choice((-1, 1)) if (a, b) == (i, j) else 0) for b in range(n)] for a in range(n)]
         u = u * IntMatrix(e)
     m = u * IntMatrix(blk) * inverse_unimodular(u)
-    vecs, r, f = _krylov_relation(m, u * IntVector([1] + [0] * (n - 1)))
+    vecs, r, f, _ = _krylov_chains(m, u * IntVector([1] + [0] * (n - 1)))
     assert r == n and f == IntPolynomial(coeffs + [1])
     return vecs, f
 
@@ -784,14 +784,6 @@ def test_is_expanding_matches_unreduced_schur_cohn_and_eigenvalues(m):
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(f, g):
-    out = [0] * (f.degree + g.degree + 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            out[i + j] += a * b
-    return IntPolynomial(out)
-
-
 def _nonzero_vectors(n):
     return st.lists(st.integers(-3, 3), min_size=n, max_size=n).filter(any).map(IntVector)
 
@@ -827,7 +819,7 @@ def test_krylov_relation_gives_rank_and_minimal_polynomial(pair):
 
     m, v = pair
     n = m.nrows
-    vecs, r, f = _krylov_relation(m, v)
+    vecs, r, f, _ = _krylov_chains(m, v, complete=False)
     assert vecs == [(m ** k) * v for k in range(r + 1)]
     assert r == rank(IntMatrix.from_columns(vecs)) == rank(IntMatrix.from_columns(vecs[:r]))
     assert krylov(m, v) == ([(m ** k) * v for k in range(n)], r)
@@ -836,16 +828,19 @@ def test_krylov_relation_gives_rank_and_minimal_polynomial(pair):
     if r == n:
         assert char_poly(m) == f
     else:
-        assert char_poly(m) == _poly_mul(f, char_poly(block_decompose(m, v).m2))
+        assert char_poly(m) == poly_product((f, char_poly(block_decompose(m, v).m2)))
 
 
 def test_krylov_relation_on_the_unit_circle():
-    # rotation by a quarter turn: x^2 + 1; an eigenvector of 1 and of -1
-    vecs, r, f = _krylov_relation(IntMatrix([[0, -1], [1, 0]]), IntVector([1, 0]))
-    assert (r, f) == (2, IntPolynomial([1, 0, 1]))
-    assert _krylov_relation(IntMatrix([[1, 0], [0, -1]]), IntVector([0, 3]))[1:] == (
-        1, IntPolynomial([1, 1]))
-    assert _krylov_relation(M_DIAG, V_DIAG) == (
-        [V_DIAG, V_DIAG.scaled(4)], 1, IntPolynomial([-4, 1]))
-    assert _krylov_relation(IntMatrix([[0, 0], [0, 0]]), IntVector([1, 1]))[1:] == (
-        1, IntPolynomial([0, 1]))
+    # rotation by a quarter turn: x^2 + 1; an eigenvector of 1 and of -1,
+    # whose trailing chain, from e_0, is x - 1
+    vecs, r, f, trailing = _krylov_chains(IntMatrix([[0, -1], [1, 0]]), IntVector([1, 0]))
+    assert (r, f, trailing) == (2, IntPolynomial([1, 0, 1]), ())
+    assert _krylov_chains(IntMatrix([[1, 0], [0, -1]]), IntVector([0, 3]))[1:] == (
+        1, IntPolynomial([1, 1]), (IntPolynomial([-1, 1]),))
+    # the trailing block -2I is derogatory: two chains of degree 1
+    assert _krylov_chains(M_DIAG, V_DIAG) == (
+        [V_DIAG, V_DIAG.scaled(4)], 1, IntPolynomial([-4, 1]), (IntPolynomial([2, 1]),) * 2)
+    assert _krylov_chains(M_DIAG, V_DIAG, complete=False)[3] == ()
+    assert _krylov_chains(IntMatrix([[0, 0], [0, 0]]), IntVector([1, 1]))[1:] == (
+        1, IntPolynomial([0, 1]), (IntPolynomial([0, 1]),))
